@@ -3,12 +3,21 @@
 A circuit has ``2 * label_bits`` input wires: wires ``0 .. n-1`` carry the
 first argument x least-significant-bit first, wires ``n .. 2n-1`` carry y.
 Gates are fan-in <= 2; wider conjunctions/disjunctions are ladders.
+
+Evaluation is bit-parallel (bitslicing): one pass over the gate list
+evaluates a fixed x against many y at once. Each gate value is a Python int
+with one bit per lane, and lane y holds the gate's value at (x, y). An
+x-wire is all-ones (-1) or zero, a y-wire is a precomputed lane mask,
+``not`` is ``~v`` (all-ones ^ v), and the output is cut to the lanes in use.
+``BoolCircuit.row`` evaluates x against every y in ``[0, count)``;
+``BoolCircuit.eval`` is the one-lane case of the same interpreter.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BadParam, InputOutOfRange, ParseError, TopologyError
 
@@ -51,24 +60,40 @@ class BoolCircuit:
             raise TopologyError(f"gate {i} references gate {j}")
 
     def eval(self, x: int, y: int) -> bool:
-        """Evaluate the circuit on vertex labels x, y."""
+        """Evaluate the circuit on vertex labels x, y: one lane, holding y."""
         n = self.label_bits
         if not 0 <= x < (1 << n) or not 0 <= y < (1 << n):
             raise InputOutOfRange(f"labels ({x}, {y}) need more than {n} bits")
-        values = [False] * len(self.gates)
-        for i, gate in enumerate(self.gates):
+        return bool(self._lanes(x, [(y >> j) & 1 for j in range(n)]) & 1)
+
+    def row(self, x: int, count: int) -> int:
+        """C(x, y) for every y in [0, count), as an int whose bit y is C(x, y)."""
+        n = self.label_bits
+        if not 0 <= x < (1 << n) or not 1 <= count <= (1 << n):
+            raise InputOutOfRange(f"row of label {x} over {count} labels needs more than {n} bits")
+        return self._lanes(x, _lane_masks(n, count)) & ((1 << count) - 1)
+
+    def _lanes(self, x, y_lanes):
+        """One pass over the gates with x fixed and y-wire j set to y_lanes[j].
+
+        The result may carry set bits above the lanes in use; callers mask it.
+        """
+        n = self.label_bits
+        values = []
+        push = values.append
+        for gate in self.gates:
             kind = gate[0]
-            if kind == "input":
-                w = gate[1]
-                values[i] = bool((x >> w) & 1) if w < n else bool((y >> (w - n)) & 1)
-            elif kind == "const":
-                values[i] = bool(gate[1])
+            if kind == "and":
+                push(values[gate[1]] & values[gate[2]])
+            elif kind == "or":
+                push(values[gate[1]] | values[gate[2]])
             elif kind == "not":
-                values[i] = not values[gate[1]]
-            elif kind == "and":
-                values[i] = values[gate[1]] and values[gate[2]]
+                push(~values[gate[1]])
+            elif kind == "input":
+                w = gate[1]
+                push(y_lanes[w - n] if w >= n else -((x >> w) & 1))
             else:
-                values[i] = values[gate[1]] or values[gate[2]]
+                push(-gate[1])
         return values[self.output]
 
     def gate_count(self) -> int:
@@ -81,6 +106,28 @@ class BoolCircuit:
             "gates": [list(g) for g in self.gates],
             "output": self.output,
         }
+
+
+@lru_cache(maxsize=4)
+def _lane_masks(label_bits: int, count: int) -> tuple:
+    """Mask j has bit y set iff bit j of y is 1, for every lane y < count.
+
+    Each mask is its period-2^(j+1) pattern (2^j zeros, then 2^j ones)
+    doubled until it covers count lanes, so building all of them costs
+    O(label_bits * count / 64) word operations.
+    """
+    masks = []
+    for j in range(label_bits):
+        half = 1 << j
+        if half >= count:
+            masks.append(0)
+            continue
+        mask, width = ((1 << half) - 1) << half, 2 * half
+        while width < count:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask & ((1 << count) - 1))
+    return tuple(masks)
 
 
 def serialize(circuit: BoolCircuit) -> str:

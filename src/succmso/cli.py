@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import efgame, graph, mso, sgr, treedec, verify
@@ -181,7 +180,7 @@ def _cmd_ef(args):
         _emit(args, str(q), {"q": q})
         return 0
     if args.ef_cmd == "qbound":
-        if args.m2 is not None:
+        if args.m is None:
             q = efgame.q_bound(args.size, args.m1, args.m2)
         else:
             q = efgame.q_bound_total(args.size, args.m)
@@ -287,10 +286,17 @@ def _cmd_verify(args):
 # -- parser --------------------------------------------------------------
 
 
+def _check_qbound(parser, args):
+    """qbound takes --m alone, or --m1 with --m2; anything else exits 2."""
+    alone = args.m is not None and args.m1 is None and args.m2 is None
+    split = args.m is None and args.m1 is not None and args.m2 is not None
+    if not (alone or split):
+        parser.error("give --m, or both --m1 and --m2")
+
+
 def _build_parser():
     top = argparse.ArgumentParser(prog="succmso")
     top.add_argument("--json", action="store_true", help="machine-readable output")
-    top.add_argument("--threads", type=int, default=None, help="worker cap (SUCCMSO_THREADS)")
     sub = top.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("sgr")
@@ -350,6 +356,7 @@ def _build_parser():
     q.add_argument("--m", type=int, default=None)
     q.add_argument("--m1", type=int, default=None)
     q.add_argument("--m2", type=int, default=None)
+    q.set_defaults(check_usage=lambda a, q=q: _check_qbound(q, a))
     q = ps.add_parser("saturate")
     q.add_argument("--omega", required=True)
     q.add_argument("--formula", required=True)
@@ -430,13 +437,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        check_usage = getattr(args, "check_usage", None)
+        if check_usage is not None:
+            check_usage(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.threads is None:
-        args.threads = int(os.environ.get("SUCCMSO_THREADS", "1") or "1")
-    if args.threads < 1:
-        print("error: BadParam: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return _HANDLERS[args.cmd](args)
     except SuccmsoError as exc:

@@ -37,13 +37,18 @@ def edge_query(s: Sgr, x: int, y: int) -> bool:
 
 
 def materialize(s: Sgr, limit: int) -> Digraph:
-    """Evaluate all N^2 pairs and return the explicit digraph."""
+    """Evaluate all N^2 pairs, one row of N lanes per circuit pass, and
+    return the explicit digraph."""
     if s.n_vertices > limit:
         raise TooLargeToMaterialize(f"N={s.n_vertices} exceeds limit {limit}")
     n = s.n_vertices
-    edges = [
-        (x, y) for x in range(n) for y in range(n) if s.circuit.eval(x, y)
-    ]
+    edges = []
+    for x in range(n):
+        row = s.circuit.row(x, n)
+        while row:  # visit only the set bits, lowest first
+            low = row & -row
+            edges.append((x, low.bit_length() - 1))
+            row ^= low
     return Digraph(n, edges)
 
 

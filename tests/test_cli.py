@@ -223,6 +223,9 @@ def test_ef_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "ef", "qbound", "--size", "1", "--m", "1")
     assert code == 0 and out.strip() == "2"
 
+    code, out, _ = run(capsys, "ef", "qbound", "--size", "1", "--m1", "0", "--m2", "1")
+    assert code == 0 and out.strip() == "2"
+
     loop = tmp_path / "loop1.txt"
     loop.write_text("graph 1\ne 0 0\n")
     code, out, _ = run(capsys, "ef", "saturate", "--omega", str(loop), "--formula", "ex x. E(x,x)")
@@ -236,3 +239,24 @@ def test_json_round_trip_materialize(capsys, tmp_path, cnf_file):
     assert code == 0
     obj = json.loads(out)
     assert Digraph(obj["n"], obj["edges"]).n == 2
+
+
+@pytest.mark.parametrize(
+    "moves",
+    [(), ("--m1", "1"), ("--m2", "1"), ("--m", "1", "--m1", "0", "--m2", "1")],
+)
+def test_ef_qbound_needs_m_or_both_splits(capsys, moves):
+    code, out, err = run(capsys, "ef", "qbound", "--size", "2", *moves)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: succmso ef qbound")
+    assert "Traceback" not in err
+    assert err.strip().endswith("error: give --m, or both --m1 and --m2")
+
+
+def test_no_threads_flag_or_env(capsys, monkeypatch):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "--threads" not in out
+    monkeypatch.setenv("SUCCMSO_THREADS", "0")  # once rejected with exit 2; now unread
+    code, out, _ = run(capsys, "ef", "qbound", "--size", "1", "--m", "1")
+    assert code == 0 and out.strip() == "2"

@@ -40,6 +40,13 @@ def shared_port_quadruple():
     return normalize_layout(g0, g1, g2, g3)
 
 
+QUADRUPLES = {
+    "toy": toy_quadruple,
+    "shared": shared_port_quadruple,
+    "path": lambda: build_quadruple(path_triple(), Digraph(1, [(0, 0)])),
+}
+
+
 def reference_graph(quad, S):
     n = quad.big_n(S.s)
     return Digraph(n, [(x, y) for x in range(n) for y in succ_ref(quad, S, x)])

@@ -12,6 +12,8 @@ from succmso.verify import (
     small_cnf_battery,
 )
 
+from test_reduce import QUADRUPLES
+
 
 def test_sat_solve_basic():
     ok, model = sat_solve(CnfInstance(1, [(1,)]))
@@ -84,6 +86,27 @@ def test_check_instance_record():
     assert rec.satisfiable and rec.models_sentence
     assert rec.routes_agree and rec.succ_ref_agrees
     assert rec.n_vertices == 5
+
+
+# Seeded instances per s for the soundness batteries; at s = 10 the
+# shared-port quadruple has N = 2054, and its one instance takes most of
+# the time.
+SOUNDNESS_BATTERY = {6: 3, 8: 1, 10: 1}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRUPLES))
+def test_soundness_battery(name):
+    """Loop iff SAT, and the circuit, succ_ref and delta_layout agree label
+    for label, on seeded instances and one contradiction."""
+    quad = QUADRUPLES[name]()
+    battery = [S for s, count in SOUNDNESS_BATTERY.items() for S in seeded_cnf_battery(s, count, 5)]
+    battery.append(CnfInstance(6, battery[0].clauses + ((1,), (-1,))))
+    verdicts = set()
+    for S in battery:
+        rec = check_instance(S, quad)
+        assert rec.ok, (S.s, S.clauses)
+        verdicts.add(rec.satisfiable)
+    assert verdicts == {True, False}
 
 
 def test_end_to_end_builtin_battery():
