@@ -369,27 +369,6 @@ class CircuitBuilder:
 
     # -- selection -------------------------------------------------------
 
-    def mux(self, select_bits, table) -> WireBundle:
-        """Select table[i] where i is the integer formed by select_bits (LSB first)."""
-        select_bits = list(select_bits)
-        table = [WireBundle(t) for t in table]
-        if len(table) != (1 << len(select_bits)):
-            raise BadParam("mux table size must be 2^(number of select bits)")
-        width = max(len(t) for t in table)
-        table = [self.pad(t, width) for t in table]
-        while select_bits:
-            s = select_bits.pop()  # split on most significant select bit
-            half = len(table) // 2
-            lo, hi = table[:half], table[half:]
-            table = [
-                WireBundle(
-                    self.or_(self.and_(s, h), self.and_(self.not_(s), l))
-                    for l, h in zip(lo_b, hi_b)
-                )
-                for lo_b, hi_b in zip(lo, hi)
-            ]
-        return table[0]
-
     def mux_bit(self, s: int, if0: int, if1: int) -> int:
         return self.or_(self.and_(s, if1), self.and_(self.not_(s), if0))
 

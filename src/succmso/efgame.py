@@ -1,5 +1,8 @@
 """MSO Ehrenfeucht-Fraïssé games on tiny graphs, the idempotence search
-q(G, m), the explicit recursion bounding it, and saturating-graph scans."""
+q(G, m), the explicit recursion bounding it, and saturating-graph scans.
+
+"Rank" is quantifier rank, the maximal quantifier nesting depth (mso.rank):
+an m-move game decides agreement on all MSO sentences of rank <= m."""
 
 from __future__ import annotations
 
@@ -7,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import BoundTooLarge, EmptyGraph, TooLarge
 from .graph import Digraph, disjoint_union, power_union
-from .mso import CompiledFormula
+from .mso import CompiledFormula, parse, rank
 
 _MAX_VERTICES = 5
 _MAX_MOVES = 3
@@ -47,7 +50,8 @@ def _consistent(g, h, pg, ph, sg, sh):
 
 def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
     """Duplicator wins the m-move game where Spoiler freely mixes point and
-    set moves; equivalent to agreement on all rank-m MSO sentences."""
+    set moves; equivalent to agreement on all MSO sentences of quantifier
+    rank (nesting depth) <= m."""
     if g.n > _MAX_VERTICES or h.n > _MAX_VERTICES or m > _MAX_MOVES:
         raise TooLarge(
             f"ef_equiv guard: |g|,|h| <= {_MAX_VERTICES} and m <= {_MAX_MOVES}"
@@ -165,10 +169,9 @@ _SENTENCE_TEXTS = (
 
 
 def sentence_battery(max_rank=None):
-    """Fixed 20-sentence probe set of quantifier rank <= 2, optionally
-    filtered down to a rank cap."""
-    from .mso import parse, rank
-
+    """Fixed 20-sentence probe set of quantifier rank (nesting depth) <= 2,
+    optionally filtered down to a rank cap: four sentences of rank 1, then
+    sixteen of rank 2."""
     sentences = [parse(text) for text in _SENTENCE_TEXTS]
     if max_rank is None:
         return sentences

@@ -31,9 +31,6 @@ class Digraph:
             raise BadVertex(f"vertex {u} out of range")
         return sorted(v for (s, v) in self.edges if s == u)
 
-    def has_edge(self, u, v):
-        return (u, v) in self.edges
-
 
 @dataclass(frozen=True)
 class BiboundariedGraph:
@@ -64,10 +61,6 @@ class BiboundariedGraph:
     @property
     def n(self):
         return self.graph.n
-
-    def shared_ports(self):
-        """P1 ∩ P2 sorted by the global vertex order."""
-        return sorted(set(self.p1) & set(self.p2))
 
 
 @dataclass(frozen=True)
@@ -143,20 +136,6 @@ def delta(gamma: dict, word) -> BiboundariedGraph:
     for letter in word[1:]:
         acc = glue(acc, gamma[letter])
     return acc
-
-
-def spanned_subgraph(g: Digraph, vertices):
-    """Induced subgraph on the given vertices, relabeled 0..k-1 in order.
-
-    Returns (subgraph, relabeling map original -> new).
-    """
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise BadVertex(f"vertex {v} out of range")
-    vmap = {v: i for i, v in enumerate(vs)}
-    edges = {(vmap[u], vmap[v]) for u, v in g.edges if u in vmap and v in vmap}
-    return Digraph(len(vs), edges), vmap
 
 
 def graph_equal(a: Digraph, b: Digraph) -> bool:

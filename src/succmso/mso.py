@@ -2,7 +2,10 @@
 
 Lowercase identifiers are point variables, uppercase identifiers are set
 variables. Vertex sets are enumerated as bitmasks in increasing binary
-order (bit i = vertex i).
+order (bit i = vertex i). The quantifier rank of a formula is its maximal
+quantifier nesting depth. One recursive pass (``_compile``) checks scopes,
+assigns env slots, finds the free variables and the rank, and builds the
+evaluation closures.
 """
 
 from __future__ import annotations
@@ -74,69 +77,13 @@ def is_set_var(name: str) -> bool:
     return name[0].isupper()
 
 
-# -- structural helpers --------------------------------------------------
-
-
-def rank(formula) -> int:
-    """Number of quantifiers (not alternations)."""
-    if isinstance(formula, Quant):
-        return 1 + rank(formula.sub)
-    if isinstance(formula, Not):
-        return rank(formula.sub)
-    if isinstance(formula, (And, Or, Implies)):
-        return rank(formula.left) + rank(formula.right)
-    return 0
-
-
-def free_vars(formula, bound=frozenset()):
-    if isinstance(formula, Edge):
-        return {formula.x, formula.y} - bound
-    if isinstance(formula, Eq):
-        return {formula.x, formula.y} - bound
-    if isinstance(formula, Member):
-        return {formula.x, formula.xs} - bound
-    if isinstance(formula, Not):
-        return free_vars(formula.sub, bound)
-    if isinstance(formula, (And, Or, Implies)):
-        return free_vars(formula.left, bound) | free_vars(formula.right, bound)
-    if isinstance(formula, Quant):
-        return free_vars(formula.sub, bound | {formula.var})
-    raise TypeError(f"not an MSO formula node: {formula!r}")
-
-
-def _has_set_quant(formula) -> bool:
-    if isinstance(formula, Quant):
-        return is_set_var(formula.var) or _has_set_quant(formula.sub)
-    if isinstance(formula, Not):
-        return _has_set_quant(formula.sub)
-    if isinstance(formula, (And, Or, Implies)):
-        return _has_set_quant(formula.left) or _has_set_quant(formula.right)
-    return False
-
-
-def _check_scopes(formula, bound):
-    """Reject shadowing and ill-typed atoms."""
-    if isinstance(formula, Quant):
-        if formula.var in bound:
-            raise ScopeError(f"variable {formula.var!r} is shadowed")
-        _check_scopes(formula.sub, bound | {formula.var})
-    elif isinstance(formula, Not):
-        _check_scopes(formula.sub, bound)
-    elif isinstance(formula, (And, Or, Implies)):
-        _check_scopes(formula.left, bound)
-        _check_scopes(formula.right, bound)
-    elif isinstance(formula, (Edge, Eq)):
-        for v in (formula.x, formula.y):
-            if is_set_var(v):
-                raise ScopeError(f"{v!r} is a set variable used as a point")
-    elif isinstance(formula, Member):
-        if is_set_var(formula.x) or not is_set_var(formula.xs):
-            raise ScopeError("membership needs a point on the left, a set on the right")
-
-
 # -- concrete syntax -----------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(->|[()=,.~&|]|[A-Za-z][a-z0-9]*)")
+
+# Nesting cap of the recursive parser (each ~, quantifier or parenthesis is
+# one level), well below Python's recursion limit.
+_MAX_NESTING = 256
 
 
 def _tokenize(text):
@@ -178,16 +125,19 @@ class _Parser:
             raise ParseError(f"expected an identifier at position {pos}, got {tok!r}")
         return tok
 
-    def formula(self):
+    def formula(self, depth=0):
+        if depth > _MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {_MAX_NESTING} levels")
+        depth += 1
         tok = self.peek()
         if tok == "~":
             self.next()
-            return Not(self.formula())
+            return Not(self.formula(depth))
         if tok in ("ex", "all"):
             self.next()
             var = self.ident()
             self.expect(".")
-            return Quant(tok, var, self.formula())
+            return Quant(tok, var, self.formula(depth))
         if tok == "E":
             self.next()
             self.expect("(")
@@ -198,9 +148,9 @@ class _Parser:
             return Edge(x, y)
         if tok == "(":
             self.next()
-            left = self.formula()
+            left = self.formula(depth)
             op, pos = self.next()
-            right = self.formula()
+            right = self.formula(depth)
             self.expect(")")
             if op == "&":
                 return And(left, right)
@@ -226,11 +176,9 @@ def parse(text: str, allow_free=False):
     if p.i != len(p.tokens):
         tok, pos = p.tokens[p.i]
         raise ParseError(f"trailing input at position {pos}: {tok!r}")
-    _check_scopes(formula, frozenset())
-    if not allow_free:
-        free = free_vars(formula)
-        if free:
-            raise ScopeError(f"free variables in sentence: {sorted(free)}")
+    free = CompiledFormula(formula).free
+    if free and not allow_free:
+        raise ScopeError(f"free variables in sentence: {sorted(free)}")
     return formula
 
 
@@ -255,41 +203,64 @@ def print_formula(formula) -> str:
     raise TypeError(f"not an MSO formula node: {formula!r}")
 
 
-# -- evaluation ----------------------------------------------------------
+# -- the one pass: analysis and evaluation -------------------------------
 
 
-def _compile(formula, slots):
-    """Compile to a closure fn(n, edges, env) for repeated evaluation.
+def _slot(name, scope, slots):
+    """Slot of the binding in force for name; a free name gets a slot of
+    its own the first time it is seen."""
+    if name in scope:
+        return scope[name]
+    if name not in slots:
+        slots.append(name)
+    return slots.index(name)
 
-    env holds vertex numbers for point variables and bitmasks for set
-    variables, indexed by the slot table.
+
+def _compile(node, scope, slots):
+    """One descent: reject shadowing and ill-typed atoms, assign env slots,
+    and compile to a closure fn(n, edges, env) for repeated evaluation.
+
+    scope maps each variable bound above node to its slot. slots has one
+    entry per env slot: a free variable's name, or None for the slot of a
+    quantifier (each quantifier has its own). env holds vertex numbers for
+    point variables and bitmasks for set variables.
+
+    Returns (fn, quantifier rank, whether a set quantifier occurs).
     """
-    if isinstance(formula, Edge):
-        i, j = slots[formula.x], slots[formula.y]
-        return lambda n, E, env: (env[i], env[j]) in E
-    if isinstance(formula, Eq):
-        i, j = slots[formula.x], slots[formula.y]
-        return lambda n, E, env: env[i] == env[j]
-    if isinstance(formula, Member):
-        i, j = slots[formula.x], slots[formula.xs]
-        return lambda n, E, env: (env[j] >> env[i]) & 1 == 1
-    if isinstance(formula, Not):
-        sub = _compile(formula.sub, slots)
-        return lambda n, E, env: not sub(n, E, env)
-    if isinstance(formula, And):
-        left, right = _compile(formula.left, slots), _compile(formula.right, slots)
-        return lambda n, E, env: left(n, E, env) and right(n, E, env)
-    if isinstance(formula, Or):
-        left, right = _compile(formula.left, slots), _compile(formula.right, slots)
-        return lambda n, E, env: left(n, E, env) or right(n, E, env)
-    if isinstance(formula, Implies):
-        left, right = _compile(formula.left, slots), _compile(formula.right, slots)
-        return lambda n, E, env: (not left(n, E, env)) or right(n, E, env)
-    if isinstance(formula, Quant):
-        idx = slots[formula.var]
-        sub = _compile(formula.sub, slots)
-        over_sets = is_set_var(formula.var)
-        exists = formula.kind == "ex"
+    if isinstance(node, (Edge, Eq)):
+        for v in (node.x, node.y):
+            if is_set_var(v):
+                raise ScopeError(f"{v!r} is a set variable used as a point")
+        i, j = _slot(node.x, scope, slots), _slot(node.y, scope, slots)
+        if isinstance(node, Edge):
+            return (lambda n, E, env: (env[i], env[j]) in E), 0, False
+        return (lambda n, E, env: env[i] == env[j]), 0, False
+    if isinstance(node, Member):
+        if is_set_var(node.x) or not is_set_var(node.xs):
+            raise ScopeError("membership needs a point on the left, a set on the right")
+        i, j = _slot(node.x, scope, slots), _slot(node.xs, scope, slots)
+        return (lambda n, E, env: (env[j] >> env[i]) & 1 == 1), 0, False
+    if isinstance(node, Not):
+        sub, depth, set_quant = _compile(node.sub, scope, slots)
+        return (lambda n, E, env: not sub(n, E, env)), depth, set_quant
+    if isinstance(node, (And, Or, Implies)):
+        left, ldepth, lset = _compile(node.left, scope, slots)
+        right, rdepth, rset = _compile(node.right, scope, slots)
+        if isinstance(node, And):
+            fn = lambda n, E, env: left(n, E, env) and right(n, E, env)
+        elif isinstance(node, Or):
+            fn = lambda n, E, env: left(n, E, env) or right(n, E, env)
+        else:
+            fn = lambda n, E, env: (not left(n, E, env)) or right(n, E, env)
+        return fn, max(ldepth, rdepth), lset or rset
+    if isinstance(node, Quant):
+        if node.var in scope:
+            raise ScopeError(f"variable {node.var!r} is shadowed")
+        idx = len(slots)
+        slots.append(None)
+        sub, depth, set_quant = _compile(node.sub, {**scope, node.var: idx}, slots)
+        over_sets = is_set_var(node.var)
+        exists = node.kind == "ex"
 
         def fn(n, E, env):
             domain = range(1 << n) if over_sets else range(n)
@@ -299,38 +270,23 @@ def _compile(formula, slots):
                     return exists
             return not exists
 
-        return fn
-    raise TypeError(f"not an MSO formula node: {formula!r}")
-
-
-def _collect_vars(formula, out):
-    if isinstance(formula, Quant):
-        out.setdefault(formula.var, len(out))
-        _collect_vars(formula.sub, out)
-    elif isinstance(formula, Not):
-        _collect_vars(formula.sub, out)
-    elif isinstance(formula, (And, Or, Implies)):
-        _collect_vars(formula.left, out)
-        _collect_vars(formula.right, out)
-    elif isinstance(formula, Edge) or isinstance(formula, Eq):
-        out.setdefault(formula.x, len(out))
-        out.setdefault(formula.y, len(out))
-    elif isinstance(formula, Member):
-        out.setdefault(formula.x, len(out))
-        out.setdefault(formula.xs, len(out))
+        return fn, depth + 1, set_quant or over_sets
+    raise TypeError(f"not an MSO formula node: {node!r}")
 
 
 class CompiledFormula:
-    """A formula compiled once, evaluable against many graphs."""
+    """A formula compiled once, evaluable against many graphs.
+
+    .free is the set of free variables, .rank the quantifier rank.
+    """
 
     def __init__(self, formula):
-        _check_scopes(formula, frozenset())
         self.formula = formula
-        self.slots = {}
-        _collect_vars(formula, self.slots)
-        self._fn = _compile(formula, self.slots)
-        self._set_quant = _has_set_quant(formula)
-        self.free = free_vars(formula)
+        slots = []
+        self._fn, self.rank, self._set_quant = _compile(formula, {}, slots)
+        self._width = len(slots)
+        self._free_slots = {name: i for i, name in enumerate(slots) if name is not None}
+        self.free = frozenset(self._free_slots)
 
     def eval(self, g: Digraph, valuation=None) -> bool:
         valuation = valuation or {}
@@ -341,9 +297,9 @@ class CompiledFormula:
             raise TooLargeForBruteForce(
                 f"{g.n} vertices with a set quantifier exceeds the guard (24)"
             )
-        env = [0] * len(self.slots)
+        env = [0] * self._width
         for name, value in valuation.items():
-            if name not in self.slots:
+            if name not in self._free_slots:
                 continue
             if is_set_var(name):
                 mask = 0
@@ -351,17 +307,22 @@ class CompiledFormula:
                     if not 0 <= v < g.n:
                         raise ScopeError(f"valuation vertex {v} out of range")
                     mask |= 1 << v
-                env[self.slots[name]] = mask
+                env[self._free_slots[name]] = mask
             else:
                 if not 0 <= value < g.n:
                     raise ScopeError(f"valuation vertex {value} out of range")
-                env[self.slots[name]] = value
+                env[self._free_slots[name]] = value
         return bool(self._fn(g.n, g.edges, env))
 
 
 def eval_formula(g: Digraph, formula, valuation=None) -> bool:
     """One-shot MSO satisfaction check; standard semantics."""
     return CompiledFormula(formula).eval(g, valuation)
+
+
+def rank(formula) -> int:
+    """Quantifier rank: the maximal nesting depth of quantifiers."""
+    return CompiledFormula(formula).rank
 
 
 def reach_macro(x: str, y: str, set_var: str = "R"):

@@ -12,10 +12,10 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotValidated, TooLargeToMaterialize
+from .errors import NotValidated
 from .graph import Digraph, graph_equal
 from .mso import CompiledFormula, parse
-from .reduce import CnfInstance, GadgetQuadruple, compile_reduction, toy_quadruple
+from .reduce import CnfInstance, GadgetQuadruple, compile_reduction, succ_ref, toy_quadruple
 from .sgr import materialize
 
 # -- SAT -----------------------------------------------------------------
@@ -176,12 +176,8 @@ def check_instance(S: CnfInstance, quad=None, sentence=LOOP_SENTENCE, limit=1000
     if quad is None:
         quad = toy_quadruple()
     sgr = compile_reduction(quad, S)
-    if sgr.n_vertices > limit:
-        raise TooLargeToMaterialize(f"N={sgr.n_vertices} exceeds limit {limit}")
     g = materialize(sgr, limit)
     agree = graph_equal(g, delta_layout(quad, S))
-    from .reduce import succ_ref
-
     ref = Digraph(
         sgr.n_vertices,
         ((x, y) for x in range(sgr.n_vertices) for y in succ_ref(quad, S, x)),

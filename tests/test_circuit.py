@@ -116,15 +116,6 @@ def test_divmod_rejects_zero():
         b.divmod_const(b.x_bundle(), 0)
 
 
-def test_mux_selects():
-    b = CircuitBuilder(2)
-    x = b.x_bundle()
-    table = [b.const_bundle(v, 2) for v in (2, 0, 3, 1)]
-    out = b.mux(x, table)
-    for v, want in enumerate((2, 0, 3, 1)):
-        assert bundle_value(b, out, v, 0) == want
-
-
 def test_mux_bit():
     b = CircuitBuilder(1)
     x = b.x_bundle()

@@ -48,6 +48,15 @@ def test_mso_rank_and_parse(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj == {"formula": "ex x. E(x,x)", "rank": 1}
+    # quantifier rank is nesting depth, not the number of quantifiers
+    code, out, _ = run(capsys, "mso", "rank", "--formula", "(ex x. x=x & ex y. y=y)")
+    assert code == 0 and out.strip() == "1"
+
+
+def test_deeply_nested_formula_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "mso", "rank", "--formula", "~" * 5000 + "ex x. x=x")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ParseError")
 
 
 def test_usage_error_exit_2(capsys):

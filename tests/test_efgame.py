@@ -74,8 +74,9 @@ def test_ef_equiv_implies_sentence_agreement():
 def test_sentence_battery_shape():
     full = sentence_battery()
     assert len(full) == 20
-    assert all(rank(f) <= 2 for f in full)
-    assert all(rank(f) <= 1 for f in sentence_battery(max_rank=1))
+    assert [rank(f) for f in full] == [1] * 4 + [2] * 16
+    assert sentence_battery(max_rank=1) == full[:4]
+    assert sentence_battery(max_rank=2) == full
 
 
 def test_q_search_single_vertex():

@@ -1,13 +1,24 @@
+import random
+from itertools import combinations, product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from succmso.errors import ParseError, ScopeError, TooLargeForBruteForce
 from succmso.graph import Digraph
 from succmso.mso import (
+    And,
     CompiledFormula,
     Edge,
+    Eq,
+    Implies,
+    Member,
+    Not,
+    Or,
     Quant,
     eval_formula,
-    free_vars,
+    is_set_var,
     parse,
     print_formula,
     rank,
@@ -36,8 +47,8 @@ def test_rank_counts_quantifiers():
     assert rank(parse("ex x. E(x,x)")) == 1
     assert rank(parse("ex x. ex y. (E(x,y) & E(y,x))")) == 2
     assert rank(parse("ex X. all x. x in X")) == 2
-    # connectives add ranks of both sides
-    assert rank(parse("ex x. (ex y. E(x,y) & ex z. E(z,x))")) == 3
+    # rank is nesting depth: a connective takes the larger side
+    assert rank(parse("ex x. (ex y. E(x,y) & ex z. E(z,x))")) == 2
 
 
 def test_parse_errors():
@@ -62,7 +73,28 @@ def test_scope_errors():
 
 def test_free_variables_allowed_when_asked():
     f = parse("E(x,y)", allow_free=True)
-    assert free_vars(f) == {"x", "y"}
+    assert CompiledFormula(f).free == {"x", "y"}
+
+
+def test_free_variable_not_clobbered_by_same_named_quantifier():
+    f = parse("(all x. x=x & E(x,x))", allow_free=True)
+    assert eval_formula(Digraph(2, [(0, 0)]), f, {"x": 0})
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse("~" * 5000 + "ex x. x=x")
+    with pytest.raises(ParseError):
+        parse("(" * 5000 + "x=x")
+    with pytest.raises(ParseError):
+        parse("".join(f"ex x{i}. " for i in range(5000)) + "x0=x0")
+
+
+def test_nesting_cap_is_256_levels():
+    f = parse("~" * 256 + "x=x", allow_free=True)
+    assert eval_formula(LOOP, f, {"x": 0})
+    with pytest.raises(ParseError):
+        parse("~" * 257 + "x=x", allow_free=True)
 
 
 def test_basic_evaluation():
@@ -121,3 +153,105 @@ def test_ast_constructors_direct():
     f = Quant("ex", "x", Edge("x", "x"))
     assert eval_formula(LOOP, f)
     assert print_formula(f) == "ex x. E(x,x)"
+
+
+# -- the one pass against a direct interpreter ---------------------------
+
+POINTS, SETS = ("x", "y", "z"), ("X", "Y")
+
+
+@st.composite
+def formulas(draw, bound=frozenset(), depth=4):
+    """Well-typed formulas without shadowing; atoms draw from the whole
+    name pool, so a name can be free in one subformula and bound in its
+    sibling."""
+    kind = draw(st.sampled_from(("atom",) if depth == 0 else ("atom", "not", "bin", "quant")))
+    if kind == "atom":
+        atom = draw(st.sampled_from((Edge, Eq, Member)))
+        right = SETS if atom is Member else POINTS
+        return atom(draw(st.sampled_from(POINTS)), draw(st.sampled_from(right)))
+    if kind == "not":
+        return Not(draw(formulas(bound, depth - 1)))
+    if kind == "bin":
+        cls = draw(st.sampled_from((And, Or, Implies)))
+        return cls(draw(formulas(bound, depth - 1)), draw(formulas(bound, depth - 1)))
+    var = draw(st.sampled_from([v for v in POINTS + SETS if v not in bound]))
+    kind = draw(st.sampled_from(("ex", "all")))
+    return Quant(kind, var, draw(formulas(bound | {var}, depth - 1)))
+
+
+def interpret(g, f, env):
+    """Direct recursive semantics; sets are frozensets in a dict env."""
+    if isinstance(f, Edge):
+        return (env[f.x], env[f.y]) in g.edges
+    if isinstance(f, Eq):
+        return env[f.x] == env[f.y]
+    if isinstance(f, Member):
+        return env[f.x] in env[f.xs]
+    if isinstance(f, Not):
+        return not interpret(g, f.sub, env)
+    if isinstance(f, And):
+        return interpret(g, f.left, env) and interpret(g, f.right, env)
+    if isinstance(f, Or):
+        return interpret(g, f.left, env) or interpret(g, f.right, env)
+    if isinstance(f, Implies):
+        return not interpret(g, f.left, env) or interpret(g, f.right, env)
+    if is_set_var(f.var):
+        domain = [frozenset(c) for k in range(g.n + 1) for c in combinations(range(g.n), k)]
+    else:
+        domain = range(g.n)
+    results = (interpret(g, f.sub, {**env, f.var: v}) for v in domain)
+    return any(results) if f.kind == "ex" else all(results)
+
+
+def free_of(f, bound=frozenset()):
+    if isinstance(f, (Edge, Eq)):
+        return {f.x, f.y} - bound
+    if isinstance(f, Member):
+        return {f.x, f.xs} - bound
+    if isinstance(f, Not):
+        return free_of(f.sub, bound)
+    if isinstance(f, Quant):
+        return free_of(f.sub, bound | {f.var})
+    return free_of(f.left, bound) | free_of(f.right, bound)
+
+
+def depth_of(f):
+    if isinstance(f, Quant):
+        return 1 + depth_of(f.sub)
+    if isinstance(f, Not):
+        return depth_of(f.sub)
+    if isinstance(f, (And, Or, Implies)):
+        return max(depth_of(f.left), depth_of(f.right))
+    return 0
+
+
+def _all_digraphs(n):
+    pairs = list(product(range(n), repeat=2))
+    for bits in range(1 << len(pairs)):
+        yield Digraph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+_rng = random.Random(7)
+GRAPHS = [g for n in range(3) for g in _all_digraphs(n)] + [
+    Digraph(3, [p for p in product(range(3), repeat=2) if _rng.random() < 0.4]) for _ in range(6)
+]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(formulas(), st.randoms(use_true_random=False))
+def test_one_pass_matches_direct_interpreter(f, rng):
+    compiled = CompiledFormula(f)
+    free = free_of(f)
+    assert compiled.free == free
+    assert compiled.rank == rank(f) == depth_of(f)
+    for g in GRAPHS:
+        if g.n == 0 and any(not is_set_var(v) for v in free):
+            continue  # no vertex to give a free point variable
+        env = {
+            v: frozenset(u for u in range(g.n) if rng.random() < 0.5)
+            if is_set_var(v)
+            else rng.randrange(g.n)
+            for v in sorted(free)
+        }
+        assert compiled.eval(g, env) == interpret(g, f, env), (print_formula(f), g)
