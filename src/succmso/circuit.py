@@ -11,6 +11,15 @@ x-wire is all-ones (-1) or zero, a y-wire is a precomputed lane mask,
 ``not`` is ``~v`` (all-ones ^ v), and the output is cut to the lanes in use.
 ``BoolCircuit.row`` evaluates x against every y in ``[0, count)``;
 ``BoolCircuit.eval`` is the one-lane case of the same interpreter.
+
+``CircuitBuilder`` simplifies as it synthesizes. Each gate is folded before
+the structural-hash lookup: ``and``/``or`` with a constant, equal or
+complementary operand, and ``not`` of a constant or of a ``not``, become an
+existing gate or a constant, and ``and``/``or`` operands are put in
+canonical order so commuted gates are shared. ``build(output)`` keeps only
+the gates in the output's cone, renumbered in order, so every gate of a
+built circuit but the output is read by a later gate. Circuits read by
+``parse`` are taken verbatim.
 """
 
 from __future__ import annotations
@@ -186,13 +195,43 @@ class CircuitBuilder:
         self._cache = {}
 
     def _emit(self, gate):
-        # structural hashing keeps repeated subcircuits cheap
-        key = tuple(gate)
-        idx = self._cache.get(key)
-        if idx is None:
-            idx = len(self._gates)
-            self._gates.append(key)
-            self._cache[key] = idx
+        """Fold the gate into an existing one if an identity allows, else
+        share a structurally equal gate (structural hashing) or append it."""
+        cache = self._cache
+        idx = cache.get(gate)
+        if idx is not None:  # only folded, canonical gates are ever cached
+            return idx
+        kind = gate[0]
+        gates = self._gates
+        if kind == "and" or kind == "or":
+            a, b = gate[1], gate[2]
+            if a > b:
+                a, b = b, a
+            ka, kb = gates[a][0], gates[b][0]
+            if ka == "const" or kb == "const":
+                dominant = 0 if kind == "and" else 1
+                if ka == "const":
+                    return a if gates[a][1] == dominant else b
+                return b if gates[b][1] == dominant else a
+            if a == b:
+                return a
+            # a gate only reads earlier gates, so ~a can only sit at b
+            if kb == "not" and gates[b][1] == a:
+                return self.const(kind == "or")
+            if a != gate[1]:
+                gate = (kind, a, b)
+                idx = cache.get(gate)
+                if idx is not None:
+                    return idx
+        elif kind == "not":
+            sub = gates[gate[1]]
+            if sub[0] == "not":
+                return sub[1]
+            if sub[0] == "const":
+                return self.const(not sub[1])
+        idx = len(gates)
+        gates.append(gate)
+        cache[gate] = idx
         return idx
 
     # -- elementary gates ------------------------------------------------
@@ -281,8 +320,6 @@ class CircuitBuilder:
             raise BadParam("negative constant")
         if c >= (1 << len(bundle)):
             return self.const(1)
-        if c == 0:
-            return self.const(0)
         lt = self.const(0)
         eq_prefix = self.const(1)
         for i in reversed(range(len(bundle))):
@@ -397,4 +434,32 @@ class CircuitBuilder:
         return len(self._gates)
 
     def build(self, output: int) -> BoolCircuit:
-        return BoolCircuit(self.label_bits, tuple(self._gates), output)
+        """The circuit of the output's cone: one backward pass marks the
+        gates the output reads, one forward pass renumbers them in order.
+        The builder is left as it was, so building mid-construction is fine."""
+        gates = self._gates
+        if not 0 <= output < len(gates):
+            raise TopologyError(f"output index {output} out of range")
+        live = bytearray(output + 1)
+        live[output] = 1
+        for i in range(output, -1, -1):
+            if live[i]:
+                gate = gates[i]
+                kind = gate[0]
+                if kind == "and" or kind == "or":
+                    live[gate[1]] = live[gate[2]] = 1
+                elif kind == "not":
+                    live[gate[1]] = 1
+        new_index = [0] * (output + 1)
+        kept = []
+        for i in range(output + 1):
+            if live[i]:
+                gate = gates[i]
+                kind = gate[0]
+                if kind == "and" or kind == "or":
+                    gate = (kind, new_index[gate[1]], new_index[gate[2]])
+                elif kind == "not":
+                    gate = (kind, new_index[gate[1]])
+                new_index[i] = len(kept)
+                kept.append(gate)
+        return BoolCircuit(self.label_bits, tuple(kept), len(kept) - 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .errors import BadVertex, EmptyWord, ParseError, PortArityMismatch, TooLarge
@@ -29,7 +30,16 @@ class Digraph:
         """Out-neighborhood G(u) as a sorted list."""
         if not 0 <= u < self.n:
             raise BadVertex(f"vertex {u} out of range")
-        return sorted(v for (s, v) in self.edges if s == u)
+        return list(self._successor_index[u])
+
+    @cached_property
+    def _successor_index(self):
+        """Sorted out-neighbours of every vertex, built on the first
+        successors call, so graphs that are never queried pay nothing."""
+        index = [[] for _ in range(self.n)]
+        for u, v in sorted(self.edges):
+            index[u].append(v)
+        return index
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,9 @@ def is_set_var(name: str) -> bool:
 _TOKEN_RE = re.compile(r"\s*(->|[()=,.~&|]|[A-Za-z][a-z0-9]*)")
 
 # Nesting cap of the recursive parser (each ~, quantifier or parenthesis is
-# one level), well below Python's recursion limit.
+# one level), well below Python's recursion limit. _compile and
+# print_formula apply the same cap to formulas built from the AST classes,
+# where each Not, Quant, And, Or or Implies node is one level.
 _MAX_NESTING = 256
 
 
@@ -183,24 +185,32 @@ def parse(text: str, allow_free=False):
 
 
 def print_formula(formula) -> str:
-    """Inverse of parse (round-trip stable)."""
-    if isinstance(formula, Edge):
-        return f"E({formula.x},{formula.y})"
-    if isinstance(formula, Eq):
-        return f"{formula.x}={formula.y}"
-    if isinstance(formula, Member):
-        return f"{formula.x} in {formula.xs}"
-    if isinstance(formula, Not):
-        return f"~{print_formula(formula.sub)}"
-    if isinstance(formula, And):
-        return f"({print_formula(formula.left)} & {print_formula(formula.right)})"
-    if isinstance(formula, Or):
-        return f"({print_formula(formula.left)} | {print_formula(formula.right)})"
-    if isinstance(formula, Implies):
-        return f"({print_formula(formula.left)} -> {print_formula(formula.right)})"
-    if isinstance(formula, Quant):
-        return f"{formula.kind} {formula.var}. {print_formula(formula.sub)}"
-    raise TypeError(f"not an MSO formula node: {formula!r}")
+    """Inverse of parse (round-trip stable). Raises ParseError on a formula
+    nested deeper than parse accepts."""
+    return _print(formula, 0)
+
+
+def _print(node, depth):
+    if depth > _MAX_NESTING:
+        raise ParseError(f"formula nested deeper than {_MAX_NESTING} levels")
+    depth += 1
+    if isinstance(node, Edge):
+        return f"E({node.x},{node.y})"
+    if isinstance(node, Eq):
+        return f"{node.x}={node.y}"
+    if isinstance(node, Member):
+        return f"{node.x} in {node.xs}"
+    if isinstance(node, Not):
+        return f"~{_print(node.sub, depth)}"
+    if isinstance(node, And):
+        return f"({_print(node.left, depth)} & {_print(node.right, depth)})"
+    if isinstance(node, Or):
+        return f"({_print(node.left, depth)} | {_print(node.right, depth)})"
+    if isinstance(node, Implies):
+        return f"({_print(node.left, depth)} -> {_print(node.right, depth)})"
+    if isinstance(node, Quant):
+        return f"{node.kind} {node.var}. {_print(node.sub, depth)}"
+    raise TypeError(f"not an MSO formula node: {node!r}")
 
 
 # -- the one pass: analysis and evaluation -------------------------------
@@ -216,9 +226,10 @@ def _slot(name, scope, slots):
     return slots.index(name)
 
 
-def _compile(node, scope, slots):
-    """One descent: reject shadowing and ill-typed atoms, assign env slots,
-    and compile to a closure fn(n, edges, env) for repeated evaluation.
+def _compile(node, scope, slots, depth=0):
+    """One descent: reject nesting past parse's cap, shadowing and ill-typed
+    atoms, assign env slots, and compile to a closure fn(n, edges, env) for
+    repeated evaluation. depth is the number of nodes above node.
 
     scope maps each variable bound above node to its slot. slots has one
     entry per env slot: a free variable's name, or None for the slot of a
@@ -227,6 +238,9 @@ def _compile(node, scope, slots):
 
     Returns (fn, quantifier rank, whether a set quantifier occurs).
     """
+    if depth > _MAX_NESTING:
+        raise ParseError(f"formula nested deeper than {_MAX_NESTING} levels")
+    depth += 1
     if isinstance(node, (Edge, Eq)):
         for v in (node.x, node.y):
             if is_set_var(v):
@@ -241,24 +255,24 @@ def _compile(node, scope, slots):
         i, j = _slot(node.x, scope, slots), _slot(node.xs, scope, slots)
         return (lambda n, E, env: (env[j] >> env[i]) & 1 == 1), 0, False
     if isinstance(node, Not):
-        sub, depth, set_quant = _compile(node.sub, scope, slots)
-        return (lambda n, E, env: not sub(n, E, env)), depth, set_quant
+        sub, qrank, set_quant = _compile(node.sub, scope, slots, depth)
+        return (lambda n, E, env: not sub(n, E, env)), qrank, set_quant
     if isinstance(node, (And, Or, Implies)):
-        left, ldepth, lset = _compile(node.left, scope, slots)
-        right, rdepth, rset = _compile(node.right, scope, slots)
+        left, lrank, lset = _compile(node.left, scope, slots, depth)
+        right, rrank, rset = _compile(node.right, scope, slots, depth)
         if isinstance(node, And):
             fn = lambda n, E, env: left(n, E, env) and right(n, E, env)
         elif isinstance(node, Or):
             fn = lambda n, E, env: left(n, E, env) or right(n, E, env)
         else:
             fn = lambda n, E, env: (not left(n, E, env)) or right(n, E, env)
-        return fn, max(ldepth, rdepth), lset or rset
+        return fn, max(lrank, rrank), lset or rset
     if isinstance(node, Quant):
         if node.var in scope:
             raise ScopeError(f"variable {node.var!r} is shadowed")
         idx = len(slots)
         slots.append(None)
-        sub, depth, set_quant = _compile(node.sub, {**scope, node.var: idx}, slots)
+        sub, qrank, set_quant = _compile(node.sub, {**scope, node.var: idx}, slots, depth)
         over_sets = is_set_var(node.var)
         exists = node.kind == "ex"
 
@@ -270,14 +284,15 @@ def _compile(node, scope, slots):
                     return exists
             return not exists
 
-        return fn, depth + 1, set_quant or over_sets
+        return fn, qrank + 1, set_quant or over_sets
     raise TypeError(f"not an MSO formula node: {node!r}")
 
 
 class CompiledFormula:
     """A formula compiled once, evaluable against many graphs.
 
-    .free is the set of free variables, .rank the quantifier rank.
+    .free is the set of free variables, .rank the quantifier rank. A formula
+    nested deeper than parse accepts raises ParseError.
     """
 
     def __init__(self, formula):

@@ -284,11 +284,9 @@ def succ_ref(quad: GadgetQuadruple, S: CnfInstance, x: int):
         }
     elif r < quad.k:
         out |= {dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(r + quad.n2)}
+        shared_succ = quad.g1.graph.successors(r + quad.n1)
         for t_copy in range(ell_hat + 1):
-            out |= {
-                dm(quad, s, 1, t_copy, v)
-                for v in quad.g1.graph.successors(r + quad.n1)
-            }
+            out |= {dm(quad, s, 1, t_copy, v) for v in shared_succ}
     return out
 
 
@@ -328,7 +326,6 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
             y_eq_consts(dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(xv)),
         )
         for xv in range(quad.n2)
-        if quad.g2.graph.successors(xv)
     )
 
     # region n2 <= x < n2 + 2^s*n1: Euclidean division recovers (q, r)
@@ -409,9 +406,7 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
                     )
                 else:
                     labels.add(quad.n2 + ell_hat * quad.n1 + v)
-        cond = b.or_many([y_eq_consts(labels)] + extra) if labels or extra else None
-        if cond is not None:
-            rows3.append(b.and_(b.eq_const(x_in, xv), cond))
+        rows3.append(b.and_(b.eq_const(x_in, xv), b.or_many([y_eq_consts(labels)] + extra)))
     case3 = b.or_many(rows3)
 
     out = b.or_many(

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import (
     BadAnchorBags,
@@ -340,29 +339,6 @@ def treewidth_exact(g: Digraph) -> int:
         return out
 
     return best(0)
-
-
-def treewidth_by_orderings(g: Digraph) -> int:
-    """Independent oracle: minimum over all elimination orderings, simulated
-    with explicit fill-in. Exponential; intended for |g| <= 5."""
-    if g.n > 7:
-        raise TooLarge("ordering oracle is limited to 7 vertices")
-    if g.n == 0:
-        return -1
-    base = _symmetric_adj(g)
-    best = g.n
-    for order in permutations(range(g.n)):
-        adj = [set(s) for s in base]
-        worst = -1
-        for v in order:
-            nbrs = set(adj[v])
-            worst = max(worst, len(nbrs))
-            for a in nbrs:
-                adj[a].discard(v)
-                adj[a].update(nbrs - {a})
-            adj[v] = set()
-        best = min(best, worst)
-    return best
 
 
 # -- file format ---------------------------------------------------------

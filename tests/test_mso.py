@@ -97,6 +97,39 @@ def test_nesting_cap_is_256_levels():
         parse("~" * 257 + "x=x", allow_free=True)
 
 
+def nested_not(levels):
+    """ex x. ~~...~x=x with the given number of Not nodes, built from the
+    AST classes, not parsed."""
+    f = Eq("x", "x")
+    for _ in range(levels):
+        f = Not(f)
+    return Quant("ex", "x", f)
+
+
+def test_deep_ast_is_a_parse_error():
+    deep = nested_not(2000)
+    with pytest.raises(ParseError):
+        CompiledFormula(deep)
+    with pytest.raises(ParseError):
+        eval_formula(LOOP, deep)
+    with pytest.raises(ParseError):
+        rank(deep)
+    with pytest.raises(ParseError):
+        print_formula(deep)
+
+
+def test_ast_nesting_cap_matches_the_parser():
+    # the Quant and 255 Nots are the 256 levels above the atom
+    f = nested_not(255)
+    assert not eval_formula(LOOP, f) and rank(f) == 1
+    assert parse(print_formula(f)) == f
+    for fn in (CompiledFormula, print_formula):
+        with pytest.raises(ParseError):
+            fn(nested_not(256))
+    with pytest.raises(ParseError):
+        parse("ex x. " + "~" * 256 + "x=x")
+
+
 def test_basic_evaluation():
     loop = parse("ex x. E(x,x)")
     assert eval_formula(LOOP, loop)

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -21,7 +22,6 @@ from succmso.treedec import (
     normalize_degree3,
     parse,
     serialize,
-    treewidth_by_orderings,
     treewidth_exact,
     validate,
     width,
@@ -128,6 +128,31 @@ def test_treewidth_known_values():
     assert treewidth_exact(p4) == 1
     assert treewidth_exact(Digraph(1)) == 0
     assert treewidth_exact(Digraph(0)) == -1
+
+
+def treewidth_by_orderings(g: Digraph) -> int:
+    """Independent oracle: minimum over all elimination orderings of the
+    symmetric closure, simulated with explicit fill-in. Exponential."""
+    if g.n == 0:
+        return -1
+    base = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        if u != v:
+            base[u].add(v)
+            base[v].add(u)
+    best = g.n
+    for order in permutations(range(g.n)):
+        adj = [set(s) for s in base]
+        worst = -1
+        for v in order:
+            nbrs = set(adj[v])
+            worst = max(worst, len(nbrs))
+            for a in nbrs:
+                adj[a].discard(v)
+                adj[a].update(nbrs - {a})
+            adj[v] = set()
+        best = min(best, worst)
+    return best
 
 
 def test_treewidth_oracles_agree():
