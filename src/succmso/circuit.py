@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .errors import BadParam, InputOutOfRange, ParseError, TopologyError
 
-_GATE_KINDS = {"input", "const", "not", "and", "or"}
+_GATE_ARITY = {"input": 1, "const": 1, "not": 1, "and": 2, "or": 2}
 
 
 @dataclass(frozen=True)
@@ -47,20 +47,23 @@ class BoolCircuit:
         object.__setattr__(self, "gates", tuple(tuple(g) for g in self.gates))
         for i, gate in enumerate(self.gates):
             kind = gate[0]
+            arity = _GATE_ARITY.get(kind)
+            if arity is None:
+                raise BadParam(f"gate {i}: unknown kind {kind!r}")
+            if len(gate) != 1 + arity:
+                raise BadParam(f"gate {i}: {kind} takes {arity} operand(s)")
             if kind == "input":
                 w = gate[1]
-                if not 0 <= w < 2 * self.label_bits:
-                    raise BadParam(f"gate {i}: input wire {w} out of range")
+                if not isinstance(w, int) or not 0 <= w < 2 * self.label_bits:
+                    raise BadParam(f"gate {i}: input wire {w!r} out of range")
             elif kind == "const":
-                if gate[1] not in (0, 1):
+                if not isinstance(gate[1], int) or gate[1] not in (0, 1):
                     raise BadParam(f"gate {i}: const must be 0 or 1")
             elif kind == "not":
                 self._check_ref(i, gate[1])
-            elif kind in ("and", "or"):
+            else:
                 self._check_ref(i, gate[1])
                 self._check_ref(i, gate[2])
-            else:
-                raise BadParam(f"gate {i}: unknown kind {kind!r}")
         if not 0 <= self.output < len(self.gates):
             raise TopologyError(f"output index {self.output} out of range")
 
@@ -164,7 +167,7 @@ def from_json_obj(obj) -> BoolCircuit:
     if not isinstance(gates, list):
         raise ParseError("gates must be a list")
     for i, g in enumerate(gates):
-        if not isinstance(g, list) or not g or g[0] not in _GATE_KINDS:
+        if not isinstance(g, list) or not g or not isinstance(g[0], str):
             raise ParseError(f"gate {i} is malformed")
     try:
         return BoolCircuit(label_bits, tuple(tuple(g) for g in gates), output)

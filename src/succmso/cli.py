@@ -13,7 +13,7 @@ import sys
 
 from . import efgame, graph, mso, sgr, treedec, verify
 from . import reduce as reduce_mod
-from .errors import SuccmsoError
+from .errors import ParseError, SuccmsoError
 from .graph import BiboundariedGraph, Digraph
 
 DEFAULT_SEED = verify.DEFAULT_SEED
@@ -67,9 +67,16 @@ def _load_triple(spec) -> graph.GadgetTriple:
     return graph.GadgetTriple(*gs)
 
 
-def _load_family(path):
+def _load_object(path):
+    """A JSON file that must hold an object, such as a letter-keyed family."""
     obj = json.loads(_read(path))
-    return {letter: graph.bib_from_json_obj(o) for letter, o in obj.items()}
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return obj
+
+
+def _load_family(path):
+    return {letter: graph.bib_from_json_obj(o) for letter, o in _load_object(path).items()}
 
 
 def _load_cnf(path) -> reduce_mod.CnfInstance:
@@ -145,7 +152,7 @@ def _cmd_td(args):
         return 0
     if args.td_cmd == "of-delta":
         gamma = _load_family(args.gadgets)
-        decs = {k: treedec.from_json_obj(v) for k, v in json.loads(_read(args.decs)).items()}
+        decs = {k: treedec.from_json_obj(v) for k, v in _load_object(args.decs).items()}
         t = treedec.decomposition_of_delta(gamma, decs, args.word)
         _write_out(args, treedec.serialize(t))
         return 0

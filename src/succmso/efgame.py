@@ -6,31 +6,12 @@ an m-move game decides agreement on all MSO sentences of rank <= m."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BoundTooLarge, EmptyGraph, TooLarge
 from .graph import Digraph, disjoint_union, power_union
 from .mso import CompiledFormula, parse, rank
 
 _MAX_VERTICES = 5
 _MAX_MOVES = 3
-
-
-@dataclass(frozen=True)
-class GamePosition:
-    """Aligned move histories on both boards plus the remaining budget.
-
-    Point moves are vertices, set moves are bitmasks; the two histories
-    always have equal length.
-    """
-
-    g: Digraph
-    h: Digraph
-    points_g: tuple
-    points_h: tuple
-    sets_g: tuple
-    sets_h: tuple
-    moves_left: int
 
 
 def _consistent(g, h, pg, ph, sg, sh):

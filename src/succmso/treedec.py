@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BadAnchorBags,
@@ -15,7 +16,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .graph import BiboundariedGraph, Digraph, _glue_map, glue
+from .graph import Digraph, _glue_map, glue
 
 
 @dataclass(frozen=True)
@@ -38,34 +39,30 @@ class TreeDecomposition:
         for i, p in enumerate(parents):
             if i != root and not 0 <= p < n:
                 raise BadVertex(f"node {i} has invalid parent {p}")
-        # connected & acyclic: every node must reach the root
-        for i in range(n):
-            seen = set()
-            j = i
-            while j != root:
-                if j in seen:
-                    raise BadVertex("parent pointers contain a cycle")
-                seen.add(j)
-                j = parents[j]
-        if pointed_leaf is not None:
-            children = self._children_of(parents, n)
-            if not 0 <= pointed_leaf < n or children[pointed_leaf]:
-                raise NotALeaf(f"node {pointed_leaf} is not a leaf")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "bags", bags)
         object.__setattr__(self, "pointed_leaf", pointed_leaf)
+        # every other node has one parent in range, so the tree is connected
+        # and acyclic iff a walk down from the root reaches all n nodes
+        reached, stack = 0, [root]
+        while stack:
+            reached += 1
+            stack.extend(self.children[stack.pop()])
+        if reached != n:
+            raise BadVertex("parent pointers contain a cycle")
+        if pointed_leaf is not None:
+            if not 0 <= pointed_leaf < n or self.children[pointed_leaf]:
+                raise NotALeaf(f"node {pointed_leaf} is not a leaf")
 
-    @staticmethod
-    def _children_of(parents, n):
-        children = [[] for _ in range(n)]
-        for i, p in enumerate(parents):
-            if p != -1:
-                children[p].append(i)
-        return children
-
+    @cached_property
     def children(self):
-        return self._children_of(self.parents, len(self.parents))
+        """Children of every node in increasing order, built once per tree."""
+        index = [[] for _ in self.parents]
+        for i, p in enumerate(self.parents):
+            if p != -1:
+                index[p].append(i)
+        return tuple(map(tuple, index))
 
     @property
     def node_count(self):
@@ -73,8 +70,7 @@ class TreeDecomposition:
 
     def degree(self, v):
         """Parent plus children count."""
-        kids = sum(1 for p in self.parents if p == v)
-        return kids + (0 if v == self.root else 1)
+        return len(self.children[v]) + (0 if v == self.root else 1)
 
 
 # -- validity ------------------------------------------------------------
@@ -99,43 +95,20 @@ class ConnectivityViolated:
 def validate(g: Digraph, t: TreeDecomposition):
     """Check the three decomposition conditions against the symmetric
     closure of g. Returns a list of violations; empty means valid."""
-    violations = []
-    covered = set().union(*t.bags) if t.bags else set()
-    for v in range(g.n):
-        if v not in covered:
-            violations.append(VertexUncovered(v))
+    holders = {}
+    for i, bag in enumerate(t.bags):
+        for v in bag:
+            holders.setdefault(v, set()).add(i)
+    empty = frozenset()
+    violations = [VertexUncovered(v) for v in range(g.n) if v not in holders]
     for u, v in sorted(g.edges):
-        if not any(u in bag and v in bag for bag in t.bags):
+        if holders.get(u, empty).isdisjoint(holders.get(v, empty)):
             violations.append(EdgeUncovered(u, v))
-    # interpolation = the nodes containing each vertex form a connected subtree
+    # interpolation: the nodes holding v form a connected subtree, that is,
+    # exactly one of them has its parent outside the set
     for v in range(g.n):
-        holders = [i for i, bag in enumerate(t.bags) if v in bag]
-        if len(holders) <= 1:
-            continue
-        holder_set = set(holders)
-        # climb from each holder to the highest holder; every step inside
-        # the subtree between holders must itself hold v
-        depths = {}
-        for i in holders:
-            d, j = 0, i
-            while j != t.root:
-                j = t.parents[j]
-                d += 1
-            depths[i] = d
-        top = min(holders, key=lambda i: depths[i])
-        ok = True
-        for i in holders:
-            j = i
-            while j != top and j != t.root:
-                j = t.parents[j]
-                if j not in holder_set:
-                    ok = False
-                    break
-            if j != top:
-                ok = False
-            if not ok:
-                break
-        if not ok:
+        nodes = holders.get(v, empty)
+        if sum(t.parents[i] not in nodes for i in nodes) > 1:
             violations.append(ConnectivityViolated(v))
     return violations
 
@@ -157,90 +130,50 @@ def normalize_degree3(t: TreeDecomposition) -> TreeDecomposition:
     """
     parents = list(t.parents)
     bags = list(t.bags)
-    root = t.root
-
-    def degree(v):
-        kids = sum(1 for p in parents if p == v)
-        return kids + (0 if v == root else 1)
-
-    changed = True
-    while changed:
-        changed = False
-        for v in range(len(parents)):
-            if degree(v) <= 3:
-                continue
-            kids = [i for i, p in enumerate(parents) if p == v]
-            # keep the first child, push the rest below a duplicate bag
-            dup = len(parents)
-            parents.append(v)
-            bags.append(bags[v])
-            for k in kids[1:]:
-                parents[k] = dup
-            changed = True
-            break
-    return TreeDecomposition(root, parents, bags, t.pointed_leaf)
+    children = [list(kids) for kids in t.children]
+    # one split brings a node to degree <= 3; the duplicate it appends may
+    # still be too wide, and the scan reaches it because the list grows
+    for v, kids in enumerate(children):
+        if len(kids) + (0 if v == t.root else 1) <= 3:
+            continue
+        # keep the first child, push the rest below a duplicate bag
+        dup = len(parents)
+        parents.append(v)
+        bags.append(bags[v])
+        for k in kids[1:]:
+            parents[k] = dup
+        children.append(kids[1:])
+        children[v] = [kids[0], dup]
+    return TreeDecomposition(t.root, parents, bags, t.pointed_leaf)
 
 
 # -- pointed gluing ------------------------------------------------------
 
 
-def subtree_nodes(t: TreeDecomposition, v: int):
-    """Nodes of the largest subtree rooted at v."""
-    children = t.children()
-    out = []
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        stack.extend(children[u])
-    return out
-
-
-def subtree_replace(t: TreeDecomposition, v: int, u: TreeDecomposition) -> TreeDecomposition:
-    """Replace the largest subtree of t rooted at v with the tree u."""
-    if not 0 <= v < t.node_count:
-        raise BadVertex(f"node {v} out of range")
-    removed = set(subtree_nodes(t, v))
-    keep = [i for i in range(t.node_count) if i not in removed]
-    if v == t.root and not keep:
-        return u
-    remap = {old: new for new, old in enumerate(keep)}
-    offset = len(keep)
-    parents = [remap[t.parents[i]] if t.parents[i] != -1 else -1 for i in keep]
-    bags = [t.bags[i] for i in keep]
-    anchor = t.parents[v]
-    for i in range(u.node_count):
-        if i == u.root:
-            parents.append(remap[anchor] if anchor != -1 else -1)
-        else:
-            parents.append(u.parents[i] + offset)
-        bags.append(u.bags[i])
-    root = remap[t.root] if t.root not in removed else offset + u.root
-    pointed = None if u.pointed_leaf is None else u.pointed_leaf + offset
-    return TreeDecomposition(root, parents, bags, pointed)
-
-
 def glue_pointed(t: TreeDecomposition, u: TreeDecomposition) -> TreeDecomposition:
-    """t ⊕ u at t's pointed leaf; the result's pointed leaf comes from u."""
-    if t.pointed_leaf is None:
+    """t ⊕ u at t's pointed leaf; the result's pointed leaf comes from u.
+
+    u's root takes the leaf's place under the leaf's parent. t's other
+    nodes keep their order, renumbered to close the gap, and u's follow.
+    """
+    leaf = t.pointed_leaf
+    if leaf is None:
         raise NotALeaf("left operand has no pointed leaf")
-    return subtree_replace(t, t.pointed_leaf, u)
+    if t.node_count == 1:
+        return u
+    offset = t.node_count - 1
 
+    def shift(i):  # maps -1 to itself, as leaf >= 0
+        return i - 1 if i > leaf else i
 
-def lambda_fold(family: dict, word) -> TreeDecomposition:
-    """Left fold of pointed-leaf gluing over the letters of word."""
-    word = list(word)
-    if not word:
-        raise EmptyWord("lambda requires a nonempty word")
-    for letter in word:
-        if letter not in family:
-            raise BadVertex(f"unknown decomposition index {letter!r}")
-        if family[letter].pointed_leaf is None:
-            raise NotALeaf(f"decomposition {letter!r} has no pointed leaf")
-    acc = family[word[0]]
-    for letter in word[1:]:
-        acc = glue_pointed(acc, family[letter])
-    return acc
+    parents = [shift(p) for i, p in enumerate(t.parents) if i != leaf]
+    parents += [
+        shift(t.parents[leaf]) if i == u.root else p + offset
+        for i, p in enumerate(u.parents)
+    ]
+    bags = t.bags[:leaf] + t.bags[leaf + 1 :] + u.bags
+    pointed = None if u.pointed_leaf is None else u.pointed_leaf + offset
+    return TreeDecomposition(shift(t.root), parents, bags, pointed)
 
 
 def _relabel_bags(t: TreeDecomposition, vmap) -> TreeDecomposition:
@@ -263,6 +196,10 @@ def decomposition_of_delta(gamma: dict, decs: dict, word) -> TreeDecomposition:
     if not word:
         raise EmptyWord("empty word")
     for letter in word:
+        if letter not in gamma:
+            raise BadVertex(f"unknown gadget index {letter!r}")
+        if letter not in decs:
+            raise BadVertex(f"unknown decomposition index {letter!r}")
         gadget, dec = gamma[letter], decs[letter]
         if dec.pointed_leaf is None:
             raise BadAnchorBags(f"decomposition {letter!r} has no pointed leaf")

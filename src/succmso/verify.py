@@ -189,12 +189,12 @@ def check_instance(S: CnfInstance, quad=None, sentence=LOOP_SENTENCE, limit=1000
     )
 
 
-def end_to_end(quad=None, sentence=LOOP_SENTENCE, instances=None, limit=100000) -> EndToEndReport:
+def end_to_end(quad=None, sentence=LOOP_SENTENCE, instances=None) -> EndToEndReport:
     """Run check_instance across a battery (the built-in one by default)."""
     if instances is None:
         instances = small_cnf_battery() + seeded_cnf_battery(3, 10, DEFAULT_SEED)
     return EndToEndReport(
-        tuple(check_instance(S, quad, sentence, limit) for S in instances)
+        tuple(check_instance(S, quad, sentence) for S in instances)
     )
 
 

@@ -72,6 +72,11 @@ def test_parse_rejects_malformed():
         parse("not json {")
     with pytest.raises(ParseError):
         parse(json.dumps({"label_bits": 1, "gates": [["bogus"]], "output": 0}))
+    # operands missing, extra or not integers, and a kind that is not a string
+    malformed = (["and", 0], ["input"], ["input", 0.5], ["const", 1.0], ["not", 0, 0], [["and"], 0, 0])
+    for bad in malformed:
+        with pytest.raises(ParseError):
+            parse(json.dumps({"label_bits": 1, "gates": [["input", 0], bad], "output": 1}))
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4])

@@ -269,3 +269,43 @@ def test_no_threads_flag_or_env(capsys, monkeypatch):
     monkeypatch.setenv("SUCCMSO_THREADS", "0")  # once rejected with exit 2; now unread
     code, out, _ = run(capsys, "ef", "qbound", "--size", "1", "--m", "1")
     assert code == 0 and out.strip() == "2"
+
+
+FAMILY = {"1": {"n": 2, "edges": [[0, 1]], "p1": [0], "p2": [1]}}
+DECS = {"1": {"root": 0, "parents": [-1, 0, 1], "bags": [[0], [0, 1], [1]], "pointed_leaf": 2}}
+OF_DELTA = ("td", "of-delta", "--gadgets", "{a}", "--decs", "{b}", "--word", "12")
+
+
+def _sgr_with_gate(gate):
+    circuit = {"version": 1, "label_bits": 1, "gates": [["input", 0], gate], "output": 1}
+    return {"N": "2", "circuit": circuit}
+
+
+@pytest.mark.parametrize(
+    "argv, files, error",
+    [
+        (("sgr", "materialize", "--sgr", "{a}"), {"a": _sgr_with_gate(["and", 0])}, "ParseError"),
+        (("sgr", "materialize", "--sgr", "{a}"), {"a": _sgr_with_gate(["input"])}, "ParseError"),
+        (("sgr", "materialize", "--sgr", "{a}"), {"a": _sgr_with_gate(["input", 0.5])}, "ParseError"),
+        (OF_DELTA, {"a": FAMILY, "b": DECS}, "BadVertex"),
+        (OF_DELTA, {"a": {**FAMILY, "2": FAMILY["1"]}, "b": DECS}, "BadVertex"),
+        (("graph", "delta", "--gadgets", "{a}", "--word", "1"), {"a": [FAMILY["1"]]}, "ParseError"),
+        (OF_DELTA, {"a": [FAMILY["1"]], "b": DECS}, "ParseError"),
+        (OF_DELTA, {"a": FAMILY, "b": [DECS["1"]]}, "ParseError"),
+    ],
+    ids=[
+        "gate-operand-missing", "input-wire-missing", "input-wire-not-int",
+        "letter-not-in-gadgets", "letter-not-in-decs",
+        "gadgets-not-object", "of-delta-gadgets-not-object", "decs-not-object",
+    ],
+)
+def test_malformed_files_are_operation_errors(capsys, tmp_path, argv, files, error):
+    paths = {}
+    for name, obj in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {error}: ")
+    assert "Traceback" not in err

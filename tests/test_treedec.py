@@ -18,7 +18,6 @@ from succmso.treedec import (
     VertexUncovered,
     decomposition_of_delta,
     glue_pointed,
-    lambda_fold,
     normalize_degree3,
     parse,
     serialize,
@@ -79,10 +78,90 @@ def test_normalize_degree3():
     t = TreeDecomposition(0, [-1, 0, 0, 0, 0, 0], [{0}] * 6)
     g = Digraph(1)
     n = normalize_degree3(t)
+    assert n.parents == (-1, 0, 6, 7, 8, 8, 0, 6, 7)
     assert max(n.degree(v) for v in range(n.node_count)) <= 3
     assert width(n) == width(t)
     assert n.node_count >= t.node_count
     assert validate(g, n) == []
+
+
+def random_parent_array(rng, n):
+    """A random tree on n nodes, bushy or spread out, with one pointer
+    bent out of shape half of the time."""
+    order = rng.sample(range(n), n)
+    spread = rng.choice((2, n))
+    parents = [-1] * n
+    for k in range(1, n):
+        parents[order[k]] = order[rng.randrange(min(k, spread))]
+    if rng.random() < 0.5:
+        parents[rng.randrange(n)] = rng.randrange(-1, n)
+    return order[0], parents
+
+
+def is_tree_by_walks(root, parents):
+    """Oracle: the root has no parent and every node walks up to it
+    through parents in range, without repeating a node."""
+    if parents[root] != -1:
+        return False
+    for i in range(len(parents)):
+        seen, j = set(), i
+        while j != root:
+            if j in seen or not 0 <= parents[j] < len(parents):
+                return False
+            seen.add(j)
+            j = parents[j]
+    return True
+
+
+def holders_disconnected(parents, bags, v):
+    """Oracle: a search over tree edges that stays on nodes holding v
+    misses some of them."""
+    holders = {i for i, bag in enumerate(bags) if v in bag}
+    if not holders:
+        return False
+    adj = {i: set() for i in holders}
+    for i, p in enumerate(parents):
+        if i in holders and p in holders:
+            adj[i].add(p)
+            adj[p].add(i)
+    start = min(holders)
+    seen, stack = {start}, [start]
+    while stack:
+        for j in adj[stack.pop()] - seen:
+            seen.add(j)
+            stack.append(j)
+    return seen != holders
+
+
+def degrees(root, parents):
+    return [parents.count(v) + (v != root) for v in range(len(parents))]
+
+
+def test_random_decompositions_against_oracles():
+    rng = random.Random(11)
+    trees = 0
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        root, parents = random_parent_array(rng, n)
+        bags = [{v for v in range(5) if rng.random() < 0.4} for _ in range(n)]
+        if not is_tree_by_walks(root, parents):
+            with pytest.raises(BadVertex):
+                TreeDecomposition(root, parents, bags)
+            continue
+        trees += 1
+        t = TreeDecomposition(root, parents, bags)
+        g = Digraph(5, [(u, v) for u in range(5) for v in range(5) if rng.random() < 0.2])
+        violations = validate(g, t)
+        broken = [x.vertex for x in violations if isinstance(x, ConnectivityViolated)]
+        assert broken == [v for v in range(5) if holders_disconnected(parents, bags, v)]
+        n3 = normalize_degree3(t)
+        assert width(n3) == width(t)
+        assert validate(g, n3) == violations
+        assert n3.node_count >= t.node_count
+        assert max(degrees(n3.root, n3.parents)) <= 3
+        if max(degrees(root, parents)) <= 3:
+            assert n3 == t
+    assert min(trees, 2000 - trees) > 300  # both answers of the constructor are exercised
 
 
 def test_glue_pointed():
@@ -91,12 +170,6 @@ def test_glue_pointed():
     assert t.pointed_leaf is not None
     with pytest.raises(NotALeaf):
         glue_pointed(TreeDecomposition(0, [-1], [{0}]), path_dec(3))
-
-
-def test_lambda_fold():
-    fam = {"a": path_dec(3)}
-    t = lambda_fold(fam, "aaa")
-    assert t.node_count == 4
 
 
 def test_decomposition_of_delta_matches_chain():
