@@ -8,40 +8,51 @@ from __future__ import annotations
 
 from .errors import BoundTooLarge, EmptyGraph, TooLarge
 from .graph import Digraph, disjoint_union, power_union
-from .mso import CompiledFormula, parse, rank
+from .mso import CompiledFormula
 
 _MAX_VERTICES = 5
 _MAX_MOVES = 3
 
 
-def _consistent(g, h, pg, ph, sg, sh):
-    """Duplicator survives iff the partial map preserves =, E (both ways)
-    and membership in corresponding chosen sets."""
-    for i in range(len(pg)):
-        for j in range(len(pg)):
-            if (pg[i] == pg[j]) != (ph[i] == ph[j]):
-                return False
-            if ((pg[i], pg[j]) in g.edges) != ((ph[i], ph[j]) in h.edges):
-                return False
-        for k in range(len(sg)):
-            if ((sg[k] >> pg[i]) & 1) != ((sh[k] >> ph[i]) & 1):
-                return False
-    return True
-
-
 def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
     """Duplicator wins the m-move game where Spoiler freely mixes point and
     set moves; equivalent to agreement on all MSO sentences of quantifier
-    rank (nesting depth) <= m."""
+    rank (nesting depth) <= m.
+
+    Duplicator survives a position iff the pebbles induce a partial map that
+    preserves =, E (both ways) and membership in corresponding chosen sets.
+    Every position searched satisfies this, so each move is checked only
+    against the position it extends: a new pebble pair against the earlier
+    pebbles, its own loop bit and every chosen set, a new set pair against
+    every pebble. Edges are read from the successor masks."""
     if g.n > _MAX_VERTICES or h.n > _MAX_VERTICES or m > _MAX_MOVES:
         raise TooLarge(
             f"ef_equiv guard: |g|,|h| <= {_MAX_VERTICES} and m <= {_MAX_MOVES}"
         )
+    gs, hs = g.successor_masks, h.successor_masks
     memo = {}
 
-    def wins(pg, ph, sg, sh, left):
-        if not _consistent(g, h, pg, ph, sg, sh):
+    def point_ok(pg, ph, sg, sh, a, b):
+        ra, rb = gs[a], hs[b]
+        if (ra >> a ^ rb >> b) & 1:
             return False
+        for x, y in zip(pg, ph):
+            if (x == a) != (y == b):
+                return False
+            if (gs[x] >> a ^ hs[y] >> b) & 1 or (ra >> x ^ rb >> y) & 1:
+                return False
+        for s, t in zip(sg, sh):
+            if (s >> a ^ t >> b) & 1:
+                return False
+        return True
+
+    def set_ok(pg, ph, s, t):
+        for x, y in zip(pg, ph):
+            if (s >> x ^ t >> y) & 1:
+                return False
+        return True
+
+    def wins(pg, ph, sg, sh, left):
         if left == 0:
             return True
         key = (pg, ph, sg, sh, left)
@@ -55,9 +66,10 @@ def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
             for move in range(a.n):
                 answered = False
                 for reply in range(b.n):
-                    npg = pg + (move,) if spoiler_on_g else pg + (reply,)
-                    nph = ph + (reply,) if spoiler_on_g else ph + (move,)
-                    if wins(npg, nph, sg, sh, left - 1):
+                    x, y = (move, reply) if spoiler_on_g else (reply, move)
+                    if point_ok(pg, ph, sg, sh, x, y) and wins(
+                        pg + (x,), ph + (y,), sg, sh, left - 1
+                    ):
                         answered = True
                         break
                 if not answered:
@@ -68,9 +80,10 @@ def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
             for move in range(1 << a.n):
                 answered = False
                 for reply in range(1 << b.n):
-                    nsg = sg + (move,) if spoiler_on_g else sg + (reply,)
-                    nsh = sh + (reply,) if spoiler_on_g else sh + (move,)
-                    if wins(pg, ph, nsg, nsh, left - 1):
+                    s, t = (move, reply) if spoiler_on_g else (reply, move)
+                    if set_ok(pg, ph, s, t) and wins(
+                        pg, ph, sg + (s,), sh + (t,), left - 1
+                    ):
                         answered = True
                         break
                 if not answered:
@@ -121,42 +134,6 @@ def q_bound(size_g: int, m1: int, m2: int) -> int:
 def q_bound_total(size_g: int, m: int) -> int:
     """Maximum of q_bound over all splits m1 + m2 = m."""
     return max(q_bound(size_g, m1, m - m1) for m1 in range(m + 1))
-
-
-# -- sentence battery ----------------------------------------------------
-
-_SENTENCE_TEXTS = (
-    "ex x. E(x,x)",
-    "all x. E(x,x)",
-    "ex x. x=x",
-    "all x. ~E(x,x)",
-    "ex x. ex y. E(x,y)",
-    "all x. all y. E(x,y)",
-    "ex x. all y. E(x,y)",
-    "all x. ex y. E(x,y)",
-    "ex x. ex y. ~x=y",
-    "all x. all y. x=y",
-    "ex x. ex y. (E(x,y) & E(y,x))",
-    "all x. ex y. ~x=y",
-    "ex x. all y. (E(x,y) -> x=y)",
-    "ex X. all x. x in X",
-    "ex X. ex x. x in X",
-    "all X. ex x. x in X",
-    "ex X. all x. ~x in X",
-    "ex x. ex y. (E(x,y) & ~x=y)",
-    "all x. all y. (E(x,y) -> E(y,x))",
-    "ex x. ex y. (E(x,y) | E(y,x))",
-)
-
-
-def sentence_battery(max_rank=None):
-    """Fixed 20-sentence probe set of quantifier rank (nesting depth) <= 2,
-    optionally filtered down to a rank cap: four sentences of rank 1, then
-    sixteen of rank 2."""
-    sentences = [parse(text) for text in _SENTENCE_TEXTS]
-    if max_rank is None:
-        return sentences
-    return [f for f in sentences if rank(f) <= max_rank]
 
 
 # -- saturating scans ----------------------------------------------------

@@ -41,6 +41,16 @@ class Digraph:
             index[u].append(v)
         return index
 
+    @cached_property
+    def successor_masks(self):
+        """Out-neighbourhood of every vertex as a bitmask (bit v of entry u
+        is set iff (u, v) is an edge), built on first use like the sorted
+        index; the exact searches of efgame and treedec read it."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+        return tuple(masks)
+
 
 @dataclass(frozen=True)
 class BiboundariedGraph:

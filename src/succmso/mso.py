@@ -338,13 +338,3 @@ def eval_formula(g: Digraph, formula, valuation=None) -> bool:
 def rank(formula) -> int:
     """Quantifier rank: the maximal nesting depth of quantifiers."""
     return CompiledFormula(formula).rank
-
-
-def reach_macro(x: str, y: str, set_var: str = "R"):
-    """The E*(x, y) macro: every set containing x and closed under E
-    contains y. Leaves x and y free."""
-    u, v = "u0", "v0"
-    closed = Quant(
-        "all", u, Quant("all", v, Implies(And(Member(u, set_var), Edge(u, v)), Member(v, set_var)))
-    )
-    return Quant("all", set_var, Implies(And(Member(x, set_var), closed), Member(y, set_var)))

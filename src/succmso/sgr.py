@@ -73,9 +73,19 @@ def parse(text: str) -> Sgr:
     return from_json_obj(obj)
 
 
+def _vertex_count(value) -> int:
+    """N as serialize writes it (a decimal-digit string) or as a JSON
+    integer; a bool, a float or any other string is not a vertex count."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise ParseError(f"malformed SGR bundle: N is {value!r:.40}, not an integer")
+
+
 def from_json_obj(obj) -> Sgr:
     try:
-        n = int(obj["N"])
+        n = _vertex_count(obj["N"])
         circ = circuit_mod.from_json_obj(obj["circuit"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed SGR bundle: {exc}") from exc

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     BadAnchorBags,
@@ -220,59 +220,52 @@ def decomposition_of_delta(gamma: dict, decs: dict, word) -> TreeDecomposition:
 # -- exact treewidth -----------------------------------------------------
 
 
-def _symmetric_adj(g: Digraph):
-    adj = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
-
-
-def _elim_reach(adj, eliminated, v):
-    """Neighbors of v through paths whose interior lies in the eliminated set."""
-    seen = {v}
-    stack = [v]
-    out = set()
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w in seen:
-                continue
-            seen.add(w)
-            if w in eliminated:
-                stack.append(w)
-            else:
-                out.add(w)
-    return out
-
-
 def treewidth_exact(g: Digraph) -> int:
     """Exact treewidth of the symmetric closure, for graphs of size <= 10.
 
-    Dynamic program over subsets of eliminated vertices (equivalent to a
-    minimum over all elimination orderings).
+    Dynamic program over the set S of eliminated vertices, a bitmask
+    (equivalent to a minimum over all elimination orderings). Eliminating v
+    after S costs the number of vertices outside S that v reaches through S,
+    found by a breadth-first search on the symmetric-closure masks built
+    from the successor masks; a vertex that costs at least the best width
+    found so far cannot lower it and is not expanded.
     """
     if g.n > 10:
         raise TooLarge("treewidth_exact is limited to 10 vertices")
     if g.n == 0:
         return -1
-    adj = _symmetric_adj(g)
-    from functools import lru_cache
+    n, succ = g.n, g.successor_masks
+    # out- plus in-neighbours; a loop bit is never followed, as the search
+    # has already seen the vertex it expands
+    adj = [succ[v] | sum(1 << u for u in range(n) if succ[u] >> v & 1) for v in range(n)]
+    all_mask = (1 << n) - 1
 
-    all_mask = (1 << g.n) - 1
+    def degree(mask, v):
+        seen = frontier = 1 << v
+        out = 0
+        while frontier:
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= adj[low.bit_length() - 1]
+                frontier ^= low
+            reached &= ~seen
+            seen |= reached
+            out |= reached & ~mask
+            frontier = reached & mask
+        return out.bit_count()
 
     @lru_cache(maxsize=None)
     def best(mask):
         if mask == all_mask:
             return -1
-        eliminated = {i for i in range(g.n) if (mask >> i) & 1}
-        out = g.n
-        for v in range(g.n):
-            if (mask >> v) & 1:
+        out = n
+        for v in range(n):
+            if mask >> v & 1:
                 continue
-            deg = len(_elim_reach(adj, eliminated, v))
-            out = min(out, max(deg, best(mask | (1 << v))))
+            deg = degree(mask, v)
+            if deg < out:
+                out = min(out, max(deg, best(mask | (1 << v))))
         return out
 
     return best(0)

@@ -5,7 +5,7 @@ import random
 import time
 from itertools import product
 
-from succmso.efgame import ef_equiv, q_bound_total, q_search, sentence_battery
+from succmso.efgame import ef_equiv, q_bound_total, q_search
 from succmso.graph import (
     BiboundariedGraph,
     Digraph,
@@ -41,6 +41,8 @@ from succmso.verify import (
     seeded_cnf_battery,
     small_cnf_battery,
 )
+
+from test_efgame import sentence_battery
 
 LOOP = parse("ex x. E(x,x)")
 LOOP_C = CompiledFormula(LOOP)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from succmso import cli, sgr
+
+from test_sgr import BAD_N, with_n
 from succmso.graph import Digraph, graph_equal, parse_graph
 
 LOOP_GRAPH = "graph 2\ne 0 0\n"
@@ -308,4 +310,14 @@ def test_malformed_files_are_operation_errors(capsys, tmp_path, argv, files, err
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1 and out == ""
     assert err.startswith(f"error: {error}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_text", BAD_N)
+def test_sgr_with_bad_vertex_count_is_a_parse_error(capsys, tmp_path, n_text):
+    path = tmp_path / "bad.sgr.json"
+    path.write_text(with_n(n_text))
+    code, out, err = run(capsys, "sgr", "materialize", "--sgr", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ParseError: ")
     assert "Traceback" not in err

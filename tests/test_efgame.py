@@ -12,7 +12,6 @@ from succmso.efgame import (
     q_bound_total,
     q_search,
     saturating_scan,
-    sentence_battery,
 )
 from succmso.errors import BoundTooLarge, EmptyGraph, TooLarge
 from succmso.graph import Digraph, power_union
@@ -20,6 +19,140 @@ from succmso.mso import CompiledFormula, parse, rank
 
 POINT = Digraph(1)
 LOOP = Digraph(1, [(0, 0)])
+
+# -- the fixed sentence battery ------------------------------------------
+
+_SENTENCE_TEXTS = (
+    "ex x. E(x,x)",
+    "all x. E(x,x)",
+    "ex x. x=x",
+    "all x. ~E(x,x)",
+    "ex x. ex y. E(x,y)",
+    "all x. all y. E(x,y)",
+    "ex x. all y. E(x,y)",
+    "all x. ex y. E(x,y)",
+    "ex x. ex y. ~x=y",
+    "all x. all y. x=y",
+    "ex x. ex y. (E(x,y) & E(y,x))",
+    "all x. ex y. ~x=y",
+    "ex x. all y. (E(x,y) -> x=y)",
+    "ex X. all x. x in X",
+    "ex X. ex x. x in X",
+    "all X. ex x. x in X",
+    "ex X. all x. ~x in X",
+    "ex x. ex y. (E(x,y) & ~x=y)",
+    "all x. all y. (E(x,y) -> E(y,x))",
+    "ex x. ex y. (E(x,y) | E(y,x))",
+)
+
+
+def sentence_battery(max_rank=None):
+    """Fixed 20-sentence probe set of quantifier rank (nesting depth) <= 2,
+    optionally filtered down to a rank cap: four sentences of rank 1, then
+    sixteen of rank 2."""
+    sentences = [parse(text) for text in _SENTENCE_TEXTS]
+    if max_rank is None:
+        return sentences
+    return [f for f in sentences if rank(f) <= max_rank]
+
+
+# -- the all-pairs game, as an oracle for the incremental one ------------
+
+
+def _consistent(g, h, pg, ph, sg, sh):
+    """Duplicator survives iff the partial map preserves =, E (both ways)
+    and membership in corresponding chosen sets."""
+    for i in range(len(pg)):
+        for j in range(len(pg)):
+            if (pg[i] == pg[j]) != (ph[i] == ph[j]):
+                return False
+            if ((pg[i], pg[j]) in g.edges) != ((ph[i], ph[j]) in h.edges):
+                return False
+        for k in range(len(sg)):
+            if ((sg[k] >> pg[i]) & 1) != ((sh[k] >> ph[i]) & 1):
+                return False
+    return True
+
+
+def _pairs(on_g, move, replies):
+    """(g side, h side) of Spoiler's move against each reply in turn."""
+    return [(move, r) if on_g else (r, move) for r in range(replies)]
+
+
+def ef_oracle(g: Digraph, h: Digraph, m: int) -> bool:
+    """The m-move game that re-checks every pebble pair and set at every
+    position, on the edge sets: the search ef_equiv makes incremental."""
+    boards = ((True, g, h), (False, h, g))
+    memo = {}
+
+    def wins(pg, ph, sg, sh, left):
+        if not _consistent(g, h, pg, ph, sg, sh):
+            return False
+        if left == 0:
+            return True
+        key = (pg, ph, sg, sh, left)
+        if key not in memo:
+            memo[key] = all(
+                any(wins(pg + (x,), ph + (y,), sg, sh, left - 1) for x, y in _pairs(on_g, mv, b.n))
+                for on_g, a, b in boards
+                for mv in range(a.n)
+            ) and all(
+                any(wins(pg, ph, sg + (s,), sh + (t,), left - 1) for s, t in _pairs(on_g, mv, 1 << b.n))
+                for on_g, a, b in boards
+                for mv in range(1 << a.n)
+            )
+        return memo[key]
+
+    return wins((), (), (), (), m)
+
+
+def random_digraph(rng, n):
+    """Each ordered pair, loops included, is an edge with one drawn density."""
+    p = rng.choice((0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
+    return [(u, v) for u in range(n) for v in range(n) if rng.random() < p]
+
+
+def ef_pairs(rng, count, max_n):
+    """Seeded pairs of four kinds in turn: two independent graphs, a graph
+    on max_n - 1 vertices and the same graph with one vertex doubled by a
+    twin (same loop, same in- and out-neighbours), a relabelled copy, and a
+    relabelled copy with one edge flipped. Edge densities vary, so loops
+    and antiparallel edges both occur; the first two kinds differ in vertex
+    count."""
+    pairs = []
+    for i in range(count):
+        kind = i % 4
+        n = max_n - 1 if kind == 1 else rng.randint(1, max_n)
+        eg = random_digraph(rng, n)
+        if kind == 0:
+            nh = rng.randint(1, max_n)
+            pairs.append((Digraph(n, eg), Digraph(nh, random_digraph(rng, nh))))
+            continue
+        nh, eh = n, set(eg)
+        if kind == 1:
+            w = rng.randrange(n)
+            twin = {w: n}
+            eh |= {(twin.get(u, u), twin.get(v, v)) for u, v in eg}
+            eh |= {(twin.get(u, u), v) for u, v in eg} | {(u, twin.get(v, v)) for u, v in eg}
+            nh = n + 1
+        perm = list(range(nh))
+        rng.shuffle(perm)
+        eh = {(perm[u], perm[v]) for u, v in eh}
+        if kind == 3:
+            eh ^= {(rng.randrange(n), rng.randrange(n))}
+        pairs.append((Digraph(n, eg), Digraph(nh, eh)))
+    return pairs
+
+
+@pytest.mark.parametrize("m, max_n, count", [(0, 5, 12), (1, 5, 60), (2, 4, 60), (3, 4, 40)])
+def test_ef_equiv_matches_all_pairs_oracle(m, max_n, count):
+    rng = random.Random(1000 + m)
+    verdicts = []
+    for g, h in ef_pairs(rng, count, max_n):
+        verdict = ef_equiv(g, h, m)
+        assert verdict == ef_oracle(g, h, m), (g, h, m)
+        verdicts.append(verdict)
+    assert all(verdicts) if m == 0 else len(set(verdicts)) == 2
 
 
 def test_identical_graphs_equivalent():
@@ -40,6 +173,14 @@ def test_pinned_isolated_vertex_counts():
     one, two = power_union(POINT, 1), power_union(POINT, 2)
     assert ef_equiv(one, two, 1)
     assert not ef_equiv(one, two, 2)  # "ex x. ex y. ~x=y" needs two moves
+
+
+def test_set_moves_count_past_point_moves():
+    # three pebbles cannot tell 3 isolated vertices from 4, but two sets
+    # split the vertices into four classes that a last pebble probes
+    three, four = power_union(POINT, 3), power_union(POINT, 4)
+    assert ef_equiv(three, four, 2)
+    assert not ef_equiv(three, four, 3)
 
 
 def test_guards():

@@ -22,7 +22,6 @@ from succmso.mso import (
     parse,
     print_formula,
     rank,
-    reach_macro,
 )
 
 LOOP = Digraph(2, [(0, 0)])
@@ -170,6 +169,16 @@ def test_brute_force_guard():
         f.eval(Digraph(25))
     # first-order formulas are exempt from the guard
     assert eval_formula(Digraph(30, [(0, 0)]), parse("ex x. E(x,x)"))
+
+
+def reach_macro(x: str, y: str, set_var: str = "R"):
+    """The E*(x, y) macro: every set containing x and closed under E
+    contains y. Leaves x and y free."""
+    u, v = "u0", "v0"
+    closed = Quant(
+        "all", u, Quant("all", v, Implies(And(Member(u, set_var), Edge(u, v)), Member(v, set_var)))
+    )
+    return Quant("all", set_var, Implies(And(Member(x, set_var), closed), Member(y, set_var)))
 
 
 def test_reach_macro():

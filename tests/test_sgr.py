@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from succmso.circuit import CircuitBuilder
@@ -73,3 +75,27 @@ def test_parse_errors():
         parse("{}")
     with pytest.raises(ParseError):
         parse("[")
+
+
+# JSON texts of N that are not vertex counts: a float, a bool, a number past
+# the double range, strings int() would read but serialize never writes, and
+# non-numbers
+BAD_N = ("2.7", "true", "1e400", '"2.7"', '"-1"', '" 2"', '"0x2"', "null", "[2]")
+
+
+def with_n(n_text):
+    """cycle_sgr(1) as serialize writes it, with the N value's JSON text
+    replaced."""
+    obj = json.loads(serialize(cycle_sgr(1)))
+    return json.dumps({"circuit": obj["circuit"]}).replace("{", '{"N": ' + n_text + ", ", 1)
+
+
+@pytest.mark.parametrize("n_text", BAD_N)
+def test_vertex_count_must_be_an_integer(n_text):
+    with pytest.raises(ParseError, match="N is"):
+        parse(with_n(n_text))
+
+
+def test_vertex_count_as_integer_or_digit_string():
+    assert parse(with_n("2")) == parse(with_n('"2"')) == cycle_sgr(1)
+    assert serialize(cycle_sgr(1)) == with_n('"2"')

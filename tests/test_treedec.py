@@ -201,6 +201,24 @@ def test_treewidth_known_values():
     assert treewidth_exact(p4) == 1
     assert treewidth_exact(Digraph(1)) == 0
     assert treewidth_exact(Digraph(0)) == -1
+    k10 = Digraph(10, [(u, v) for u in range(10) for v in range(10) if u != v])
+    c10 = Digraph(10, [(i, (i + 1) % 10) for i in range(10)])
+    # outer 5-cycle 0..4, spokes i -- i+5, inner pentagram 5..9
+    petersen = Digraph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+    grid = Digraph(
+        9,
+        [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
+        + [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)],
+    )
+    assert treewidth_exact(k10) == 9
+    assert treewidth_exact(petersen) == 4
+    assert treewidth_exact(c10) == 2
+    assert treewidth_exact(grid) == 3
 
 
 def treewidth_by_orderings(g: Digraph) -> int:
@@ -229,14 +247,40 @@ def treewidth_by_orderings(g: Digraph) -> int:
 
 
 def test_treewidth_oracles_agree():
+    # edges are drawn per ordered pair, loops included, so loops and
+    # antiparallel pairs both occur
     rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        edges = [
-            (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.4
-        ]
-        g = Digraph(n, edges)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        p = rng.choice((0.2, 0.35, 0.5, 0.7))
+        g = Digraph(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < p])
         assert treewidth_exact(g) == treewidth_by_orderings(g)
+
+
+def random_k_tree(rng, n, k):
+    """A k-tree on n > k vertices: a (k+1)-clique, then each new vertex
+    joined to a random k-clique already present; treewidth exactly k. Each
+    edge gets a random direction, or both."""
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = {(u, v) for i, u in enumerate(order[: k + 1]) for v in order[i + 1 : k + 1]}
+    cliques = [frozenset(order[: k + 1]) - {v} for v in order[: k + 1]]
+    for v in order[k + 1 :]:
+        base = rng.choice(cliques)
+        pairs |= {(u, v) for u in base}
+        cliques += [base - {u} | {v} for u in base]
+    edges = []
+    for u, v in pairs:
+        edges += rng.choice(([(u, v)], [(v, u)], [(u, v), (v, u)]))
+    return Digraph(n, edges)
+
+
+def test_treewidth_of_k_trees():
+    rng = random.Random(8)
+    for n in (8, 9, 10):
+        for k in (1, 2, 3, 4):
+            for _ in range(3):
+                assert treewidth_exact(random_k_tree(rng, n, k)) == k
 
 
 def test_treewidth_size_guard():
