@@ -106,56 +106,56 @@ def disjoint_union(a: Digraph, b: Digraph) -> Digraph:
 
 
 def power_union(a: Digraph, k: int) -> Digraph:
-    """Disjoint union of k copies of a; k = 0 gives the empty graph."""
+    """Disjoint union of k copies of a, copy i shifted by i|a|; k = 0 gives the empty graph."""
     if k < 0:
         raise BadVertex("k must be nonnegative")
-    out = Digraph(0)
-    for _ in range(k):
-        out = disjoint_union(out, a)
-    return out
+    return Digraph(a.n * k, [(u + i * a.n, v + i * a.n) for i in range(k) for u, v in a.edges])
 
 
-def _glue_map(a: BiboundariedGraph, b: BiboundariedGraph):
-    """Vertex map applied to b's labels when computing a ⊕ b.
-
-    a keeps its labels; the i-th vertex of P1(b) goes to the i-th vertex of
-    P2(a); remaining b-vertices get fresh labels |a|, |a|+1, ... in
-    increasing order of their original labels.
-    """
-    if a.ell != b.ell:
-        raise PortArityMismatch(f"port counts {a.ell} and {b.ell} differ")
-    vmap = {}
-    for i, p in enumerate(b.p1):
-        vmap[p] = a.p2[i]
-    fresh = a.n
-    for v in range(b.n):
-        if v not in vmap:
-            vmap[v] = fresh
-            fresh += 1
-    return vmap, fresh
-
-
-def glue(a: BiboundariedGraph, b: BiboundariedGraph) -> BiboundariedGraph:
-    """The gluing a ⊕ b: P2(a) identified positionally with P1(b)."""
-    vmap, total = _glue_map(a, b)
-    edges = set(a.graph.edges)
-    edges.update((vmap[u], vmap[v]) for u, v in b.graph.edges)
-    result = Digraph(total, edges)
-    return BiboundariedGraph(result, a.p1, tuple(vmap[v] for v in b.p2))
-
-
-def delta(gamma: dict, word) -> BiboundariedGraph:
-    """Left fold of ⊕ over the gadgets named by the letters of word."""
+def chain_maps(gamma: dict, word):
+    """One vertex map per letter of word (a list from the gadget's labels to
+    the chain's) and the chain's vertex count. The first gadget keeps its
+    labels; in each next one, P1[i] goes to the chain's P2[i] so far and the
+    other vertices to fresh labels in increasing order."""
     word = list(word)
     if not word:
         raise EmptyWord("delta requires a nonempty word")
     for letter in word:
         if letter not in gamma:
             raise BadVertex(f"unknown gadget index {letter!r}")
-    acc = gamma[word[0]]
-    for letter in word[1:]:
-        acc = glue(acc, gamma[letter])
-    return acc
+    maps, total, p2 = [], 0, ()
+    for letter in word:
+        b = gamma[letter]
+        vmap = [None] * b.n
+        if maps:
+            if len(p2) != b.ell:
+                raise PortArityMismatch(f"port counts {len(p2)} and {b.ell} differ")
+            for p, q in zip(b.p1, p2):
+                vmap[p] = q
+        for v in range(b.n):
+            if vmap[v] is None:
+                vmap[v] = total
+                total += 1
+        maps.append(vmap)
+        p2 = [vmap[v] for v in b.p2]
+    return maps, total
+
+
+def delta(gamma: dict, word) -> BiboundariedGraph:
+    """The chain Δ(word): the gadgets named by its letters, glued left to
+    right through the maps of chain_maps."""
+    word = list(word)
+    maps, total = chain_maps(gamma, word)
+    edges = []
+    for letter, vmap in zip(word, maps):
+        edges += [(vmap[u], vmap[v]) for u, v in gamma[letter].graph.edges]
+    p2 = [maps[-1][v] for v in gamma[word[-1]].p2]
+    return BiboundariedGraph(Digraph(total, edges), gamma[word[0]].p1, p2)
+
+
+def glue(a: BiboundariedGraph, b: BiboundariedGraph) -> BiboundariedGraph:
+    """The gluing a ⊕ b: P2(a) identified positionally with P1(b)."""
+    return delta({0: a, 1: b}, (0, 1))
 
 
 def graph_equal(a: Digraph, b: Digraph) -> bool:
@@ -229,12 +229,31 @@ def format_graph(g) -> str:
 # -- JSON gadget files ---------------------------------------------------
 
 
+def json_int(value, what) -> int:
+    """value if it is a JSON integer; a bool, a float, a string or any
+    other value is a ParseError naming what."""
+    if type(value) is not int:
+        raise ParseError(f"{what} is {value!r:.40}, not an integer")
+    return value
+
+
+def json_ints(value, what) -> tuple:
+    """A JSON list of integers as a tuple, each entry checked by json_int."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} is {value!r:.40}, not a list")
+    return tuple(json_int(v, what) for v in value)
+
+
 def bib_from_json_obj(obj) -> BiboundariedGraph:
     try:
-        g = Digraph(obj["n"], [tuple(e) for e in obj["edges"]])
-        return BiboundariedGraph(g, obj.get("p1", ()), obj.get("p2", ()))
+        n = json_int(obj["n"], "n")
+        edges = [json_ints(e, "an edge") for e in obj["edges"]]
+        p1, p2 = json_ints(obj.get("p1", []), "p1"), json_ints(obj.get("p2", []), "p2")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed graph object: {exc}") from exc
+    if any(len(e) != 2 for e in edges):
+        raise ParseError("an edge is not a [u, v] pair")
+    return BiboundariedGraph(Digraph(n, edges), p1, p2)
 
 
 def bib_to_json_obj(b: BiboundariedGraph):

@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .graph import BiboundariedGraph, Digraph, GadgetTriple, delta, glue
+from .graph import BiboundariedGraph, Digraph, GadgetTriple, delta
 from .mso import CompiledFormula
 from .sgr import Sgr
 
@@ -430,9 +430,7 @@ def build_quadruple(triple: GadgetTriple, omega: Digraph, max_copies=50) -> Gadg
     g1 = triple.g1
     last_error = None
     for copies in range(1, max_copies + 1):
-        chain = g1
-        for _ in range(copies - 1):
-            chain = glue(chain, g1)
+        chain = delta({"1": g1}, "1" * copies)
         shared = set(chain.p1) & set(chain.p2)
         hverts = set(shared)
         for p in shared:

@@ -1,5 +1,5 @@
-"""Tree decompositions: validity, width, degree-3 normalization, pointed
-gluing, the chain-decomposition correspondence, and exact treewidth."""
+"""Tree decompositions: validity, width, degree-3 normalization, the
+chain-decomposition correspondence, and exact treewidth."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .graph import Digraph, _glue_map, glue
+from .graph import Digraph, chain_maps, json_int, json_ints
 
 
 @dataclass(frozen=True)
@@ -147,50 +147,16 @@ def normalize_degree3(t: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(t.root, parents, bags, t.pointed_leaf)
 
 
-# -- pointed gluing ------------------------------------------------------
-
-
-def glue_pointed(t: TreeDecomposition, u: TreeDecomposition) -> TreeDecomposition:
-    """t ⊕ u at t's pointed leaf; the result's pointed leaf comes from u.
-
-    u's root takes the leaf's place under the leaf's parent. t's other
-    nodes keep their order, renumbered to close the gap, and u's follow.
-    """
-    leaf = t.pointed_leaf
-    if leaf is None:
-        raise NotALeaf("left operand has no pointed leaf")
-    if t.node_count == 1:
-        return u
-    offset = t.node_count - 1
-
-    def shift(i):  # maps -1 to itself, as leaf >= 0
-        return i - 1 if i > leaf else i
-
-    parents = [shift(p) for i, p in enumerate(t.parents) if i != leaf]
-    parents += [
-        shift(t.parents[leaf]) if i == u.root else p + offset
-        for i, p in enumerate(u.parents)
-    ]
-    bags = t.bags[:leaf] + t.bags[leaf + 1 :] + u.bags
-    pointed = None if u.pointed_leaf is None else u.pointed_leaf + offset
-    return TreeDecomposition(shift(t.root), parents, bags, pointed)
-
-
-def _relabel_bags(t: TreeDecomposition, vmap) -> TreeDecomposition:
-    return TreeDecomposition(
-        t.root,
-        t.parents,
-        [frozenset(vmap[v] for v in bag) for bag in t.bags],
-        t.pointed_leaf,
-    )
+# -- chain decompositions ------------------------------------------------
 
 
 def decomposition_of_delta(gamma: dict, decs: dict, word) -> TreeDecomposition:
     """Decomposition of the glued chain, bags relabeled through the same
-    canonical maps as the chain itself.
+    vertex maps as the chain itself.
 
     Requires, per member: the root bag is P1 of its gadget and the pointed
-    leaf bag is P2 of its gadget.
+    leaf bag is P2 of its gadget. Each next member's root takes the place
+    of the pointed leaf, and the nodes after the leaf close the gap.
     """
     word = list(word)
     if not word:
@@ -207,14 +173,29 @@ def decomposition_of_delta(gamma: dict, decs: dict, word) -> TreeDecomposition:
             raise BadAnchorBags(f"root bag of {letter!r} is not P1 of its gadget")
         if dec.bags[dec.pointed_leaf] != frozenset(gadget.p2):
             raise BadAnchorBags(f"pointed-leaf bag of {letter!r} is not P2 of its gadget")
-    acc_graph = gamma[word[0]]
-    acc_dec = decs[word[0]]
-    for letter in word[1:]:
-        b = gamma[letter]
-        vmap, _ = _glue_map(acc_graph, b)
-        acc_dec = glue_pointed(acc_dec, _relabel_bags(decs[letter], vmap))
-        acc_graph = glue(acc_graph, b)
-    return acc_dec
+        if not all(0 <= v < gadget.n for bag in dec.bags for v in bag):
+            raise BadVertex(f"a bag of {letter!r} holds a vertex outside its gadget")
+    maps, _ = chain_maps(gamma, word)
+    # one empty pointed node, replaced whole by the first member; the leaf
+    # lies in the member appended last (from start on), and so does every
+    # node numbered after it or with a parent after it
+    root, parents, bags, leaf, start = 0, [-1], [frozenset()], 0, 0
+    for letter, vmap in zip(word, maps):
+        dec = decs[letter]
+        for i in range(start, len(parents)):
+            if parents[i] > leaf:
+                parents[i] -= 1
+        hook = parents.pop(leaf)
+        del bags[leaf]
+        if root > leaf:
+            root -= 1
+        start = len(parents)
+        if hook == -1:  # the leaf was the root of a one-node decomposition
+            root = dec.root
+        parents += [hook if i == dec.root else p + start for i, p in enumerate(dec.parents)]
+        bags += [frozenset(vmap[v] for v in bag) for bag in dec.bags]
+        leaf = dec.pointed_leaf + start
+    return TreeDecomposition(root, parents, bags, leaf)
 
 
 # -- exact treewidth -----------------------------------------------------
@@ -285,11 +266,13 @@ def to_json_obj(t: TreeDecomposition):
 
 def from_json_obj(obj) -> TreeDecomposition:
     try:
-        return TreeDecomposition(
-            obj["root"], obj["parents"], obj["bags"], obj.get("pointed_leaf")
-        )
+        root, leaf = json_int(obj["root"], "root"), obj.get("pointed_leaf")
+        parents = json_ints(obj["parents"], "parents")
+        bags = [json_ints(bag, "a bag") for bag in obj["bags"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed decomposition object: {exc}") from exc
+    leaf = None if leaf is None else json_int(leaf, "pointed_leaf")
+    return TreeDecomposition(root, parents, bags, leaf)
 
 
 def serialize(t: TreeDecomposition) -> str:

@@ -276,6 +276,8 @@ def test_no_threads_flag_or_env(capsys, monkeypatch):
 FAMILY = {"1": {"n": 2, "edges": [[0, 1]], "p1": [0], "p2": [1]}}
 DECS = {"1": {"root": 0, "parents": [-1, 0, 1], "bags": [[0], [0, 1], [1]], "pointed_leaf": 2}}
 OF_DELTA = ("td", "of-delta", "--gadgets", "{a}", "--decs", "{b}", "--word", "12")
+OF_DELTA_11 = OF_DELTA[:-1] + ("11",)
+DELTA_11 = ("graph", "delta", "--gadgets", "{a}", "--word", "11")
 
 
 def _sgr_with_gate(gate):
@@ -294,11 +296,23 @@ def _sgr_with_gate(gate):
         (("graph", "delta", "--gadgets", "{a}", "--word", "1"), {"a": [FAMILY["1"]]}, "ParseError"),
         (OF_DELTA, {"a": [FAMILY["1"]], "b": DECS}, "ParseError"),
         (OF_DELTA, {"a": FAMILY, "b": [DECS["1"]]}, "ParseError"),
+        (DELTA_11, {"a": {"1": {**FAMILY["1"], "n": 2.5}}}, "ParseError"),
+        (DELTA_11, {"a": {"1": {**FAMILY["1"], "n": True}}}, "ParseError"),
+        (DELTA_11, {"a": {"1": {**FAMILY["1"], "edges": [[0, 1, 1]]}}}, "ParseError"),
+        (DELTA_11, {"a": {"1": {**FAMILY["1"], "edges": [[0.7, 1]]}}}, "ParseError"),
+        (DELTA_11, {"a": {"1": {**FAMILY["1"], "edges": [["0", "1"]]}}}, "ParseError"),
+        (OF_DELTA_11, {"a": FAMILY, "b": {"1": {**DECS["1"], "root": False}}}, "ParseError"),
+        (OF_DELTA_11, {"a": FAMILY, "b": {"1": {**DECS["1"], "bags": [[0.0], [0, 1], [1]]}}},
+         "ParseError"),
+        (OF_DELTA_11, {"a": FAMILY, "b": {"1": {**DECS["1"], "bags": [[0], [0, 2], [1]]}}},
+         "BadVertex"),
     ],
     ids=[
         "gate-operand-missing", "input-wire-missing", "input-wire-not-int",
         "letter-not-in-gadgets", "letter-not-in-decs",
         "gadgets-not-object", "of-delta-gadgets-not-object", "decs-not-object",
+        "gadget-n-float", "gadget-n-bool", "edge-of-three", "edge-float", "edge-strings",
+        "root-bool", "bag-entry-float", "bag-vertex-outside-gadget",
     ],
 )
 def test_malformed_files_are_operation_errors(capsys, tmp_path, argv, files, error):

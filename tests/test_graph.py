@@ -62,6 +62,11 @@ def test_disjoint_and_power_union():
     assert u.edges == frozenset({(0, 1), (2, 2)})
     assert power_union(a, 0).n == 0
     assert power_union(a, 3).n == 6
+    c = Digraph(3, [(0, 1), (1, 1), (2, 0)])
+    folded = Digraph(0)
+    for k in range(6):
+        assert power_union(c, k) == folded
+        folded = disjoint_union(folded, c)
 
 
 def test_glue_identifies_ports():
@@ -125,3 +130,26 @@ def test_parse_graph_errors():
 def test_json_round_trip():
     g = BiboundariedGraph(Digraph(3, [(0, 2)]), (0,), (2,))
     assert bib_from_json_obj(bib_to_json_obj(g)) == g
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"n": 2.5},
+        {"n": True},
+        {"n": "3"},
+        {"edges": [[0, 1, 1]]},
+        {"edges": [[0]]},
+        {"edges": [[0.7, 1]]},
+        {"edges": [["0", "1"]]},
+        {"edges": [[False, 1]]},
+        {"edges": 3},
+        {"p1": [0.0], "p2": [2]},
+        {"p2": [True]},
+        {"p1": 0},
+    ],
+)
+def test_json_gadget_takes_only_integers(change):
+    obj = {"n": 3, "edges": [[0, 2]], "p1": [0], "p2": [2], **change}
+    with pytest.raises(ParseError):
+        bib_from_json_obj(obj)

@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -7,24 +9,31 @@ from succmso.errors import (
     BadAnchorBags,
     BadVertex,
     EmptyDecomposition,
+    EmptyWord,
     NotALeaf,
+    ParseError,
+    PortArityMismatch,
+    SuccmsoError,
     TooLarge,
 )
-from succmso.graph import BiboundariedGraph, Digraph, delta
+from succmso.graph import BiboundariedGraph, Digraph, delta, glue
 from succmso.treedec import (
     TreeDecomposition,
     ConnectivityViolated,
     EdgeUncovered,
     VertexUncovered,
     decomposition_of_delta,
-    glue_pointed,
+    from_json_obj,
     normalize_degree3,
     parse,
     serialize,
+    to_json_obj,
     treewidth_exact,
     validate,
     width,
 )
+
+from test_acceptance import _dec_family
 
 
 def path_dec(n):
@@ -164,12 +173,198 @@ def test_random_decompositions_against_oracles():
     assert min(trees, 2000 - trees) > 300  # both answers of the constructor are exercised
 
 
-def test_glue_pointed():
-    t = glue_pointed(path_dec(3), path_dec(3))
+# -- the pairwise left fold: the oracle for the one-pass chain fold --------
+
+
+def oracle_glue_map(a, b):
+    """Vertex map applied to b's labels when computing a ⊕ b: a keeps its
+    labels, P1(b)[i] goes to P2(a)[i], and the other b-vertices get fresh
+    labels |a|, |a|+1, ... in increasing order of their own."""
+    if a.ell != b.ell:
+        raise PortArityMismatch(f"port counts {a.ell} and {b.ell} differ")
+    vmap = {}
+    for i, p in enumerate(b.p1):
+        vmap[p] = a.p2[i]
+    fresh = a.n
+    for v in range(b.n):
+        if v not in vmap:
+            vmap[v] = fresh
+            fresh += 1
+    return vmap, fresh
+
+
+def oracle_glue(a, b):
+    vmap, total = oracle_glue_map(a, b)
+    edges = set(a.graph.edges)
+    edges.update((vmap[u], vmap[v]) for u, v in b.graph.edges)
+    return BiboundariedGraph(Digraph(total, edges), a.p1, tuple(vmap[v] for v in b.p2))
+
+
+def oracle_delta(gamma, word):
+    word = list(word)
+    if not word:
+        raise EmptyWord("delta requires a nonempty word")
+    for letter in word:
+        if letter not in gamma:
+            raise BadVertex(f"unknown gadget index {letter!r}")
+    acc = gamma[word[0]]
+    for letter in word[1:]:
+        acc = oracle_glue(acc, gamma[letter])
+    return acc
+
+
+def oracle_glue_pointed(t, u):
+    """t ⊕ u at t's pointed leaf: u's root takes the leaf's place under the
+    leaf's parent, t's other nodes keep their order, renumbered to close the
+    gap, and u's follow, its pointed leaf becoming the result's."""
+    leaf = t.pointed_leaf
+    if leaf is None:
+        raise NotALeaf("left operand has no pointed leaf")
+    if t.node_count == 1:
+        return u
+    offset = t.node_count - 1
+
+    def shift(i):  # maps -1 to itself, as leaf >= 0
+        return i - 1 if i > leaf else i
+
+    parents = [shift(p) for i, p in enumerate(t.parents) if i != leaf]
+    parents += [
+        shift(t.parents[leaf]) if i == u.root else p + offset
+        for i, p in enumerate(u.parents)
+    ]
+    bags = t.bags[:leaf] + t.bags[leaf + 1 :] + u.bags
+    pointed = None if u.pointed_leaf is None else u.pointed_leaf + offset
+    return TreeDecomposition(shift(t.root), parents, bags, pointed)
+
+
+def oracle_relabel_bags(t, vmap):
+    bags = [frozenset(vmap[v] for v in bag) for bag in t.bags]
+    return TreeDecomposition(t.root, t.parents, bags, t.pointed_leaf)
+
+
+def oracle_decomposition_of_delta(gamma, decs, word):
+    word = list(word)
+    if not word:
+        raise EmptyWord("empty word")
+    for letter in word:
+        if letter not in gamma:
+            raise BadVertex(f"unknown gadget index {letter!r}")
+        if letter not in decs:
+            raise BadVertex(f"unknown decomposition index {letter!r}")
+        gadget, dec = gamma[letter], decs[letter]
+        if dec.pointed_leaf is None:
+            raise BadAnchorBags(f"decomposition {letter!r} has no pointed leaf")
+        if dec.bags[dec.root] != frozenset(gadget.p1):
+            raise BadAnchorBags(f"root bag of {letter!r} is not P1 of its gadget")
+        if dec.bags[dec.pointed_leaf] != frozenset(gadget.p2):
+            raise BadAnchorBags(f"pointed-leaf bag of {letter!r} is not P2 of its gadget")
+    acc_graph = gamma[word[0]]
+    acc_dec = decs[word[0]]
+    for letter in word[1:]:
+        b = gamma[letter]
+        vmap, _ = oracle_glue_map(acc_graph, b)
+        acc_dec = oracle_glue_pointed(acc_dec, oracle_relabel_bags(decs[letter], vmap))
+        acc_graph = oracle_glue(acc_graph, b)
+    return acc_dec
+
+
+def test_oracle_glue_pointed():
+    t = oracle_glue_pointed(path_dec(3), path_dec(3))
     assert t.node_count == 3  # pointed leaf replaced by the second chain
     assert t.pointed_leaf is not None
     with pytest.raises(NotALeaf):
-        glue_pointed(TreeDecomposition(0, [-1], [{0}]), path_dec(3))
+        oracle_glue_pointed(TreeDecomposition(0, [-1], [{0}]), path_dec(3))
+
+
+def random_member(rng, ell):
+    """A random gadget with ell ports a side, and a decomposition anchored
+    on it (root bag P1, pointed-leaf bag P2) whose root and pointed leaf
+    sit anywhere in the node order; when P1 and P2 are one set, half the
+    time a single node that is both root and pointed leaf."""
+    n = rng.randint(max(ell, 1), 5)
+    edges = [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.3]
+    p1 = rng.sample(range(n), ell)
+    p2 = rng.sample(p1, ell) if rng.random() < 0.3 else rng.sample(range(n), ell)
+    gadget = BiboundariedGraph(Digraph(n, edges), p1, p2)
+    if set(p1) == set(p2) and rng.random() < 0.5:
+        return gadget, TreeDecomposition(0, [-1], [p1], pointed_leaf=0)
+    size = rng.randint(2, 6)
+    order = rng.sample(range(size), size)
+    parents = [-1] * size
+    for k in range(1, size):
+        parents[order[k]] = order[rng.randrange(k)]
+    leaf = rng.choice([i for i in range(size) if i not in parents])
+    bags = [rng.sample(range(n), rng.randint(0, n)) for _ in range(size)]
+    bags[order[0]], bags[leaf] = p1, p2
+    return gadget, TreeDecomposition(order[0], parents, bags, leaf)
+
+
+def random_family(rng, ells):
+    members = {letter: random_member(rng, ell) for letter, ell in zip("abc", ells)}
+    return {k: g for k, (g, _) in members.items()}, {k: t for k, (_, t) in members.items()}
+
+
+def test_chain_fold_matches_pairwise_oracle():
+    rng = random.Random(23)
+    single_nodes_glued = roots_shifted = 0
+    for trial in range(800):
+        gamma, decs = random_family(rng, [trial % 3] * 3)
+        word = "".join(rng.choice("abc") for _ in range(rng.randint(1, 10)))
+        assert delta(gamma, word) == oracle_delta(gamma, word)
+        t = decomposition_of_delta(gamma, decs, word)
+        assert t == oracle_decomposition_of_delta(gamma, decs, word)
+        a, b = rng.choice("abc"), rng.choice("abc")
+        assert glue(gamma[a], gamma[b]) == oracle_glue(gamma[a], gamma[b])
+        single_nodes_glued += any(decs[x].node_count == 1 for x in word[:-1])
+        roots_shifted += len(word) > 1 and decs[word[0]].root > decs[word[0]].pointed_leaf
+    # both special cases of the renumbering are exercised
+    assert min(single_nodes_glued, roots_shifted) > 60
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except SuccmsoError as exc:
+        return type(exc), str(exc)
+
+
+def test_chain_fold_errors_match_pairwise_oracle():
+    rng = random.Random(29)
+    gamma, decs = random_family(rng, (1, 1, 2))
+    cases = [("", gamma, decs), ("abz", gamma, decs), ("aac", gamma, decs)]
+    cases.append(("ab", gamma, {"a": decs["a"]}))
+    unpointed = TreeDecomposition(decs["a"].root, decs["a"].parents, decs["a"].bags)
+    cases.append(("ba", gamma, {**decs, "a": unpointed}))
+    bad_root = TreeDecomposition(0, [-1, 0], [{0, 1}, gamma["a"].p2], pointed_leaf=1)
+    cases.append(("ab", gamma, {**decs, "a": bad_root}))
+    bad_leaf = TreeDecomposition(0, [-1, 0], [gamma["a"].p1, {0, 1}], pointed_leaf=1)
+    cases.append(("aa", gamma, {**decs, "a": bad_leaf}))
+    kinds = set()
+    for word, g, d in cases:
+        expected = outcome(oracle_delta, g, word)
+        assert outcome(delta, g, word) == expected
+        expected = outcome(oracle_decomposition_of_delta, g, d, word)
+        assert outcome(decomposition_of_delta, g, d, word) == expected
+        kinds.add(expected[0])
+    assert kinds == {EmptyWord, BadVertex, PortArityMismatch, BadAnchorBags}
+    one, two = gamma["a"], gamma["c"]
+    assert outcome(glue, one, two) == outcome(oracle_glue, one, two)
+
+
+def test_long_chain_in_linear_time():
+    gamma, decs = _dec_family()
+    rng = random.Random(31)
+    word = "".join(rng.choice("ab") for _ in range(5000))
+    start = time.monotonic()
+    chain = delta(gamma, word)
+    t = decomposition_of_delta(gamma, decs, word)
+    elapsed = time.monotonic() - start
+    # every glue shares one port vertex and replaces one pointed leaf
+    assert chain.n == 1 + 2 * word.count("a") + 3 * word.count("b")
+    assert t.node_count == 3 * len(word) + 1
+    assert validate(chain.graph, t) == []
+    assert width(t) == 2
+    assert elapsed < 5.0, elapsed  # the pairwise fold took tens of seconds
 
 
 def test_decomposition_of_delta_matches_chain():
@@ -190,6 +385,11 @@ def test_decomposition_of_delta_anchor_guard():
     bad = TreeDecomposition(0, [-1], [{0, 1}], pointed_leaf=0)
     with pytest.raises(BadAnchorBags):
         decomposition_of_delta({"1": gadget}, {"1": bad}, "11")
+    for stray in (2, -1):  # a vertex the gadget does not have
+        bad = TreeDecomposition(0, [-1, 0, 1], [{0}, {0, stray}, {1}], pointed_leaf=2)
+        for word in ("1", "11"):
+            with pytest.raises(BadVertex):
+                decomposition_of_delta({"1": gadget}, {"1": bad}, word)
 
 
 def test_treewidth_known_values():
@@ -291,3 +491,28 @@ def test_treewidth_size_guard():
 def test_serialize_round_trip():
     t = path_dec(4)
     assert parse(serialize(t)) == t
+    single = TreeDecomposition(0, [-1], [set()])
+    assert from_json_obj(json.loads(json.dumps(to_json_obj(single)))) == single
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"root": False},
+        {"root": 0.0},
+        {"root": None},
+        {"parents": [-1, 0.0]},
+        {"parents": [-1, True]},
+        {"parents": 0},
+        {"bags": [[0.0], [1]]},
+        {"bags": [["0"], [1]]},
+        {"bags": [[0], 1]},
+        {"bags": 2},
+        {"pointed_leaf": 1.0},
+        {"pointed_leaf": True},
+    ],
+)
+def test_json_decomposition_takes_only_integers(change):
+    obj = {"root": 0, "parents": [-1, 0], "bags": [[0], [1]], "pointed_leaf": 1, **change}
+    with pytest.raises(ParseError):
+        from_json_obj(obj)
