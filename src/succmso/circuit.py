@@ -5,12 +5,15 @@ first argument x least-significant-bit first, wires ``n .. 2n-1`` carry y.
 Gates are fan-in <= 2; wider conjunctions/disjunctions are ladders.
 
 Evaluation is bit-parallel (bitslicing): one pass over the gate list
-evaluates a fixed x against many y at once. Each gate value is a Python int
-with one bit per lane, and lane y holds the gate's value at (x, y). An
-x-wire is all-ones (-1) or zero, a y-wire is a precomputed lane mask,
-``not`` is ``~v`` (all-ones ^ v), and the output is cut to the lanes in use.
-``BoolCircuit.row`` evaluates x against every y in ``[0, count)``;
-``BoolCircuit.eval`` is the one-lane case of the same interpreter.
+evaluates many (x, y) pairs at once. Each gate value is a Python int with
+one bit per lane, every wire gets one lane int, ``not`` is ``~v``
+(all-ones ^ v), and the output is cut to the lanes in use.
+``BoolCircuit.rows(x0, k, count)`` lays the lanes out in two dimensions:
+lane ``i * count + y`` holds C(x0 + i, y) for the k rows x0 .. x0+k-1 and
+every y in ``[0, count)``. A y-wire's lane is its ``_lane_masks`` mask
+repeated once per row; an x-wire's lane sets all count bits of row i iff
+the wire's bit of x0 + i is 1. ``BoolCircuit.eval`` is the one-lane case
+of the same interpreter, ``BoolCircuit._lanes``.
 
 ``CircuitBuilder`` simplifies as it synthesizes. Each gate is folded before
 the structural-hash lookup: ``and``/``or`` with a constant, equal or
@@ -30,8 +33,6 @@ from functools import lru_cache
 
 from .errors import BadParam, InputOutOfRange, ParseError, TopologyError
 
-_GATE_ARITY = {"input": 1, "const": 1, "not": 1, "and": 2, "or": 2}
-
 
 @dataclass(frozen=True)
 class BoolCircuit:
@@ -42,55 +43,73 @@ class BoolCircuit:
     output: int
 
     def __post_init__(self):
+        """Check every gate in one pass. A tuple of tuples is kept as given;
+        gates in any other iterable, or given as lists, are stored as one."""
         if self.label_bits < 1:
             raise BadParam("label_bits must be >= 1")
-        object.__setattr__(self, "gates", tuple(tuple(g) for g in self.gates))
-        for i, gate in enumerate(self.gates):
+        wires = 2 * self.label_bits
+        gates = self.gates
+        loose = type(gates) is not tuple
+        if loose:
+            gates = tuple(gates)
+        for i, gate in enumerate(gates):
+            if type(gate) is not tuple:
+                loose = True
             kind = gate[0]
-            arity = _GATE_ARITY.get(kind)
-            if arity is None:
-                raise BadParam(f"gate {i}: unknown kind {kind!r}")
-            if len(gate) != 1 + arity:
-                raise BadParam(f"gate {i}: {kind} takes {arity} operand(s)")
-            if kind == "input":
-                w = gate[1]
-                if not isinstance(w, int) or not 0 <= w < 2 * self.label_bits:
-                    raise BadParam(f"gate {i}: input wire {w!r} out of range")
-            elif kind == "const":
-                if not isinstance(gate[1], int) or gate[1] not in (0, 1):
-                    raise BadParam(f"gate {i}: const must be 0 or 1")
+            if kind == "and" or kind == "or":
+                if len(gate) != 3:
+                    raise BadParam(f"gate {i}: {kind} takes 2 operand(s)")
+                _, a, b = gate
+                if not (type(a) is int and type(b) is int and 0 <= a < i and 0 <= b < i):
+                    _check_refs(i, a, b)
             elif kind == "not":
-                self._check_ref(i, gate[1])
+                if len(gate) != 2:
+                    raise BadParam(f"gate {i}: not takes 1 operand(s)")
+                a = gate[1]
+                if not (type(a) is int and 0 <= a < i):
+                    _check_refs(i, a)
             else:
-                self._check_ref(i, gate[1])
-                self._check_ref(i, gate[2])
-        if not 0 <= self.output < len(self.gates):
+                if kind != "input" and kind != "const":
+                    raise BadParam(f"gate {i}: unknown kind {kind!r}")
+                if len(gate) != 2:
+                    raise BadParam(f"gate {i}: {kind} takes 1 operand(s)")
+                a = gate[1]
+                if kind == "input":
+                    if not isinstance(a, int) or not 0 <= a < wires:
+                        raise BadParam(f"gate {i}: input wire {a!r} out of range")
+                elif not isinstance(a, int) or a not in (0, 1):
+                    raise BadParam(f"gate {i}: const must be 0 or 1")
+        if not 0 <= self.output < len(gates):
             raise TopologyError(f"output index {self.output} out of range")
-
-    def _check_ref(self, i, j):
-        if not isinstance(j, int) or not 0 <= j < i:
-            raise TopologyError(f"gate {i} references gate {j}")
+        if loose:
+            object.__setattr__(self, "gates", tuple(map(tuple, gates)))
 
     def eval(self, x: int, y: int) -> bool:
-        """Evaluate the circuit on vertex labels x, y: one lane, holding y."""
+        """Evaluate the circuit on vertex labels x, y: one lane, holding C(x, y)."""
         n = self.label_bits
         if not 0 <= x < (1 << n) or not 0 <= y < (1 << n):
             raise InputOutOfRange(f"labels ({x}, {y}) need more than {n} bits")
-        return bool(self._lanes(x, [(y >> j) & 1 for j in range(n)]) & 1)
+        bits = range(n)
+        return bool(self._lanes([x >> j & 1 for j in bits], [y >> j & 1 for j in bits]) & 1)
 
-    def row(self, x: int, count: int) -> int:
-        """C(x, y) for every y in [0, count), as an int whose bit y is C(x, y)."""
+    def rows(self, x0: int, k: int, count: int) -> int:
+        """C(x, y) for the k rows x in [x0, x0 + k) and every y in [0, count),
+        as an int whose bit (x - x0) * count + y is C(x, y)."""
         n = self.label_bits
-        if not 0 <= x < (1 << n) or not 1 <= count <= (1 << n):
-            raise InputOutOfRange(f"row of label {x} over {count} labels needs more than {n} bits")
-        return self._lanes(x, _lane_masks(n, count)) & ((1 << count) - 1)
+        if not 0 <= x0 < (1 << n) or not 1 <= count <= (1 << n):
+            raise InputOutOfRange(f"row of label {x0} over {count} labels needs more than {n} bits")
+        if k < 1 or x0 + k > (1 << n):
+            raise InputOutOfRange(f"{k} rows from label {x0} need more than {n} bits")
+        lanes = self._lanes(_x_lanes(n, x0, k, count), _y_lanes(n, k, count))
+        return lanes & ((1 << (k * count)) - 1)
 
-    def _lanes(self, x, y_lanes):
-        """One pass over the gates with x fixed and y-wire j set to y_lanes[j].
+    def _lanes(self, x_lanes, y_lanes):
+        """One pass over the gates with x-wire j set to x_lanes[j] and
+        y-wire j set to y_lanes[j].
 
         The result may carry set bits above the lanes in use; callers mask it.
         """
-        n = self.label_bits
+        wires = (*x_lanes, *y_lanes)
         values = []
         push = values.append
         for gate in self.gates:
@@ -102,8 +121,7 @@ class BoolCircuit:
             elif kind == "not":
                 push(~values[gate[1]])
             elif kind == "input":
-                w = gate[1]
-                push(y_lanes[w - n] if w >= n else -((x >> w) & 1))
+                push(wires[gate[1]])
             else:
                 push(-gate[1])
         return values[self.output]
@@ -118,6 +136,14 @@ class BoolCircuit:
             "gates": [list(g) for g in self.gates],
             "output": self.output,
         }
+
+
+def _check_refs(i, *refs):
+    """Raise for the first operand of gate i that is not an earlier gate.
+    The validation loop calls it only when its inlined test fails."""
+    for j in refs:
+        if not isinstance(j, int) or not 0 <= j < i:
+            raise TopologyError(f"gate {i} references gate {j}")
 
 
 @lru_cache(maxsize=4)
@@ -140,6 +166,45 @@ def _lane_masks(label_bits: int, count: int) -> tuple:
             width *= 2
         masks.append(mask & ((1 << count) - 1))
     return tuple(masks)
+
+
+@lru_cache(maxsize=4)
+def _y_lanes(label_bits: int, k: int, count: int) -> tuple:
+    """The y-wire lanes of a k-row block: each lane mask repeated at every
+    multiple of count. No carries occur, as each mask is below 2^count."""
+    repeater = ((1 << (k * count)) - 1) // ((1 << count) - 1)  # sum of 2^(i*count), i < k
+    return tuple(mask * repeater for mask in _lane_masks(label_bits, count))
+
+
+def _x_lanes(label_bits: int, x0: int, k: int, count: int) -> list:
+    """The x-wire lanes of rows x0 .. x0+k-1: lane j has the count bits of
+    row i all set iff bit j of x0 + i is 1.
+
+    Bits at and above the highest bit in which x0 and x0 + k - 1 differ
+    are the same in every row, so their lanes are -1 or 0, which stay
+    small ints through the gate pass. Below it, bit j of x0 + i has period
+    2^(j+1) in i: while 2^j < k, one period is doubled until it covers the
+    block, as in _lane_masks; otherwise the bit flips once within the block.
+    """
+    top = (x0 ^ (x0 + k - 1)).bit_length()
+    block = (1 << (k * count)) - 1
+    lanes = []
+    for j in range(top):
+        half = 1 << j
+        phase = x0 & (2 * half - 1)  # where x0 sits in the period
+        if half < k:
+            pattern, covered = ((1 << (half * count)) - 1) << (half * count), 2 * half
+            while covered < phase + k:
+                pattern |= pattern << (covered * count)
+                covered *= 2
+            lanes.append((pattern >> (phase * count)) & block)
+        else:
+            ones = phase >= half  # bit j of x0
+            flip = (2 * half if ones else half) - phase  # rows before the flip
+            head = (1 << (flip * count)) - 1
+            lanes.append(head if ones else block ^ head)
+    lanes += [-(x0 >> j & 1) for j in range(top, label_bits)]
+    return lanes
 
 
 def serialize(circuit: BoolCircuit) -> str:
@@ -170,7 +235,7 @@ def from_json_obj(obj) -> BoolCircuit:
         if not isinstance(g, list) or not g or not isinstance(g[0], str):
             raise ParseError(f"gate {i} is malformed")
     try:
-        return BoolCircuit(label_bits, tuple(tuple(g) for g in gates), output)
+        return BoolCircuit(label_bits, tuple(map(tuple, gates)), output)
     except BadParam as exc:
         raise ParseError(str(exc)) from exc
 

@@ -17,14 +17,18 @@ class Digraph:
     edges: frozenset
 
     def __init__(self, n, edges=()):
+        if type(n) is not int:
+            raise BadVertex(f"vertex count {n!r:.40} is not an integer")
         if n < 0:
             raise BadVertex("vertex count must be nonnegative")
-        edges = frozenset((int(u), int(v)) for u, v in edges)
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+        edges = [(u, v) for u, v in edges]
+        for u, v in edges:  # before deduplication, which would hide (1.0, 1) behind (1, 1)
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                if type(u) is not int or type(v) is not int:
+                    raise BadVertex(f"edge ({u!r:.40}, {v!r:.40}) has a non-integer endpoint")
                 raise BadVertex(f"edge ({u}, {v}) out of range for {n} vertices")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", frozenset(edges))
 
     def successors(self, u):
         """Out-neighborhood G(u) as a sorted list."""

@@ -41,6 +41,45 @@ def test_validation_errors():
         BoolCircuit(1, [("input", 0)], 3)
 
 
+X0 = ("input", 0)
+
+
+@pytest.mark.parametrize(
+    "gates, error, message",
+    [
+        ([X0, ("and", 0, 1)], TopologyError, "gate 1 references gate 1"),
+        ([X0, ("or", 1, 0)], TopologyError, "gate 1 references gate 1"),
+        ([X0, ("and", 0, 2)], TopologyError, "gate 1 references gate 2"),
+        ([X0, ("or", -1, 0)], TopologyError, "gate 1 references gate -1"),
+        ([X0, ("and", 0, 0.0)], TopologyError, "gate 1 references gate 0.0"),
+        ([X0, ("or", "0", 0)], TopologyError, "gate 1 references gate 0"),
+        ([X0, ("not", 1)], TopologyError, "gate 1 references gate 1"),
+        ([X0, ("not", None)], TopologyError, "gate 1 references gate None"),
+        ([X0, ("and", 0)], BadParam, "gate 1: and takes 2 operand(s)"),
+        ([X0, ("not", 0, 0)], BadParam, "gate 1: not takes 1 operand(s)"),
+        ([("input", 0, 1)], BadParam, "gate 0: input takes 1 operand(s)"),
+        ([("const",)], BadParam, "gate 0: const takes 1 operand(s)"),
+        ([X0, ("xor", 0, 0)], BadParam, "gate 1: unknown kind 'xor'"),
+        ([("input", 2)], BadParam, "gate 0: input wire 2 out of range"),
+        ([("input", 0.5)], BadParam, "gate 0: input wire 0.5 out of range"),
+        ([("const", 2)], BadParam, "gate 0: const must be 0 or 1"),
+        ([("const", "1")], BadParam, "gate 0: const must be 0 or 1"),
+    ],
+)
+def test_validation_messages(gates, error, message):
+    with pytest.raises(error) as info:
+        BoolCircuit(1, gates, 0)
+    assert str(info.value) == message
+
+
+def test_validation_keeps_tuples_and_tuples_lists():
+    gates = (X0, ("input", 1), ("and", 0, 1), ("not", True))  # a bool is an int operand
+    assert BoolCircuit(1, gates, 2).gates is gates
+    for given in ([list(g) for g in gates], (list(g) for g in gates)):
+        c = BoolCircuit(1, given, 2)
+        assert c.gates == gates and all(type(g) is tuple for g in c.gates)
+
+
 def test_eval_range_guard():
     c = BoolCircuit(2, [("const", 1)], 0)
     with pytest.raises(InputOutOfRange):
@@ -292,4 +331,4 @@ def test_builder_matches_python_bools(bits, steps):
         assert_simplified(c)
         for x in range(n):
             want = sum(1 << y for y in range(n) if fn(x, y))
-            assert c.row(x, n) == want
+            assert c.rows(x, 1, n) == want

@@ -4,8 +4,10 @@ import pytest
 
 from succmso import cli, sgr
 
+from test_kernel import scalar_materialize
 from test_sgr import BAD_N, with_n
 from succmso.graph import Digraph, graph_equal, parse_graph
+from succmso.verify import seeded_cnf_battery
 
 LOOP_GRAPH = "graph 2\ne 0 0\n"
 EDGE_GADGET = "graph 2\ne 0 1\np1 0\np2 1\n"
@@ -93,6 +95,28 @@ def test_reduce_sat2sgr_and_sgr_commands(capsys, tmp_path, cnf_file):
     assert code == 0
     g = parse_graph(out)
     assert graph_equal(g, Digraph(5, [(0, 1), (1, 2), (2, 2), (2, 3), (3, 4)]))
+
+
+def test_materialize_prints_the_scalar_oracle_edges(capsys, tmp_path):
+    """sgr materialize on a compiled toy SGR at s = 4 (N = 19) prints, byte
+    for byte, the edges a per-pair scalar evaluation of its circuit finds."""
+    S = seeded_cnf_battery(4, 1, 23)[0]
+    cnf = tmp_path / "s4.cnf"
+    cnf.write_text(f"p cnf {S.s} {len(S.clauses)}\n" + "".join(
+        " ".join(map(str, clause)) + " 0\n" for clause in S.clauses))
+    sgr_file = tmp_path / "s4.sgr.json"
+    code, out, _ = run(capsys, "reduce", "sat2sgr", "--cnf", str(cnf), "--gadgets", "toy",
+                       "--out", str(sgr_file))
+    assert code == 0 and out.strip() == "19"
+    oracle = scalar_materialize(sgr.parse(sgr_file.read_text()))
+    edges = sorted(oracle.edges)
+    assert edges
+    code, out, _ = run(capsys, "sgr", "materialize", "--sgr", str(sgr_file))
+    assert code == 0
+    assert out == "graph 19\n" + "".join(f"e {u} {v}\n" for u, v in edges) + "\n"
+    code, out, _ = run(capsys, "--json", "sgr", "materialize", "--sgr", str(sgr_file))
+    assert code == 0
+    assert json.loads(out) == {"n": 19, "edges": [list(e) for e in edges]}
 
 
 def test_reduce_loop_and_clique(capsys, tmp_path, cnf_file):

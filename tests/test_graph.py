@@ -33,6 +33,25 @@ def test_digraph_basics():
         Digraph(2, [(0, 5)])
 
 
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (2.5, [(0, 1)]),  # delta over such a gadget ended in a TypeError
+        (2.0, []),
+        (True, []),
+        ("2", []),
+        (2, [(0.7, 1)]),
+        (2, [(0, 1.0)]),
+        (2, [(True, 1)]),
+        (2, [(0, "1")]),
+        (2, [(1, 1), (1.0, 1)]),  # equal to an integer edge, so a set would hide it
+    ],
+)
+def test_digraph_takes_only_integers(n, edges):
+    with pytest.raises(BadVertex):
+        Digraph(n, edges)
+
+
 def test_port_checks():
     g = Digraph(3)
     with pytest.raises(PortArityMismatch):
