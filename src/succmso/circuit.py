@@ -262,6 +262,14 @@ class CircuitBuilder:
         self._gates = []
         self._cache = {}
 
+    def copy(self) -> CircuitBuilder:
+        """A builder with the same gates, extended without changing this one.
+        Gates are tuples, so only the list and the hash table are copied."""
+        other = CircuitBuilder(self.label_bits)
+        other._gates = self._gates.copy()
+        other._cache = self._cache.copy()
+        return other
+
     def _emit(self, gate):
         """Fold the gate into an existing one if an identity allows, else
         share a structurally equal gate (structural hashing) or append it."""

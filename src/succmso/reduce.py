@@ -3,11 +3,19 @@
 Gadget layout normalization, the integer-level label maps and successor
 relation for the glued chain, circuit synthesis, the quadruple builder,
 pump checks, and the two single-circuit auxiliary reductions.
+
+A quadruple fixes the gadgets, and the CNF only chooses which of g0 and g1
+each copy q holds, by the bit s̄(q). Circuit synthesis is therefore split:
+``_reduction_template(quad, s)`` emits every gate that does not depend on
+the CNF once per (quadruple, s) and caches it, and ``compile_reduction``
+extends a copy of it with the gates of one CNF (its two evaluators, the
+g0/g1 selectors and the choice of the G3 suffix) before building.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .circuit import CircuitBuilder, WireBundle
 from .errors import (
@@ -292,16 +300,41 @@ def succ_ref(quad: GadgetQuadruple, S: CnfInstance, x: int):
 
 # -- circuit compilation -------------------------------------------------
 
+# Templates kept, one per (quadruple, s): each bench workload cycles through
+# three pairs, and `--workload all` through six. A template is small (the
+# shared-port quadruple at s = 20 has 1,405 gates in about 0.2 MB), so eight
+# cost at most a few MB.
+_TEMPLATE_CACHE = 8
 
-def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
-    """Compile the glued chain for S into an adjacency circuit.
 
-    The circuit decides y ∈ succ_ref(quad, S, x) for all x, y < N;
-    behavior on labels >= N is unconstrained.
+@dataclass(frozen=True)
+class _Template:
+    """Gate handles of the S-independent part of the reduction circuit.
+
+    mid_rows holds, per copy-local row r, (r_is, here, prev): r_is tests
+    the remainder against r, here is the pair of g0/g1 row conditions in
+    copy q, and prev is None or (from_g2, g0 cond, g1 cond) for the
+    edges that reach row r < k' from the G2 prefix or from copy q - 1.
+    tails[i] is the G3 suffix, ANDed with its region test, when the last
+    copy holds gadget i.
     """
-    if not isinstance(quad, GadgetQuadruple):
-        raise NotValidated("expected a normalized GadgetQuadruple")
-    s = S.s
+
+    q_low: WireBundle
+    qm1_low: WireBundle
+    q_is_zero: int
+    in_mid: int
+    mid_rows: tuple
+    head: int
+    tails: tuple
+
+
+@lru_cache(maxsize=_TEMPLATE_CACHE)
+def _reduction_template(quad: GadgetQuadruple, s: int):
+    """Emit every gate of the reduction circuit that does not depend on the
+    CNF: region tests, the G2 prefix, the division of x - n2 into (q, r),
+    the row conditions of both gadgets in copies q and q - 1, and the G3
+    suffix for either gadget in the last copy. Returns (builder, handles);
+    callers extend a copy of the builder and never the cached one."""
     big_n = quad.big_n(s)
     ell_hat = (1 << s) - 1
     nb = max((big_n - 1).bit_length(), 1)
@@ -332,11 +365,10 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
     t = b.sub_const(x_in, quad.n2)
     qb, rb = b.divmod_const(t, quad.n1)
     q_low = WireBundle(qb[:s])
-    sbar_q = b.not_(b.cnf_eval(S.clauses, q_low))
     qm1 = b.sub_const(qb, 1)
-    sbar_qm1 = b.not_(b.cnf_eval(S.clauses, WireBundle(qm1[:s])))
+    qm1_low = WireBundle(qm1[:s])
     q_n1 = b.pad(b.mul_const(q_low, quad.n1), nb)
-    qm1_n1 = b.pad(b.mul_const(WireBundle(qm1[:s]), quad.n1), nb)
+    qm1_n1 = b.pad(b.mul_const(qm1_low, quad.n1), nb)
 
     def gadget_row_cond(gadget, local, offset_bundle):
         """y ∈ δ^q_j(G_j(local)) with q carried by offset_bundle * n1."""
@@ -348,71 +380,104 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
                 conds.append(b.eq_const(y_in, quad.n2 + ell_hat * quad.n1 + v))
         return b.or_many(conds)
 
-    mid_rows = []
     q_is_zero = b.eq_const(qb, 0)
+    mid_rows = []
     for r in range(quad.n1):
-        parts = [
-            b.mux_bit(
-                sbar_q,
-                gadget_row_cond(quad.g0, r, q_n1),
-                gadget_row_cond(quad.g1, r, q_n1),
-            )
-        ]
+        r_is = b.eq_const(rb, r)
+        here = (gadget_row_cond(quad.g0, r, q_n1), gadget_row_cond(quad.g1, r, q_n1))
+        prev = None
         if r < quad.k_prime:
-            from_g2 = y_eq_consts(
-                dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(r + quad.n2)
-            )
-            from_prev = b.mux_bit(
-                sbar_qm1,
+            prev = (
+                y_eq_consts(
+                    dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(r + quad.n2)
+                ),
                 gadget_row_cond(quad.g0, r + quad.n1, qm1_n1),
                 gadget_row_cond(quad.g1, r + quad.n1, qm1_n1),
             )
-            parts.append(b.mux_bit(q_is_zero, from_prev, from_g2))
-        mid_rows.append(b.and_(b.eq_const(rb, r), b.or_many(parts)))
-    mid = b.or_many(mid_rows)
+        mid_rows.append((r_is, here, prev))
 
     # region x >= n2 + 2^s*n1: the G3 suffix; x is in a constant range
-    rows3 = []
-    i_last = sbar_at(S, ell_hat)
-    for r in range(quad.n3):
-        xv = mid_end + r
-        labels = {dm(quad, s, 3, 0, v) for v in quad.g3.graph.successors(r)}
-        extra = []
-        if r < quad.k_prime:
-            gi = quad.gadget(i_last)
-            labels |= {
-                dm(quad, s, i_last, ell_hat, v)
-                for v in gi.graph.successors(r + quad.n1)
-            }
-        elif r < quad.k:
-            labels |= {
-                dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(r + quad.n2)
-            }
-            # shared ports point into every copy: membership in the union
-            # over t of n2 + t*n1 + v via divisibility by n1
-            for v in quad.g1.graph.successors(r + quad.n1):
-                if v < quad.g1.n - quad.k_dprime:
-                    base = quad.n2 + v
-                    shifted = b.sub_const(y_in, base)
-                    t_q, t_r = b.divmod_const(shifted, quad.n1)
-                    extra.append(
-                        b.and_many(
-                            [
-                                b.not_(b.less_const(y_in, base)),
-                                b.eq_const(t_r, 0),
-                                b.less_const(t_q, 1 << s),
-                            ]
+    def case3(i_last):
+        rows3 = []
+        for r in range(quad.n3):
+            xv = mid_end + r
+            labels = {dm(quad, s, 3, 0, v) for v in quad.g3.graph.successors(r)}
+            extra = []
+            if r < quad.k_prime:
+                gi = quad.gadget(i_last)
+                labels |= {
+                    dm(quad, s, i_last, ell_hat, v)
+                    for v in gi.graph.successors(r + quad.n1)
+                }
+            elif r < quad.k:
+                labels |= {
+                    dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(r + quad.n2)
+                }
+                # shared ports point into every copy: membership in the union
+                # over t of n2 + t*n1 + v via divisibility by n1
+                for v in quad.g1.graph.successors(r + quad.n1):
+                    if v < quad.g1.n - quad.k_dprime:
+                        base = quad.n2 + v
+                        shifted = b.sub_const(y_in, base)
+                        t_q, t_r = b.divmod_const(shifted, quad.n1)
+                        extra.append(
+                            b.and_many(
+                                [
+                                    b.not_(b.less_const(y_in, base)),
+                                    b.eq_const(t_r, 0),
+                                    b.less_const(t_q, 1 << s),
+                                ]
+                            )
                         )
-                    )
-                else:
-                    labels.add(quad.n2 + ell_hat * quad.n1 + v)
-        rows3.append(b.and_(b.eq_const(x_in, xv), b.or_many([y_eq_consts(labels)] + extra)))
-    case3 = b.or_many(rows3)
+                    else:
+                        labels.add(quad.n2 + ell_hat * quad.n1 + v)
+            rows3.append(
+                b.and_(b.eq_const(x_in, xv), b.or_many([y_eq_consts(labels)] + extra))
+            )
+        return b.and_(in3, b.or_many(rows3))
 
-    out = b.or_many(
-        [b.and_(in2, case2), b.and_(in_mid, mid), b.and_(in3, case3)]
+    handles = _Template(
+        q_low,
+        qm1_low,
+        q_is_zero,
+        in_mid,
+        tuple(mid_rows),
+        b.and_(in2, case2),
+        (case3(0), case3(1)),
     )
-    return Sgr(big_n, b.build(out))
+    return b, handles
+
+
+def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
+    """Compile the glued chain for S into an adjacency circuit.
+
+    The circuit decides y ∈ succ_ref(quad, S, x) for all x, y < N;
+    behavior on labels >= N is unconstrained. A copy of the cached
+    template for (quad, S.s) gets only the gates that depend on S: the
+    two CNF evaluators giving s̄(q) and s̄(q - 1), the selectors between
+    the g0 and g1 row conditions, and the final choice of the G3 suffix
+    by s̄(2^s - 1). Folding and structural hashing do not depend on
+    emission order, so the kept gates are those of a circuit built in
+    one pass; only their numbering differs.
+    """
+    if not isinstance(quad, GadgetQuadruple):
+        raise NotValidated("expected a normalized GadgetQuadruple")
+    s = S.s
+    template, h = _reduction_template(quad, s)
+    b = template.copy()
+    sbar_q = b.not_(b.cnf_eval(S.clauses, h.q_low))
+    sbar_qm1 = b.not_(b.cnf_eval(S.clauses, h.qm1_low))
+    mid_rows = []
+    for r_is, here, prev in h.mid_rows:
+        parts = [b.mux_bit(sbar_q, *here)]
+        if prev is not None:
+            from_g2, g0_cond, g1_cond = prev
+            from_prev = b.mux_bit(sbar_qm1, g0_cond, g1_cond)
+            parts.append(b.mux_bit(h.q_is_zero, from_prev, from_g2))
+        mid_rows.append(b.and_(r_is, b.or_many(parts)))
+    mid = b.and_(h.in_mid, b.or_many(mid_rows))
+    out = b.or_many([h.head, mid, h.tails[sbar_at(S, (1 << s) - 1)]])
+    return Sgr(quad.big_n(s), b.build(out))
 
 
 # -- quadruple construction from a triple --------------------------------

@@ -26,15 +26,45 @@ _ENUM_LIMIT = 20
 def sat_solve(S: CnfInstance):
     """Return (satisfiable, model) where model maps variable -> bool.
 
-    Small instances are enumerated; larger ones go through unit-propagating
-    DPLL.
+    Small instances are enumerated through the model set, and the model is
+    its lowest assignment; larger ones go through unit-propagating DPLL.
     """
     if S.s <= _ENUM_LIMIT:
-        for q in range(1 << S.s):
-            if S.value(q):
-                return True, {v: bool((q >> (v - 1)) & 1) for v in range(1, S.s + 1)}
-        return False, None
+        models = cnf_models(S)
+        if not models:
+            return False, None
+        q = (models & -models).bit_length() - 1
+        return True, {v: bool((q >> (v - 1)) & 1) for v in range(1, S.s + 1)}
     return _dpll([list(c) for c in S.clauses], {}, S.s)
+
+
+def cnf_models(S: CnfInstance) -> int:
+    """The model set of S: bit q is set iff assignment q satisfies S
+    (variable j+1 takes bit j of q).
+
+    Bitsliced over 2^s lanes, lane q holding assignment q: variable j+1 is
+    the mask with bit q set iff bit j of q is 1, a clause ORs its literals'
+    masks (complemented for negative literals), and the clauses are ANDed.
+    """
+    lanes = 1 << S.s
+    full = (1 << lanes) - 1
+    masks = []
+    for j in range(S.s):
+        half = 1 << j
+        # period 2^(j+1): 2^j zeros, then 2^j ones, doubled to cover the lanes
+        mask, width = ((1 << half) - 1) << half, 2 * half
+        while width < lanes:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    models = full
+    for clause in S.clauses:
+        hit = 0
+        for lit in clause:
+            mask = masks[abs(lit) - 1]
+            hit |= mask if lit > 0 else full ^ mask
+        models &= hit
+    return models
 
 
 def _dpll(clauses, assignment, s):

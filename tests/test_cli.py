@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -61,6 +62,17 @@ def test_deeply_nested_formula_is_a_parse_error(capsys):
     code, out, err = run(capsys, "mso", "rank", "--formula", "~" * 5000 + "ex x. x=x")
     assert code == 1 and out == ""
     assert err.startswith("error: ParseError")
+
+
+def test_first_order_size_guard(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("graph 99999999999\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mso", "check", "--graph", str(path), "--formula", "ex x. E(x,x)")
+    assert time.perf_counter() - start < 5.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: TooLargeForBruteForce: ")
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_2(capsys):

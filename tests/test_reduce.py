@@ -12,6 +12,7 @@ from succmso.graph import BiboundariedGraph, Digraph, GadgetTriple, graph_equal
 from succmso.mso import parse as mso_parse
 from succmso.reduce import (
     CnfInstance,
+    _reduction_template,
     build_quadruple,
     compile_reduction,
     delta_map,
@@ -26,7 +27,7 @@ from succmso.reduce import (
     toy_quadruple,
 )
 from succmso.sgr import materialize
-from succmso.verify import sat_solve, small_cnf_battery
+from succmso.verify import sat_solve, seeded_cnf_battery, small_cnf_battery
 
 LOOP = mso_parse("ex x. E(x,x)")
 
@@ -213,6 +214,45 @@ def test_compile_scales_without_materializing():
     succs = succ_ref(quad, S, x)
     for y in list(succs)[:2]:
         assert sgr.circuit.eval(x, y)
+
+
+# Gate counts of the circuits compiled for seeded_cnf_battery(s, 2, 9000 + s),
+# computed with the one-pass compiler that preceded the per-(quadruple, s)
+# template; the template must keep exactly these gates.
+PINNED_GATE_COUNTS = {
+    ("path", 4): [157, 151], ("path", 8): [314, 294], ("path", 12): [452, 446],
+    ("shared", 4): [323, 311], ("shared", 8): [595, 537], ("shared", 12): [822, 811],
+    ("toy", 4): [158, 152], ("toy", 8): [315, 295], ("toy", 12): [453, 447],
+}
+
+
+@pytest.mark.parametrize("name, s", sorted(PINNED_GATE_COUNTS))
+def test_compiled_gate_counts_are_pinned(name, s):
+    quad = QUADRUPLES[name]()
+    counts = [
+        compile_reduction(quad, S).circuit.gate_count()
+        for S in seeded_cnf_battery(s, 2, 9000 + s)
+    ]
+    assert counts == PINNED_GATE_COUNTS[name, s]
+
+
+def test_template_is_not_changed_by_compiles():
+    quad = shared_port_quadruple()
+    s1, s2 = seeded_cnf_battery(5, 2, 31)
+    template, _ = _reduction_template(quad, 5)
+    size = template.gate_count()
+    first = compile_reduction(quad, s1).circuit.gates
+    compile_reduction(quad, s2)
+    assert compile_reduction(quad, s1).circuit.gates == first
+    assert template.gate_count() == size
+
+
+def test_cold_template_compiles_like_a_warm_one():
+    quad = toy_quadruple()
+    S = seeded_cnf_battery(6, 1, 17)[0]
+    warm = compile_reduction(quad, S)
+    _reduction_template.cache_clear()
+    assert compile_reduction(quad, S) == warm
 
 
 # -- quadruple construction ----------------------------------------------

@@ -4,7 +4,9 @@ from succmso.errors import NotValidated
 from succmso.graph import BiboundariedGraph, Digraph, delta, graph_equal, isomorphic_small
 from succmso.reduce import CnfInstance, normalize_layout, succ_ref, toy_quadruple
 from succmso.verify import (
+    DEFAULT_SEED,
     check_instance,
+    cnf_models,
     delta_layout,
     end_to_end,
     sat_solve,
@@ -33,6 +35,32 @@ def test_sat_solve_returns_verified_model():
         if ok:
             q = sum(1 << (v - 1) for v, val in model.items() if val)
             assert S.value(q)
+
+
+def first_model(S):
+    """sat_solve's answer by the plain scan: the first satisfying q."""
+    for q in range(1 << S.s):
+        if S.value(q):
+            return True, {v: bool((q >> (v - 1)) & 1) for v in range(1, S.s + 1)}
+    return False, None
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 12])
+def test_cnf_models_match_value(s):
+    instances = seeded_cnf_battery(s, 6 if s < 12 else 2, 500 + s)
+    instances.append(CnfInstance(s, []))
+    for S in instances:
+        models = cnf_models(S)
+        assert models >> (1 << s) == 0
+        assert [models >> q & 1 for q in range(1 << s)] == [S.value(q) for q in range(1 << s)]
+
+
+def test_sat_solve_takes_the_first_model():
+    batteries = small_cnf_battery() + seeded_cnf_battery(3, 10, 99) + seeded_cnf_battery(3, 20, 3)
+    batteries += seeded_cnf_battery(3, 10, DEFAULT_SEED)
+    batteries += [S for s, count in SOUNDNESS_BATTERY.items() for S in seeded_cnf_battery(s, count, 5)]
+    for S in batteries:
+        assert sat_solve(S) == first_model(S)
 
 
 def test_dpll_agrees_with_enumeration():
