@@ -45,8 +45,10 @@ class BoolCircuit:
     def __post_init__(self):
         """Check every gate in one pass. A tuple of tuples is kept as given;
         gates in any other iterable, or given as lists, are stored as one."""
-        if self.label_bits < 1:
-            raise BadParam("label_bits must be >= 1")
+        if type(self.label_bits) is not int or self.label_bits < 1:
+            raise BadParam(f"label_bits must be an integer >= 1, not {self.label_bits!r:.40}")
+        if type(self.output) is not int:
+            raise BadParam(f"output must be a gate index, not {self.output!r:.40}")
         wires = 2 * self.label_bits
         gates = self.gates
         loose = type(gates) is not tuple
@@ -75,9 +77,9 @@ class BoolCircuit:
                     raise BadParam(f"gate {i}: {kind} takes 1 operand(s)")
                 a = gate[1]
                 if kind == "input":
-                    if not isinstance(a, int) or not 0 <= a < wires:
+                    if type(a) is not int or not 0 <= a < wires:
                         raise BadParam(f"gate {i}: input wire {a!r} out of range")
-                elif not isinstance(a, int) or a not in (0, 1):
+                elif type(a) is not int or a not in (0, 1):
                     raise BadParam(f"gate {i}: const must be 0 or 1")
         if not 0 <= self.output < len(gates):
             raise TopologyError(f"output index {self.output} out of range")

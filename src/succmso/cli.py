@@ -2,7 +2,11 @@
 
 Exit codes: 0 for success (and true verdicts), 1 for operation failures and
 false verdicts of boolean queries (the verdict is also printed, so shell
-pipelines can branch on either), 2 for usage errors.
+pipelines can branch on either), 2 for usage errors. An operation failure
+prints one line, ``error: <Name>: <message>``, on stderr.
+
+Each leaf command carries its handler (``set_defaults(run=...)``); every
+file is read through ``_read`` or ``_read_json``.
 """
 
 from __future__ import annotations
@@ -16,23 +20,29 @@ from . import reduce as reduce_mod
 from .errors import ParseError, SuccmsoError
 from .graph import BiboundariedGraph, Digraph
 
-DEFAULT_SEED = verify.DEFAULT_SEED
 
-
-# -- input helpers -------------------------------------------------------
+# -- input ---------------------------------------------------------------
 
 
 def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
-def _write_out(args, text):
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _read_json(path, kind):
+    """The JSON value in path, which must be of type kind (list or dict)."""
+    try:
+        obj = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(obj, kind):
+        raise ParseError(f"{path}: expected a JSON {'array' if kind is list else 'object'}")
+    return obj
 
 
 def _load_graph(path) -> Digraph:
@@ -42,249 +52,270 @@ def _load_graph(path) -> Digraph:
 
 def _load_bib(path) -> BiboundariedGraph:
     g = graph.parse_graph(_read(path))
-    if not isinstance(g, BiboundariedGraph):
-        g = BiboundariedGraph(g, (), ())
-    return g
+    return g if isinstance(g, BiboundariedGraph) else BiboundariedGraph(g, (), ())
 
 
-def _load_quad(spec) -> reduce_mod.GadgetQuadruple:
-    if spec == "toy":
-        return reduce_mod.toy_quadruple()
-    objs = json.loads(_read(spec))
-    gs = [graph.bib_from_json_obj(o) for o in objs]
-    if len(gs) != 4:
-        raise SuccmsoError(f"expected 4 gadgets in {spec}, got {len(gs)}")
-    return reduce_mod.normalize_layout(*gs)
+# gadget count -> (built-in name, built-in set, assembler for a file's gadgets)
+_GADGET_SETS = {
+    4: ("toy", reduce_mod.toy_quadruple, reduce_mod.normalize_layout),
+    3: ("path", reduce_mod.path_triple, graph.GadgetTriple),
+}
 
 
-def _load_triple(spec) -> graph.GadgetTriple:
-    if spec == "path":
-        return reduce_mod.path_triple()
-    objs = json.loads(_read(spec))
-    gs = [graph.bib_from_json_obj(o) for o in objs]
-    if len(gs) != 3:
-        raise SuccmsoError(f"expected 3 gadgets in {spec}, got {len(gs)}")
-    return graph.GadgetTriple(*gs)
-
-
-def _load_object(path):
-    """A JSON file that must hold an object, such as a letter-keyed family."""
-    obj = json.loads(_read(path))
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    return obj
+def _load_gadgets(spec, count):
+    """The built-in quadruple ("toy", count 4) or triple ("path", count 3),
+    or a JSON array file of exactly count gadgets."""
+    name, builtin, assemble = _GADGET_SETS[count]
+    if spec == name:
+        return builtin()
+    objs = _read_json(spec, list)
+    if len(objs) != count:
+        raise ParseError(f"{spec}: expected {count} gadgets, got {len(objs)}")
+    return assemble(*map(graph.bib_from_json_obj, objs))
 
 
 def _load_family(path):
-    return {letter: graph.bib_from_json_obj(o) for letter, o in _load_object(path).items()}
+    return {k: graph.bib_from_json_obj(o) for k, o in _read_json(path, dict).items()}
 
 
 def _load_cnf(path) -> reduce_mod.CnfInstance:
     return reduce_mod.parse_dimacs(_read(path))
 
 
+def _load_dec(path) -> treedec.TreeDecomposition:
+    return treedec.parse(_read(path))
+
+
 def _battery(spec, seed):
     if spec == "builtin":
+        seed = verify.DEFAULT_SEED if seed is None else seed
         return verify.small_cnf_battery() + verify.seeded_cnf_battery(3, 10, seed)
     return [reduce_mod.parse_dimacs(chunk) for chunk in _read(spec).split("\n%\n") if chunk.strip()]
 
 
 def _graph_battery(spec):
-    if spec == "builtin":
-        out = []
-        for n in (1, 2):
-            pairs = [(u, v) for u in range(n) for v in range(n)]
-            for mask in range(1 << len(pairs)):
-                out.append(Digraph(n, [e for i, e in enumerate(pairs) if (mask >> i) & 1]))
-        return out
-    return [_load_graph(spec)]
+    if spec != "builtin":
+        return [_load_graph(spec)]
+    out = []
+    for n in (1, 2):
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+        for mask in range(1 << len(pairs)):
+            out.append(Digraph(n, [e for i, e in enumerate(pairs) if (mask >> i) & 1]))
+    return out
 
 
-def _emit(args, human, payload):
-    if args.json:
-        print(json.dumps(payload))
+# -- output --------------------------------------------------------------
+
+
+def _write_out(args, text):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(human)
+        print(text)
+    return 0
 
 
-def _verdict(args, value: bool, payload=None) -> int:
-    _emit(args, "true" if value else "false", payload if payload is not None else {"verdict": value})
-    return 0 if value else 1
-
-
-# -- subcommand handlers -------------------------------------------------
-
-
-def _cmd_sgr(args):
-    s = sgr.parse(_read(args.sgr))
-    if args.sgr_cmd == "materialize":
-        g = sgr.materialize(s, args.limit)
+def _write_graph(args, g):
+    """The text format, or under --json {"n", "edges"} (plus "p1", "p2" for
+    a biboundaried graph)."""
+    if not args.json:
         text = graph.format_graph(g)
-        if args.json:
-            text = json.dumps({"n": g.n, "edges": sorted([u, v] for u, v in g.edges)})
-        _write_out(args, text)
-        return 0
-    if args.sgr_cmd == "edge":
-        return _verdict(args, sgr.edge_query(s, args.x, args.y))
-    return _verdict(args, sgr.check_size_convention(s))
-
-
-def _cmd_mso(args):
-    if args.mso_cmd == "parse":
-        formula = mso.parse(args.formula, allow_free=args.allow_free)
-        printed = mso.print_formula(formula)
-        _emit(args, printed, {"formula": printed, "rank": mso.rank(formula)})
-        return 0
-    if args.mso_cmd == "rank":
-        formula = mso.parse(args.formula, allow_free=True)
-        _emit(args, str(mso.rank(formula)), {"rank": mso.rank(formula)})
-        return 0
-    formula = mso.parse(args.formula)
-    g = _load_graph(args.graph)
-    return _verdict(args, mso.eval_formula(g, formula))
-
-
-def _cmd_td(args):
-    if args.td_cmd == "treewidth":
-        g = _load_graph(args.graph)
-        tw = treedec.treewidth_exact(g)
-        _emit(args, str(tw), {"treewidth": tw})
-        return 0
-    if args.td_cmd == "of-delta":
-        gamma = _load_family(args.gadgets)
-        decs = {k: treedec.from_json_obj(v) for k, v in _load_object(args.decs).items()}
-        t = treedec.decomposition_of_delta(gamma, decs, args.word)
-        _write_out(args, treedec.serialize(t))
-        return 0
-    t = treedec.parse(_read(args.dec))
-    if args.td_cmd == "validate":
-        g = _load_graph(args.graph)
-        violations = treedec.validate(g, t)
-        payload = {"valid": not violations, "violations": [repr(v) for v in violations]}
-        if args.json:
-            print(json.dumps(payload))
-        else:
-            print("valid" if not violations else "invalid")
-            for v in violations:
-                print(f"  {v}")
-        return 0 if not violations else 1
-    if args.td_cmd == "width":
-        w = treedec.width(t)
-        _emit(args, str(w), {"width": w})
-        return 0
-    _write_out(args, treedec.serialize(treedec.normalize_degree3(t)))
-    return 0
-
-
-def _cmd_ef(args):
-    if args.ef_cmd == "equiv":
-        return _verdict(args, efgame.ef_equiv(_load_graph(args.g), _load_graph(args.h), args.m))
-    if args.ef_cmd == "qsearch":
-        q = efgame.q_search(_load_graph(args.graph), args.m, args.qmax)
-        if q is efgame.NOT_FOUND:
-            _emit(args, "not found", {"q": None})
-            return 1
-        _emit(args, str(q), {"q": q})
-        return 0
-    if args.ef_cmd == "qbound":
-        if args.m is None:
-            q = efgame.q_bound(args.size, args.m1, args.m2)
-        else:
-            q = efgame.q_bound_total(args.size, args.m)
-        _emit(args, str(q), {"bound": q})
-        return 0
-    omega = _load_graph(args.omega)
-    formula = mso.parse(args.formula)
-    verdict = efgame.saturating_scan(omega, formula, _graph_battery(args.battery))
-    _emit(args, verdict, {"verdict": verdict})
-    return 0 if verdict != efgame.MIXED else 1
-
-
-def _cmd_graph(args):
-    if args.graph_cmd == "iso":
-        return _verdict(
-            args, graph.isomorphic_small(_load_graph(args.a), _load_graph(args.b))
-        )
-    if args.graph_cmd == "union":
-        g = graph.disjoint_union(_load_graph(args.a), _load_graph(args.b))
-        _write_out(args, graph.format_graph(g))
-        return 0
-    if args.graph_cmd == "glue":
-        g = graph.glue(_load_bib(args.a), _load_bib(args.b))
+    elif isinstance(g, BiboundariedGraph):
+        text = json.dumps(graph.bib_to_json_obj(g))
     else:
-        g = graph.delta(_load_family(args.gadgets), args.word)
-    if args.json:
-        _write_out(args, json.dumps(graph.bib_to_json_obj(g)))
-    else:
-        _write_out(args, graph.format_graph(g))
-    return 0
-
-
-def _cmd_reduce(args):
-    cmd = args.reduce_cmd
-    if cmd == "sat2sgr":
-        quad = _load_quad(args.gadgets)
-        s = reduce_mod.compile_reduction(quad, _load_cnf(args.cnf))
-        _write_sgr(args, s)
-        return 0
-    if cmd in ("loop", "clique"):
-        op = reduce_mod.reduce_loop if cmd == "loop" else reduce_mod.reduce_clique
-        _write_sgr(args, op(_load_cnf(args.cnf)))
-        return 0
-    if cmd == "build-quad":
-        quad = reduce_mod.build_quadruple(_load_triple(args.triple), _load_graph(args.omega))
-        _write_out(args, json.dumps(quad.to_json_obj()))
-        return 0
-    if cmd == "validate-quad":
-        try:
-            _load_quad(args.gadgets)
-        except SuccmsoError as exc:
-            _emit(args, f"invalid: {exc}", {"valid": False, "error": exc.name})
-            return 1
-        return _verdict(args, True, {"valid": True})
-    if cmd == "pump-check":
-        triple = _load_triple(args.triple)
-        formula = mso.parse(args.formula)
-        rep = reduce_mod.pump_check(triple, formula, args.expected == "true", args.nmax)
-        payload = {
-            "ok": rep.ok,
-            "results": [[n, v] for n, v in rep.results],
-            "first_mismatch": rep.first_mismatch,
-        }
-        return _verdict(args, rep.ok, payload)
-    quad = _load_quad(args.gadgets)
-    succs = sorted(reduce_mod.succ_ref(quad, _load_cnf(args.cnf), args.x))
-    _emit(args, " ".join(map(str, succs)), {"successors": succs})
-    return 0
+        text = json.dumps({"n": g.n, "edges": sorted([u, v] for u, v in g.edges)})
+    return _write_out(args, text)
 
 
 def _write_sgr(args, s):
+    """The SGR bundle; with --out, N is printed too."""
     _write_out(args, sgr.serialize(s))
-    if not getattr(args, "out", None):
-        return
-    print(s.n_vertices)
+    if args.out:
+        _emit(args, str(s.n_vertices), {"N": s.n_vertices})
+    return 0
 
 
-def _cmd_verify(args):
-    if args.verify_cmd == "sat":
-        ok, model = verify.sat_solve(_load_cnf(args.cnf))
-        payload = {"satisfiable": ok, "model": model and {str(k): v for k, v in model.items()}}
-        _emit(args, "sat" if ok else "unsat", payload)
-        return 0 if ok else 1
-    if args.verify_cmd == "delta-layout":
-        g = verify.delta_layout(_load_quad(args.gadgets), _load_cnf(args.cnf))
-        _write_out(args, graph.format_graph(g))
-        return 0
-    quad = _load_quad(args.gadgets)
+def _emit(args, human, payload):
+    print(json.dumps(payload) if args.json else human)
+    return 0
+
+
+def _verdict(args, value: bool, payload=None) -> int:
+    _emit(args, "true" if value else "false", {"verdict": value} if payload is None else payload)
+    return 0 if value else 1
+
+
+# -- handlers ------------------------------------------------------------
+
+
+def _sgr_materialize(args):
+    return _write_graph(args, sgr.materialize(sgr.parse(_read(args.sgr)), args.limit))
+
+
+def _sgr_edge(args):
+    return _verdict(args, sgr.edge_query(sgr.parse(_read(args.sgr)), args.x, args.y))
+
+
+def _sgr_check_size(args):
+    return _verdict(args, sgr.check_size_convention(sgr.parse(_read(args.sgr))))
+
+
+def _mso_check(args):
+    formula = mso.parse(args.formula)
+    return _verdict(args, mso.eval_formula(_load_graph(args.graph), formula))
+
+
+def _mso_rank(args):
+    rank = mso.rank(mso.parse(args.formula, allow_free=True))
+    return _emit(args, str(rank), {"rank": rank})
+
+
+def _mso_parse(args):
+    formula = mso.parse(args.formula, allow_free=args.allow_free)
+    printed = mso.print_formula(formula)
+    return _emit(args, printed, {"formula": printed, "rank": mso.rank(formula)})
+
+
+def _td_validate(args):
+    violations = treedec.validate(_load_graph(args.graph), _load_dec(args.dec))
+    if args.json:
+        print(json.dumps({"valid": not violations, "violations": list(map(repr, violations))}))
+    else:
+        print("invalid" if violations else "valid")
+        for v in violations:
+            print(f"  {v}")
+    return 1 if violations else 0
+
+
+def _td_width(args):
+    w = treedec.width(_load_dec(args.dec))
+    return _emit(args, str(w), {"width": w})
+
+
+def _td_normalize3(args):
+    return _write_out(args, treedec.serialize(treedec.normalize_degree3(_load_dec(args.dec))))
+
+
+def _td_treewidth(args):
+    tw = treedec.treewidth_exact(_load_graph(args.graph))
+    return _emit(args, str(tw), {"treewidth": tw})
+
+
+def _td_of_delta(args):
+    gamma = _load_family(args.gadgets)
+    decs = {k: treedec.from_json_obj(v) for k, v in _read_json(args.decs, dict).items()}
+    t = treedec.decomposition_of_delta(gamma, decs, args.word)
+    return _write_out(args, treedec.serialize(t))
+
+
+def _ef_equiv(args):
+    return _verdict(args, efgame.ef_equiv(_load_graph(args.g), _load_graph(args.h), args.m))
+
+
+def _ef_qsearch(args):
+    q = efgame.q_search(_load_graph(args.graph), args.m, args.qmax)
+    if q is efgame.NOT_FOUND:
+        _emit(args, "not found", {"q": None})
+        return 1
+    return _emit(args, str(q), {"q": q})
+
+
+def _ef_qbound(args):
+    if args.m is None:
+        q = efgame.q_bound(args.size, args.m1, args.m2)
+    else:
+        q = efgame.q_bound_total(args.size, args.m)
+    return _emit(args, str(q), {"bound": q})
+
+
+def _ef_saturate(args):
+    omega, formula = _load_graph(args.omega), mso.parse(args.formula)
+    verdict = efgame.saturating_scan(omega, formula, _graph_battery(args.battery))
+    _emit(args, verdict, {"verdict": verdict})
+    return 1 if verdict == efgame.MIXED else 0
+
+
+def _graph_glue(args):
+    return _write_graph(args, graph.glue(_load_bib(args.a), _load_bib(args.b)))
+
+
+def _graph_delta(args):
+    return _write_graph(args, graph.delta(_load_family(args.gadgets), args.word))
+
+
+def _graph_union(args):
+    return _write_graph(args, graph.disjoint_union(_load_graph(args.a), _load_graph(args.b)))
+
+
+def _graph_iso(args):
+    return _verdict(args, graph.isomorphic_small(_load_graph(args.a), _load_graph(args.b)))
+
+
+def _reduce_sat2sgr(args):
+    quad = _load_gadgets(args.gadgets, 4)
+    return _write_sgr(args, reduce_mod.compile_reduction(quad, _load_cnf(args.cnf)))
+
+
+def _reduce_auxiliary(args):
+    return _write_sgr(args, args.reduction(_load_cnf(args.cnf)))
+
+
+def _reduce_build_quad(args):
+    triple = _load_gadgets(args.triple, 3)
+    quad = reduce_mod.build_quadruple(triple, _load_graph(args.omega))
+    return _write_out(args, json.dumps(quad.to_json_obj()))
+
+
+def _reduce_validate_quad(args):
+    try:
+        _load_gadgets(args.gadgets, 4)
+    except SuccmsoError as exc:
+        _emit(args, f"invalid: {exc}", {"valid": False, "error": exc.name})
+        return 1
+    return _verdict(args, True, {"valid": True})
+
+
+def _reduce_pump_check(args):
+    triple, formula = _load_gadgets(args.triple, 3), mso.parse(args.formula)
+    rep = reduce_mod.pump_check(triple, formula, args.expected == "true", args.nmax)
+    payload = {
+        "ok": rep.ok,
+        "results": [[n, v] for n, v in rep.results],
+        "first_mismatch": rep.first_mismatch,
+    }
+    return _verdict(args, rep.ok, payload)
+
+
+def _reduce_succ_ref(args):
+    quad = _load_gadgets(args.gadgets, 4)
+    succs = sorted(reduce_mod.succ_ref(quad, _load_cnf(args.cnf), args.x))
+    return _emit(args, " ".join(map(str, succs)), {"successors": succs})
+
+
+def _verify_sat(args):
+    ok, model = verify.sat_solve(_load_cnf(args.cnf))
+    payload = {"satisfiable": ok, "model": model and {str(k): v for k, v in model.items()}}
+    _emit(args, "sat" if ok else "unsat", payload)
+    return 0 if ok else 1
+
+
+def _verify_delta_layout(args):
+    quad = _load_gadgets(args.gadgets, 4)
+    return _write_graph(args, verify.delta_layout(quad, _load_cnf(args.cnf)))
+
+
+def _verify_end2end(args):
+    quad = _load_gadgets(args.gadgets, 4)
     report = verify.end_to_end(quad, args.formula, _battery(args.battery, args.seed))
     if args.json:
         print(json.dumps(report.to_json_obj()))
     else:
         for rec in report.records:
-            status = "pass" if rec.ok else "FAIL"
             print(
-                f"{status} s={rec.instance.s} clauses={list(rec.instance.clauses)} "
-                f"sat={rec.satisfiable} models={rec.models_sentence} N={rec.n_vertices}"
+                f"{'pass' if rec.ok else 'FAIL'} s={rec.instance.s} "
+                f"clauses={list(rec.instance.clauses)} sat={rec.satisfiable} "
+                f"models={rec.models_sentence} N={rec.n_vertices}"
             )
         print("overall:", "pass" if report.ok else "FAIL")
     return 0 if report.ok else 1
@@ -301,143 +332,95 @@ def _check_qbound(parser, args):
         parser.error("give --m, or both --m1 and --m2")
 
 
+def _check_seed(parser, args):
+    """--seed draws the built-in battery; a battery file has no use for it."""
+    if args.seed is not None and args.battery != "builtin":
+        parser.error("--seed applies only to the built-in battery")
+
+
+def _leaf(group, name, run, *required, out=False):
+    """Add leaf command name, run by run, with required string flags and,
+    if out, an optional --out file."""
+    p = group.add_parser(name)
+    p.set_defaults(run=run)
+    for flag in required:
+        p.add_argument(flag, required=True)
+    if out:
+        p.add_argument("--out")
+    return p
+
+
 def _build_parser():
     top = argparse.ArgumentParser(prog="succmso")
     top.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = top.add_subparsers(dest="cmd", required=True)
+    sub = top.add_subparsers(required=True)
 
-    p = sub.add_parser("sgr")
-    ps = p.add_subparsers(dest="sgr_cmd", required=True)
-    q = ps.add_parser("materialize")
-    q.add_argument("--sgr", required=True)
+    def group(name):
+        return sub.add_parser(name).add_subparsers(required=True)
+
+    g = group("sgr")
+    q = _leaf(g, "materialize", _sgr_materialize, "--sgr", out=True)
     q.add_argument("--limit", type=int, default=4096)
-    q.add_argument("--out")
-    q = ps.add_parser("edge")
-    q.add_argument("--sgr", required=True)
+    q = _leaf(g, "edge", _sgr_edge, "--sgr")
     q.add_argument("--x", type=int, required=True)
     q.add_argument("--y", type=int, required=True)
-    q = ps.add_parser("check-size")
-    q.add_argument("--sgr", required=True)
+    _leaf(g, "check-size", _sgr_check_size, "--sgr")
 
-    p = sub.add_parser("mso")
-    ps = p.add_subparsers(dest="mso_cmd", required=True)
-    q = ps.add_parser("check")
-    q.add_argument("--graph", required=True)
-    q.add_argument("--formula", required=True)
-    q = ps.add_parser("rank")
-    q.add_argument("--formula", required=True)
-    q = ps.add_parser("parse")
-    q.add_argument("--formula", required=True)
+    g = group("mso")
+    _leaf(g, "check", _mso_check, "--graph", "--formula")
+    _leaf(g, "rank", _mso_rank, "--formula")
+    q = _leaf(g, "parse", _mso_parse, "--formula")
     q.add_argument("--allow-free", action="store_true")
 
-    p = sub.add_parser("td")
-    ps = p.add_subparsers(dest="td_cmd", required=True)
-    q = ps.add_parser("validate")
-    q.add_argument("--graph", required=True)
-    q.add_argument("--dec", required=True)
-    q = ps.add_parser("width")
-    q.add_argument("--dec", required=True)
-    q = ps.add_parser("normalize3")
-    q.add_argument("--dec", required=True)
-    q.add_argument("--out")
-    q = ps.add_parser("treewidth")
-    q.add_argument("--graph", required=True)
-    q = ps.add_parser("of-delta")
-    q.add_argument("--gadgets", required=True)
-    q.add_argument("--decs", required=True)
-    q.add_argument("--word", required=True)
-    q.add_argument("--out")
+    g = group("td")
+    _leaf(g, "validate", _td_validate, "--graph", "--dec")
+    _leaf(g, "width", _td_width, "--dec")
+    _leaf(g, "normalize3", _td_normalize3, "--dec", out=True)
+    _leaf(g, "treewidth", _td_treewidth, "--graph")
+    _leaf(g, "of-delta", _td_of_delta, "--gadgets", "--decs", "--word", out=True)
 
-    p = sub.add_parser("ef")
-    ps = p.add_subparsers(dest="ef_cmd", required=True)
-    q = ps.add_parser("equiv")
-    q.add_argument("--g", required=True)
-    q.add_argument("--h", required=True)
+    g = group("ef")
+    q = _leaf(g, "equiv", _ef_equiv, "--g", "--h")
     q.add_argument("--m", type=int, required=True)
-    q = ps.add_parser("qsearch")
-    q.add_argument("--graph", required=True)
+    q = _leaf(g, "qsearch", _ef_qsearch, "--graph")
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--qmax", type=int, default=4)
-    q = ps.add_parser("qbound")
+    q = _leaf(g, "qbound", _ef_qbound)
     q.add_argument("--size", type=int, required=True)
-    q.add_argument("--m", type=int, default=None)
-    q.add_argument("--m1", type=int, default=None)
-    q.add_argument("--m2", type=int, default=None)
+    for flag in ("--m", "--m1", "--m2"):
+        q.add_argument(flag, type=int, default=None)
     q.set_defaults(check_usage=lambda a, q=q: _check_qbound(q, a))
-    q = ps.add_parser("saturate")
-    q.add_argument("--omega", required=True)
-    q.add_argument("--formula", required=True)
+    q = _leaf(g, "saturate", _ef_saturate, "--omega", "--formula")
     q.add_argument("--battery", default="builtin")
 
-    p = sub.add_parser("graph")
-    ps = p.add_subparsers(dest="graph_cmd", required=True)
-    q = ps.add_parser("glue")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.add_argument("--out")
-    q = ps.add_parser("delta")
-    q.add_argument("--gadgets", required=True)
-    q.add_argument("--word", required=True)
-    q.add_argument("--out")
-    q = ps.add_parser("union")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.add_argument("--out")
-    q = ps.add_parser("iso")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
+    g = group("graph")
+    _leaf(g, "glue", _graph_glue, "--a", "--b", out=True)
+    _leaf(g, "delta", _graph_delta, "--gadgets", "--word", out=True)
+    _leaf(g, "union", _graph_union, "--a", "--b", out=True)
+    _leaf(g, "iso", _graph_iso, "--a", "--b")
 
-    p = sub.add_parser("reduce")
-    ps = p.add_subparsers(dest="reduce_cmd", required=True)
-    q = ps.add_parser("sat2sgr")
-    q.add_argument("--cnf", required=True)
-    q.add_argument("--gadgets", required=True)
-    q.add_argument("--out")
-    for name in ("loop", "clique"):
-        q = ps.add_parser(name)
-        q.add_argument("--cnf", required=True)
-        q.add_argument("--out")
-    q = ps.add_parser("build-quad")
-    q.add_argument("--triple", required=True)
-    q.add_argument("--omega", required=True)
-    q.add_argument("--out")
-    q = ps.add_parser("validate-quad")
-    q.add_argument("--gadgets", required=True)
-    q = ps.add_parser("pump-check")
-    q.add_argument("--triple", required=True)
-    q.add_argument("--formula", required=True)
+    g = group("reduce")
+    _leaf(g, "sat2sgr", _reduce_sat2sgr, "--cnf", "--gadgets", out=True)
+    for name, reduction in (("loop", reduce_mod.reduce_loop), ("clique", reduce_mod.reduce_clique)):
+        _leaf(g, name, _reduce_auxiliary, "--cnf", out=True).set_defaults(reduction=reduction)
+    _leaf(g, "build-quad", _reduce_build_quad, "--triple", "--omega", out=True)
+    _leaf(g, "validate-quad", _reduce_validate_quad, "--gadgets")
+    q = _leaf(g, "pump-check", _reduce_pump_check, "--triple", "--formula")
     q.add_argument("--expected", choices=("true", "false"), required=True)
     q.add_argument("--nmax", type=int, default=6)
-    q = ps.add_parser("succ-ref")
-    q.add_argument("--gadgets", required=True)
-    q.add_argument("--cnf", required=True)
+    q = _leaf(g, "succ-ref", _reduce_succ_ref, "--gadgets", "--cnf")
     q.add_argument("--x", type=int, required=True)
 
-    p = sub.add_parser("verify")
-    ps = p.add_subparsers(dest="verify_cmd", required=True)
-    q = ps.add_parser("sat")
-    q.add_argument("--cnf", required=True)
-    q = ps.add_parser("delta-layout")
-    q.add_argument("--gadgets", required=True)
-    q.add_argument("--cnf", required=True)
-    q.add_argument("--out")
-    q = ps.add_parser("end2end")
-    q.add_argument("--gadgets", required=True)
+    g = group("verify")
+    _leaf(g, "sat", _verify_sat, "--cnf")
+    _leaf(g, "delta-layout", _verify_delta_layout, "--gadgets", "--cnf", out=True)
+    q = _leaf(g, "end2end", _verify_end2end, "--gadgets")
     q.add_argument("--formula", default=verify.LOOP_SENTENCE)
     q.add_argument("--battery", default="builtin")
-    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    seed_help = f"seeds the built-in battery only (default {verify.DEFAULT_SEED})"
+    q.add_argument("--seed", type=int, help=seed_help)
+    q.set_defaults(check_usage=lambda a, q=q: _check_seed(q, a))
     return top
-
-
-_HANDLERS = {
-    "sgr": _cmd_sgr,
-    "mso": _cmd_mso,
-    "td": _cmd_td,
-    "ef": _cmd_ef,
-    "graph": _cmd_graph,
-    "reduce": _cmd_reduce,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -450,12 +433,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _HANDLERS[args.cmd](args)
-    except SuccmsoError as exc:
-        print(f"error: {exc.name}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return args.run(args)
+    except (SuccmsoError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

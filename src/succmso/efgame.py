@@ -6,7 +6,7 @@ an m-move game decides agreement on all MSO sentences of rank <= m."""
 
 from __future__ import annotations
 
-from .errors import BoundTooLarge, EmptyGraph, TooLarge
+from .errors import BadParam, BoundTooLarge, EmptyGraph, TooLarge
 from .graph import Digraph, disjoint_union, power_union
 from .mso import CompiledFormula
 
@@ -25,6 +25,8 @@ def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
     against the position it extends: a new pebble pair against the earlier
     pebbles, its own loop bit and every chosen set, a new set pair against
     every pebble. Edges are read from the successor masks."""
+    if m < 0:
+        raise BadParam(f"move count must be nonnegative, not {m}")
     if g.n > _MAX_VERTICES or h.n > _MAX_VERTICES or m > _MAX_MOVES:
         raise TooLarge(
             f"ef_equiv guard: |g|,|h| <= {_MAX_VERTICES} and m <= {_MAX_MOVES}"
@@ -111,6 +113,8 @@ def q_search(g: Digraph, m: int, q_max: int):
     """Least q <= q_max with ⊔^q g equivalent (rank m) to ⊔^(q+1) g."""
     if g.n == 0:
         raise EmptyGraph("q_search needs a nonempty graph")
+    if m < 0:
+        raise BadParam(f"move count must be nonnegative, not {m}")
     for q in range(1, q_max + 1):
         if ef_equiv(power_union(g, q), power_union(g, q + 1), m):
             return q
@@ -133,6 +137,8 @@ def q_bound(size_g: int, m1: int, m2: int) -> int:
 
 def q_bound_total(size_g: int, m: int) -> int:
     """Maximum of q_bound over all splits m1 + m2 = m."""
+    if m < 0:
+        raise BoundTooLarge("arguments must be nonnegative")
     return max(q_bound(size_g, m1, m - m1) for m1 in range(m + 1))
 
 

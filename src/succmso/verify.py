@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotValidated
+from .errors import NotValidated, TooLargeToMaterialize
 from .graph import Digraph, graph_equal
 from .mso import CompiledFormula, parse
 from .reduce import CnfInstance, GadgetQuadruple, compile_reduction, succ_ref, toy_quadruple
@@ -115,10 +115,14 @@ def delta_layout(quad: GadgetQuadruple, S: CnfInstance) -> Digraph:
     Labels follow the compiled layout, but the placement arithmetic below
     is local to this function: each copy's edges are dropped onto the label
     line, and the gluing identifications fall out of the slot numbering.
+    Like sat_solve's enumeration, it visits all 2^s assignments, so it
+    refuses s > _ENUM_LIMIT.
     """
     if not isinstance(quad, GadgetQuadruple):
         raise NotValidated("expected a normalized GadgetQuadruple")
     s = S.s
+    if s > _ENUM_LIMIT:
+        raise TooLargeToMaterialize(f"delta_layout places 2^{s} copies; s must be <= {_ENUM_LIMIT}")
     ell_hat = (1 << s) - 1
     n1, n2 = quad.n1, quad.n2
     size1 = quad.g1.n

@@ -72,6 +72,26 @@ def test_validation_messages(gates, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "label_bits, gates, output, message",
+    [
+        (2.5, [X0], 0, "label_bits must be an integer >= 1, not 2.5"),
+        (True, [X0], 0, "label_bits must be an integer >= 1, not True"),
+        (0, [X0], 0, "label_bits must be an integer >= 1, not 0"),
+        (1, [X0], 0.0, "output must be a gate index, not 0.0"),
+        (1, [X0], False, "output must be a gate index, not False"),
+        (1, [("input", True)], 0, "gate 0: input wire True out of range"),
+        (1, [("const", True)], 0, "gate 0: const must be 0 or 1"),
+    ],
+    ids=["label-bits-float", "label-bits-bool", "label-bits-zero", "output-float", "output-bool",
+         "input-wire-bool", "const-bool"],
+)
+def test_label_bits_output_wires_and_consts_are_exact_ints(label_bits, gates, output, message):
+    with pytest.raises(BadParam) as info:
+        BoolCircuit(label_bits, gates, output)
+    assert str(info.value) == message
+
+
 def test_validation_keeps_tuples_and_tuples_lists():
     gates = (X0, ("input", 1), ("and", 0, 1), ("not", True))  # a bool is an int operand
     assert BoolCircuit(1, gates, 2).gates is gates

@@ -316,9 +316,12 @@ OF_DELTA_11 = OF_DELTA[:-1] + ("11",)
 DELTA_11 = ("graph", "delta", "--gadgets", "{a}", "--word", "11")
 
 
-def _sgr_with_gate(gate):
-    circuit = {"version": 1, "label_bits": 1, "gates": [["input", 0], gate], "output": 1}
+def _sgr_with_gate(gate, **fields):
+    circuit = {"version": 1, "label_bits": 1, "gates": [["input", 0], gate], "output": 1, **fields}
     return {"N": "2", "circuit": circuit}
+
+
+MATERIALIZE = ("sgr", "materialize", "--sgr", "{a}")
 
 
 @pytest.mark.parametrize(
@@ -342,6 +345,11 @@ def _sgr_with_gate(gate):
          "ParseError"),
         (OF_DELTA_11, {"a": FAMILY, "b": {"1": {**DECS["1"], "bags": [[0], [0, 2], [1]]}}},
          "BadVertex"),
+        (MATERIALIZE, {"a": _sgr_with_gate(["input", 1], label_bits=2.5)}, "ParseError"),
+        (MATERIALIZE, {"a": _sgr_with_gate(["input", 1], output=0.0)}, "ParseError"),
+        (MATERIALIZE, {"a": _sgr_with_gate(["input", 1], label_bits=True)}, "ParseError"),
+        (MATERIALIZE, {"a": _sgr_with_gate(["const", True])}, "ParseError"),
+        (MATERIALIZE, {"a": _sgr_with_gate(["input", True])}, "ParseError"),
     ],
     ids=[
         "gate-operand-missing", "input-wire-missing", "input-wire-not-int",
@@ -349,6 +357,7 @@ def _sgr_with_gate(gate):
         "gadgets-not-object", "of-delta-gadgets-not-object", "decs-not-object",
         "gadget-n-float", "gadget-n-bool", "edge-of-three", "edge-float", "edge-strings",
         "root-bool", "bag-entry-float", "bag-vertex-outside-gadget",
+        "label-bits-float", "output-float", "label-bits-bool", "const-bool", "input-wire-bool",
     ],
 )
 def test_malformed_files_are_operation_errors(capsys, tmp_path, argv, files, error):
@@ -371,3 +380,94 @@ def test_sgr_with_bad_vertex_count_is_a_parse_error(capsys, tmp_path, n_text):
     assert code == 1 and out == ""
     assert err.startswith("error: ParseError: ")
     assert "Traceback" not in err
+
+
+THREE_GADGETS = [FAMILY["1"]] * 3
+CNF = "p cnf 1 1\n1 0\n"
+PUMP = ("reduce", "pump-check", "--formula", "ex x. E(x,x)", "--expected", "false")
+
+
+@pytest.mark.parametrize(
+    "argv, files, error",
+    [
+        (("reduce", "sat2sgr", "--cnf", "{cnf}", "--gadgets", "{a}"), {"a": "5"}, "ParseError"),
+        (PUMP + ("--triple", "{a}"), {"a": "5"}, "ParseError"),
+        (("reduce", "build-quad", "--triple", "{a}", "--omega", "{cnf}"), {"a": "5"}, "ParseError"),
+        (("reduce", "sat2sgr", "--cnf", "{cnf}", "--gadgets", "{a}"),
+         {"a": json.dumps(THREE_GADGETS)}, "ParseError"),
+        (("verify", "sat", "--cnf", "{a}"), {"a": b"p cnf 1 1\n\xff\xfe 0\n"}, "ParseError"),
+        (("graph", "delta", "--gadgets", "{a}", "--word", "1"), {"a": '{"1": {"n": 2,'},
+         "ParseError"),
+        (("reduce", "succ-ref", "--gadgets", "{a}", "--cnf", "{cnf}", "--x", "0"),
+         {"a": '[{"n": 2'}, "ParseError"),
+        (("mso", "check", "--graph", "{missing}", "--formula", "ex x. x=x"), {},
+         "FileNotFoundError"),
+        (("ef", "equiv", "--g", "{a}", "--h", "{a}", "--m", "-1"), {"a": "graph 1\n"}, "BadParam"),
+        (("ef", "qsearch", "--graph", "{a}", "--m", "-1"), {"a": "graph 1\n"}, "BadParam"),
+        (("ef", "qbound", "--size", "1", "--m", "-1"), {}, "BoundTooLarge"),
+    ],
+    ids=[
+        "gadgets-5", "pump-triple-5", "build-quad-triple-5", "three-gadgets", "cnf-not-utf8",
+        "truncated-family", "truncated-gadgets", "missing-file", "ef-equiv-negative-m",
+        "ef-qsearch-negative-m", "ef-qbound-negative-m",
+    ],
+)
+def test_input_failures_follow_the_error_contract(capsys, tmp_path, argv, files, error):
+    """Each input once gave a traceback, a bare error name or no name at all."""
+    paths = {"cnf": tmp_path / "f.cnf", "missing": tmp_path / "missing.txt"}
+    paths["cnf"].write_text(CNF)
+    for name, content in files.items():
+        paths[name] = tmp_path / f"{name}.in"
+        if isinstance(content, bytes):
+            paths[name].write_bytes(content)
+        else:
+            paths[name].write_text(content)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {error}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_delta_layout_size_guard(capsys, tmp_path):
+    cnf = tmp_path / "s40.cnf"
+    cnf.write_text("p cnf 40 1\n40 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "delta-layout", "--gadgets", "toy", "--cnf", str(cnf))
+    assert time.perf_counter() - start < 5.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: TooLargeToMaterialize: ")
+    assert "Traceback" not in err
+
+
+def test_seed_applies_only_to_the_builtin_battery(capsys, tmp_path):
+    battery = tmp_path / "battery.cnf"
+    battery.write_text(CNF + "%\np cnf 1 2\n1 0\n-1 0\n")
+    argv = ("verify", "end2end", "--gadgets", "toy", "--battery", str(battery))
+    code, out, err = run(capsys, *argv, "--seed", "7")
+    assert code == 2 and out == ""
+    assert err.strip().endswith("error: --seed applies only to the built-in battery")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.count("pass s=1") == 2
+    code, seeded, _ = run(capsys, "verify", "end2end", "--gadgets", "toy", "--seed", "7")
+    assert code == 0 and "overall: pass" in seeded
+    _, default, _ = run(capsys, "verify", "end2end", "--gadgets", "toy")
+    _, explicit, _ = run(capsys, "verify", "end2end", "--gadgets", "toy", "--seed", "2024")
+    assert default == explicit != seeded
+
+
+def test_json_applies_to_graph_and_sgr_writers(capsys, tmp_path, cnf_file):
+    a = tmp_path / "a.txt"
+    a.write_text(EDGE_GADGET)
+    code, out, _ = run(capsys, "--json", "graph", "union", "--a", str(a), "--b", str(a))
+    assert code == 0 and json.loads(out) == {"n": 4, "edges": [[0, 1], [2, 3]]}
+    code, out, _ = run(capsys, "--json", "verify", "delta-layout", "--gadgets", "toy",
+                       "--cnf", cnf_file)
+    assert code == 0
+    assert json.loads(out) == {"n": 5, "edges": [[0, 1], [1, 2], [2, 2], [2, 3], [3, 4]]}
+    for sub, extra, n in (("sat2sgr", ("--gadgets", "toy"), 5), ("loop", (), 2),
+                          ("clique", (), 2)):
+        out_file = tmp_path / f"{sub}.json"
+        code, out, _ = run(capsys, "--json", "reduce", sub, "--cnf", cnf_file, *extra,
+                           "--out", str(out_file))
+        assert code == 0 and json.loads(out) == {"N": n}
+        assert sgr.parse(out_file.read_text()).n_vertices == n

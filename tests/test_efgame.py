@@ -13,7 +13,7 @@ from succmso.efgame import (
     q_search,
     saturating_scan,
 )
-from succmso.errors import BoundTooLarge, EmptyGraph, TooLarge
+from succmso.errors import BadParam, BoundTooLarge, EmptyGraph, TooLarge
 from succmso.graph import Digraph, power_union
 from succmso.mso import CompiledFormula, parse, rank
 
@@ -258,6 +258,19 @@ def test_q_bound_total_dominates_search():
 
 def test_q_bound_total_is_max_over_splits():
     assert q_bound_total(1, 2) == max(q_bound(1, m1, 2 - m1) for m1 in range(3))
+
+
+def test_negative_move_counts_fail_by_name():
+    """A negative m once recursed until RecursionError (ef_equiv, q_search)
+    or hit max() of an empty range (q_bound_total)."""
+    with pytest.raises(BadParam):
+        ef_equiv(POINT, LOOP, -1)
+    with pytest.raises(BadParam):
+        q_search(POINT, -1, 4)
+    with pytest.raises(BadParam):
+        q_search(POINT, -1, 0)
+    with pytest.raises(BoundTooLarge):
+        q_bound_total(1, -1)
 
 
 def test_saturating_scan():

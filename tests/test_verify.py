@@ -1,6 +1,6 @@
 import pytest
 
-from succmso.errors import NotValidated
+from succmso.errors import NotValidated, TooLargeToMaterialize
 from succmso.graph import BiboundariedGraph, Digraph, delta, graph_equal, isomorphic_small
 from succmso.reduce import CnfInstance, normalize_layout, succ_ref, toy_quadruple
 from succmso.verify import (
@@ -88,6 +88,13 @@ def test_delta_layout_contradiction_is_loop_free_path():
 def test_delta_layout_requires_quad():
     with pytest.raises(NotValidated):
         delta_layout(object(), CnfInstance(1, []))
+
+
+def test_delta_layout_size_guard():
+    """delta_layout places all 2^s copies, so it refuses s > 20 up front."""
+    with pytest.raises(TooLargeToMaterialize):
+        delta_layout(toy_quadruple(), CnfInstance(21, [(21,)]))
+    assert delta_layout(toy_quadruple(), CnfInstance(10, [(10,)])).n == toy_quadruple().big_n(10)
 
 
 def test_delta_layout_vertex_count():
