@@ -141,10 +141,11 @@ class BoolCircuit:
 
 
 def _check_refs(i, *refs):
-    """Raise for the first operand of gate i that is not an earlier gate.
-    The validation loop calls it only when its inlined test fails."""
+    """Raise for the first operand of gate i that is not an earlier gate; a
+    bool is not a gate index. The validation loop calls it only when its
+    inlined test fails."""
     for j in refs:
-        if not isinstance(j, int) or not 0 <= j < i:
+        if type(j) is not int or not 0 <= j < i:
             raise TopologyError(f"gate {i} references gate {j}")
 
 

@@ -21,82 +21,99 @@ def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
 
     Duplicator survives a position iff the pebbles induce a partial map that
     preserves =, E (both ways) and membership in corresponding chosen sets.
-    Every position searched satisfies this, so each move is checked only
-    against the position it extends: a new pebble pair against the earlier
-    pebbles, its own loop bit and every chosen set, a new set pair against
-    every pebble. Edges are read from the successor masks."""
+    Every position searched satisfies this, and Duplicator only ever tries
+    replies that keep it so, in increasing order:
+
+    - a point reply b to Spoiler's a is a set bit of a candidate mask on the
+      other board: b's loop bit, its equality with each pebble, its edges to
+      and from each pebble and its membership in each chosen set must match
+      a's, each one mask operation on the successor and predecessor masks;
+    - a set reply t to Spoiler's s agrees with s on the pebbles, so only its
+      bits on unpebbled vertices are free, and they run over the submasks
+      of the unpebbled mask.
+
+    With one move left a point move survives iff its candidate mask is
+    nonzero and a set move always survives (its forced bits are consistent),
+    so such positions are decided without recursion and are not memoized."""
     if m < 0:
         raise BadParam(f"move count must be nonnegative, not {m}")
     if g.n > _MAX_VERTICES or h.n > _MAX_VERTICES or m > _MAX_MOVES:
         raise TooLarge(
             f"ef_equiv guard: |g|,|h| <= {_MAX_VERTICES} and m <= {_MAX_MOVES}"
         )
-    gs, hs = g.successor_masks, h.successor_masks
+    boards = []
+    for b in (g, h):
+        succ = b.successor_masks
+        loops = sum(1 << v for v in range(b.n) if succ[v] >> v & 1)
+        boards.append((b.n, (1 << b.n) - 1, loops, succ, b.predecessor_masks))
+    # Spoiler's board, then Duplicator's
+    sides = ((True, boards[0], boards[1]), (False, boards[1], boards[0]))
     memo = {}
 
-    def point_ok(pg, ph, sg, sh, a, b):
-        ra, rb = gs[a], hs[b]
-        if (ra >> a ^ rb >> b) & 1:
-            return False
-        for x, y in zip(pg, ph):
-            if (x == a) != (y == b):
-                return False
-            if (gs[x] >> a ^ hs[y] >> b) & 1 or (ra >> x ^ rb >> y) & 1:
-                return False
-        for s, t in zip(sg, sh):
-            if (s >> a ^ t >> b) & 1:
-                return False
-        return True
-
-    def set_ok(pg, ph, s, t):
-        for x, y in zip(pg, ph):
-            if (s >> x ^ t >> y) & 1:
-                return False
-        return True
-
     def wins(pg, ph, sg, sh, left):
-        if left == 0:
-            return True
         key = (pg, ph, sg, sh, left)
         cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = True
-        # Spoiler: any board, point or set move; Duplicator answers in kind
-        for spoiler_on_g in (True, False):
-            a, b = (g, h) if spoiler_on_g else (h, g)
-            for move in range(a.n):
-                answered = False
-                for reply in range(b.n):
-                    x, y = (move, reply) if spoiler_on_g else (reply, move)
-                    if point_ok(pg, ph, sg, sh, x, y) and wins(
-                        pg + (x,), ph + (y,), sg, sh, left - 1
-                    ):
-                        answered = True
-                        break
-                if not answered:
-                    result = False
-                    break
-            if not result:
-                break
-            for move in range(1 << a.n):
-                answered = False
-                for reply in range(1 << b.n):
-                    s, t = (move, reply) if spoiler_on_g else (reply, move)
-                    if set_ok(pg, ph, s, t) and wins(
-                        pg, ph, sg + (s,), sh + (t,), left - 1
-                    ):
-                        answered = True
-                        break
-                if not answered:
-                    result = False
-                    break
-            if not result:
-                break
-        memo[key] = result
-        return result
+        if cached is None:
+            cached = memo[key] = answers(pg, ph, sg, sh, left)
+        return cached
 
-    return wins((), (), (), (), m)
+    def answers(pg, ph, sg, sh, left):
+        """Duplicator has a surviving reply to every Spoiler move; a reply
+        leaves left - 1 moves, and only positions with two or more moves
+        left go through the memo."""
+        step = wins if left > 2 else answers
+        for on_g, (n_a, _, loops_a, succ_a, pred_a), (_, full_b, loops_b, succ_b, pred_b) in sides:
+            pebbles = tuple(zip(pg, ph) if on_g else zip(ph, pg))
+            sets = tuple(zip(sg, sh) if on_g else zip(sh, sg))
+            for a in range(n_a):
+                replies = loops_b if loops_a >> a & 1 else full_b & ~loops_b
+                for x, y in pebbles:
+                    replies &= 1 << y if x == a else ~(1 << y)
+                    replies &= succ_b[y] if succ_a[x] >> a & 1 else ~succ_b[y]
+                    replies &= pred_b[y] if pred_a[x] >> a & 1 else ~pred_b[y]
+                for u, v in sets:
+                    replies &= v if u >> a & 1 else ~v
+                if left == 1:
+                    if not replies:
+                        return False
+                    continue
+                while replies:
+                    low = replies & -replies
+                    b = low.bit_length() - 1
+                    if on_g:
+                        survived = step(pg + (a,), ph + (b,), sg, sh, left - 1)
+                    else:
+                        survived = step(pg + (b,), ph + (a,), sg, sh, left - 1)
+                    if survived:
+                        break
+                    replies ^= low
+                else:
+                    return False
+            if left == 1:
+                continue
+            free = full_b
+            for _, y in pebbles:
+                free &= ~(1 << y)
+            for s in range(1 << n_a):
+                forced = 0
+                for x, y in pebbles:
+                    if s >> x & 1:
+                        forced |= 1 << y
+                sub = 0
+                while True:
+                    t = forced | sub
+                    if on_g:
+                        survived = step(pg, ph, sg + (s,), sh + (t,), left - 1)
+                    else:
+                        survived = step(pg, ph, sg + (t,), sh + (s,), left - 1)
+                    if survived:
+                        break
+                    if sub == free:
+                        return False
+                    sub = (sub - free) & free
+        return True
+
+    return m == 0 or answers((), (), (), (), m)
 
 
 class NotFound:

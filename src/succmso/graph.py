@@ -55,6 +55,16 @@ class Digraph:
             masks[u] |= 1 << v
         return tuple(masks)
 
+    @cached_property
+    def predecessor_masks(self):
+        """In-neighbourhood of every vertex as a bitmask (bit u of entry v
+        is set iff (u, v) is an edge), built on first use like the successor
+        masks, so graphs that never read it pay nothing."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[v] |= 1 << u
+        return tuple(masks)
+
 
 @dataclass(frozen=True)
 class BiboundariedGraph:

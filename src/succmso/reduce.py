@@ -20,6 +20,7 @@ from functools import lru_cache
 from .circuit import CircuitBuilder, WireBundle
 from .errors import (
     BadLiteral,
+    BadParam,
     ConstructionFailed,
     IndexOutOfRange,
     NotValidated,
@@ -533,8 +534,18 @@ class PumpReport:
         return self.first_mismatch is None
 
 
+_MAX_PUMP = 256
+
+
 def pump_check(triple: GadgetTriple, formula, expected: bool, n_max: int) -> PumpReport:
-    """Evaluate the sentence on the glued chain for 0..n_max middle copies."""
+    """Evaluate the sentence on the glued chain for 0..n_max middle copies.
+
+    Each chain is folded and evaluated anew, so the work grows at least
+    quadratically in n_max; n_max must lie in [0, _MAX_PUMP] (256), else
+    BadParam is raised before the first evaluation. A negative n_max would
+    check no chain and report a vacuous success."""
+    if not 0 <= n_max <= _MAX_PUMP:
+        raise BadParam(f"pump_check needs 0 <= n_max <= {_MAX_PUMP}, not {n_max}")
     family = {"1": triple.g1, "2": triple.g2, "3": triple.g3}
     compiled = CompiledFormula(formula)
     results = []

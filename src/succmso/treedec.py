@@ -92,9 +92,18 @@ class ConnectivityViolated:
     vertex: int
 
 
+_MAX_VALIDATE_VERTICES = 10**6
+
+
 def validate(g: Digraph, t: TreeDecomposition):
     """Check the three decomposition conditions against the symmetric
-    closure of g. Returns a list of violations; empty means valid."""
+    closure of g. Returns a list of violations; empty means valid.
+
+    Every vertex in no bag is a violation, so g may have at most
+    _MAX_VALIDATE_VERTICES (10^6) vertices; a larger graph raises TooLarge
+    before any work is done."""
+    if g.n > _MAX_VALIDATE_VERTICES:
+        raise TooLarge(f"validate is limited to {_MAX_VALIDATE_VERTICES} vertices, not {g.n}")
     holders = {}
     for i, bag in enumerate(t.bags):
         for v in bag:
@@ -105,10 +114,11 @@ def validate(g: Digraph, t: TreeDecomposition):
         if holders.get(u, empty).isdisjoint(holders.get(v, empty)):
             violations.append(EdgeUncovered(u, v))
     # interpolation: the nodes holding v form a connected subtree, that is,
-    # exactly one of them has its parent outside the set
-    for v in range(g.n):
-        nodes = holders.get(v, empty)
-        if sum(t.parents[i] not in nodes for i in nodes) > 1:
+    # exactly one of them has its parent outside the set; a vertex in no bag
+    # cannot break it, and a bag entry outside g is not checked
+    for v in sorted(holders):
+        nodes = holders[v]
+        if sum(t.parents[i] not in nodes for i in nodes) > 1 and 0 <= v < g.n:
             violations.append(ConnectivityViolated(v))
     return violations
 
@@ -207,18 +217,18 @@ def treewidth_exact(g: Digraph) -> int:
     Dynamic program over the set S of eliminated vertices, a bitmask
     (equivalent to a minimum over all elimination orderings). Eliminating v
     after S costs the number of vertices outside S that v reaches through S,
-    found by a breadth-first search on the symmetric-closure masks built
-    from the successor masks; a vertex that costs at least the best width
-    found so far cannot lower it and is not expanded.
+    found by a breadth-first search on the symmetric-closure masks (the
+    successor masks or'd with the predecessor masks); a vertex that costs at
+    least the best width found so far cannot lower it and is not expanded.
     """
     if g.n > 10:
         raise TooLarge("treewidth_exact is limited to 10 vertices")
     if g.n == 0:
         return -1
-    n, succ = g.n, g.successor_masks
+    n = g.n
     # out- plus in-neighbours; a loop bit is never followed, as the search
     # has already seen the vertex it expands
-    adj = [succ[v] | sum(1 << u for u in range(n) if succ[u] >> v & 1) for v in range(n)]
+    adj = [s | p for s, p in zip(g.successor_masks, g.predecessor_masks)]
     all_mask = (1 << n) - 1
 
     def degree(mask, v):

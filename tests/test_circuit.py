@@ -55,6 +55,8 @@ X0 = ("input", 0)
         ([X0, ("or", "0", 0)], TopologyError, "gate 1 references gate 0"),
         ([X0, ("not", 1)], TopologyError, "gate 1 references gate 1"),
         ([X0, ("not", None)], TopologyError, "gate 1 references gate None"),
+        ([X0, ("not", True)], TopologyError, "gate 1 references gate True"),
+        ([X0, ("and", False, 0)], TopologyError, "gate 1 references gate False"),
         ([X0, ("and", 0)], BadParam, "gate 1: and takes 2 operand(s)"),
         ([X0, ("not", 0, 0)], BadParam, "gate 1: not takes 1 operand(s)"),
         ([("input", 0, 1)], BadParam, "gate 0: input takes 1 operand(s)"),
@@ -93,7 +95,7 @@ def test_label_bits_output_wires_and_consts_are_exact_ints(label_bits, gates, ou
 
 
 def test_validation_keeps_tuples_and_tuples_lists():
-    gates = (X0, ("input", 1), ("and", 0, 1), ("not", True))  # a bool is an int operand
+    gates = (X0, ("input", 1), ("and", 0, 1), ("not", 1))
     assert BoolCircuit(1, gates, 2).gates is gates
     for given in ([list(g) for g in gates], (list(g) for g in gates)):
         c = BoolCircuit(1, given, 2)

@@ -75,6 +75,33 @@ def test_first_order_size_guard(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_validate_size_guard(capsys, tmp_path):
+    """A one-bag decomposition of a huge edgeless graph once built one
+    VertexUncovered per vertex and ended in a MemoryError."""
+    graph, dec = tmp_path / "huge.txt", tmp_path / "one.json"
+    graph.write_text("graph 99999999999\n")
+    dec.write_text(json.dumps({"root": 0, "parents": [-1], "bags": [[0]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "td", "validate", "--graph", str(graph), "--dec", str(dec))
+    assert time.perf_counter() - start < 5.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: TooLarge: ")
+    assert "Traceback" not in err
+
+
+def test_pump_check_size_guard(capsys):
+    """--nmax 100000 once ran for minutes, one chain fold and MSO check per n."""
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "reduce", "pump-check", "--triple", "path",
+        "--formula", "ex x. E(x,x)", "--expected", "false", "--nmax", "100000",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: BadParam: ")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_2(capsys):
     code, _, _ = run(capsys, "mso", "check", "--no-such-flag")
     assert code == 2
@@ -350,6 +377,7 @@ MATERIALIZE = ("sgr", "materialize", "--sgr", "{a}")
         (MATERIALIZE, {"a": _sgr_with_gate(["input", 1], label_bits=True)}, "ParseError"),
         (MATERIALIZE, {"a": _sgr_with_gate(["const", True])}, "ParseError"),
         (MATERIALIZE, {"a": _sgr_with_gate(["input", True])}, "ParseError"),
+        (MATERIALIZE, {"a": _sgr_with_gate(["not", True])}, "TopologyError"),
     ],
     ids=[
         "gate-operand-missing", "input-wire-missing", "input-wire-not-int",
@@ -358,6 +386,7 @@ MATERIALIZE = ("sgr", "materialize", "--sgr", "{a}")
         "gadget-n-float", "gadget-n-bool", "edge-of-three", "edge-float", "edge-strings",
         "root-bool", "bag-entry-float", "bag-vertex-outside-gadget",
         "label-bits-float", "output-float", "label-bits-bool", "const-bool", "input-wire-bool",
+        "not-operand-bool",
     ],
 )
 def test_malformed_files_are_operation_errors(capsys, tmp_path, argv, files, error):

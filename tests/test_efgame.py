@@ -155,6 +155,27 @@ def test_ef_equiv_matches_all_pairs_oracle(m, max_n, count):
     assert all(verdicts) if m == 0 else len(set(verdicts)) == 2
 
 
+def all_digraphs(max_n):
+    """Every digraph on 0..max_n vertices, loops included."""
+    out = []
+    for n in range(max_n + 1):
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+        for bits in range(1 << len(pairs)):
+            out.append(Digraph(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ef_equiv_matches_oracle_on_every_pair_up_to_two_vertices(m):
+    """All 19 digraphs on 0-2 vertices, paired every way: unequal vertex
+    counts, loops, antiparallel edges and empty boards."""
+    graphs = all_digraphs(2)
+    assert len(graphs) == 19
+    for g in graphs:
+        for h in graphs:
+            assert ef_equiv(g, h, m) == ef_oracle(g, h, m), (g, h, m)
+
+
 def test_identical_graphs_equivalent():
     g = Digraph(3, [(0, 1), (1, 2)])
     for m in range(3):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from succmso.errors import BadVertex, EmptyWord, ParseError, PortArityMismatch, TooLarge
@@ -31,6 +33,20 @@ def test_digraph_basics():
         g.successors(3)
     with pytest.raises(BadVertex):
         Digraph(2, [(0, 5)])
+
+
+def test_predecessor_masks_transpose_the_edges():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(0, 9)
+        g = Digraph(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.3])
+        assert "predecessor_masks" not in vars(g)  # built on first read only
+        pred = g.predecessor_masks
+        assert len(pred) == n
+        for u in range(n):
+            for v in range(n):
+                assert (pred[v] >> u & 1) == ((u, v) in g.edges)
+                assert (pred[v] >> u & 1) == (g.successor_masks[u] >> v & 1)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import pytest
 
 from succmso.errors import (
     BadLiteral,
+    BadParam,
     ConstructionFailed,
     IndexOutOfRange,
     NotValidated,
@@ -293,6 +294,13 @@ def test_pump_check_detects_mismatch():
     rep = pump_check(t, LOOP, expected=False, n_max=2)
     assert not rep.ok
     assert rep.first_mismatch == 0
+
+
+def test_pump_check_caps_n_max():
+    assert len(pump_check(path_triple(), LOOP, expected=False, n_max=0).results) == 1
+    for n_max in (-1, 257):  # -1 once checked no chain and reported success
+        with pytest.raises(BadParam):
+            pump_check(path_triple(), LOOP, expected=True, n_max=n_max)
 
 
 # -- auxiliary reductions ------------------------------------------------

@@ -71,6 +71,14 @@ def test_validate_reports_violations():
     assert any(isinstance(v, ConnectivityViolated) for v in validate(g, broken))
 
 
+def test_validate_checks_only_the_vertices_of_g():
+    # vertex 5 of the bags is not in g, so its split holders are not reported
+    t = TreeDecomposition(0, [-1, 0, 1], [{0, 5}, {1}, {0, 5}])
+    assert validate(Digraph(2), t) == [ConnectivityViolated(0)]
+    with pytest.raises(TooLarge):
+        validate(Digraph(10**6 + 1), t)
+
+
 def test_validate_uses_symmetric_closure():
     g = Digraph(2, [(1, 0)])
     t = TreeDecomposition(0, [-1], [{0, 1}])
