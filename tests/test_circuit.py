@@ -55,8 +55,6 @@ X0 = ("input", 0)
         ([X0, ("or", "0", 0)], TopologyError, "gate 1 references gate 0"),
         ([X0, ("not", 1)], TopologyError, "gate 1 references gate 1"),
         ([X0, ("not", None)], TopologyError, "gate 1 references gate None"),
-        ([X0, ("not", True)], TopologyError, "gate 1 references gate True"),
-        ([X0, ("and", False, 0)], TopologyError, "gate 1 references gate False"),
         ([X0, ("and", 0)], BadParam, "gate 1: and takes 2 operand(s)"),
         ([X0, ("not", 0, 0)], BadParam, "gate 1: not takes 1 operand(s)"),
         ([("input", 0, 1)], BadParam, "gate 0: input takes 1 operand(s)"),
@@ -66,6 +64,8 @@ X0 = ("input", 0)
         ([("input", 0.5)], BadParam, "gate 0: input wire 0.5 out of range"),
         ([("const", 2)], BadParam, "gate 0: const must be 0 or 1"),
         ([("const", "1")], BadParam, "gate 0: const must be 0 or 1"),
+        ([X0, ("not", True)], TopologyError, "gate 1 references gate True"),
+        ([X0, ("and", False, 0)], TopologyError, "gate 1 references gate False"),
     ],
 )
 def test_validation_messages(gates, error, message):
