@@ -25,6 +25,7 @@ from .errors import (
     IndexOutOfRange,
     NotValidated,
     ParseError,
+    TooLargeToMaterialize,
     ValidationError,
 )
 from .graph import BiboundariedGraph, Digraph, GadgetTriple, delta
@@ -42,6 +43,8 @@ class CnfInstance:
     clauses: tuple
 
     def __init__(self, s, clauses):
+        if type(s) is not int:
+            raise BadLiteral(f"variable count {s!r} is not an int")
         if s < 1:
             raise BadLiteral("need at least one variable")
         clauses = tuple(tuple(c) for c in clauses)
@@ -49,6 +52,8 @@ class CnfInstance:
             if not clause:
                 raise BadLiteral("empty clause")
             for lit in clause:
+                if type(lit) is not int:
+                    raise BadLiteral(f"literal {lit!r} is not an int")
                 if lit == 0 or abs(lit) > s:
                     raise BadLiteral(f"literal {lit} out of range for s={s}")
         object.__setattr__(self, "s", s)
@@ -56,10 +61,16 @@ class CnfInstance:
 
     def value(self, q: int) -> bool:
         """Evaluate at the assignment where variable j+1 takes bit j of q."""
-        return all(
-            any((q >> (abs(lit) - 1)) & 1 == (1 if lit > 0 else 0) for lit in clause)
-            for clause in self.clauses
-        )
+        for clause in self.clauses:
+            for lit in clause:
+                if lit > 0:
+                    if q >> (lit - 1) & 1:
+                        break
+                elif not q >> (-lit - 1) & 1:
+                    break
+            else:
+                return False
+        return True
 
 
 def parse_dimacs(text: str) -> CnfInstance:
@@ -254,13 +265,37 @@ def delta_map(quad: GadgetQuadruple, s: int, j: int, q: int, r: int) -> int:
 
 def succ_ref(quad: GadgetQuadruple, S: CnfInstance, x: int):
     """Out-neighbor labels of x in the glued chain, by pure integer
-    arithmetic (no circuits)."""
+    arithmetic (no circuits); s̄ is worked out bit by bit with sbar_at."""
+    if not isinstance(quad, GadgetQuadruple):
+        raise NotValidated("expected a normalized GadgetQuadruple")
+    big_n = quad.big_n(S.s)
+    if not 0 <= x < big_n:
+        raise IndexOutOfRange(f"label {x} not in [0, {big_n})")
+    return _succ_ref(quad, S.s, lambda q: sbar_at(S, q), x)
+
+
+_GRAPH_MAX_S = 20
+
+
+def succ_ref_graph(quad: GadgetQuadruple, S: CnfInstance) -> Digraph:
+    """The whole glued chain by succ_ref's case analysis, with the word s̄
+    evaluated once per copy instead of once per label. It visits all 2^s
+    copies, so like verify.delta_layout it refuses s > _GRAPH_MAX_S (20)."""
     if not isinstance(quad, GadgetQuadruple):
         raise NotValidated("expected a normalized GadgetQuadruple")
     s = S.s
+    if s > _GRAPH_MAX_S:
+        raise TooLargeToMaterialize(
+            f"succ_ref_graph visits 2^{s} copies; s must be <= {_GRAPH_MAX_S}"
+        )
+    word = [0 if S.value(q) else 1 for q in range(1 << s)].__getitem__
     big_n = quad.big_n(s)
-    if not 0 <= x < big_n:
-        raise IndexOutOfRange(f"label {x} not in [0, {big_n})")
+    return Digraph(big_n, ((x, y) for x in range(big_n) for y in _succ_ref(quad, s, word, x)))
+
+
+def _succ_ref(quad: GadgetQuadruple, s: int, word, x: int):
+    """The case analysis behind succ_ref and succ_ref_graph: out-neighbors
+    of label x < N, where word(q) is the bit s̄(q)."""
     ell_hat = (1 << s) - 1
     dm = delta_map
     if x < quad.n2:
@@ -268,7 +303,7 @@ def succ_ref(quad: GadgetQuadruple, S: CnfInstance, x: int):
     t = x - quad.n2
     if t < (1 << s) * quad.n1:
         q, r = divmod(t, quad.n1)
-        j = sbar_at(S, q)
+        j = word(q)
         out = {dm(quad, s, j, q, v) for v in quad.gadget(j).graph.successors(r)}
         if r < quad.k_prime:
             if q == 0:
@@ -277,7 +312,7 @@ def succ_ref(quad: GadgetQuadruple, S: CnfInstance, x: int):
                     for v in quad.g2.graph.successors(r + quad.n2)
                 }
             else:
-                i = sbar_at(S, q - 1)
+                i = word(q - 1)
                 out |= {
                     dm(quad, s, i, q - 1, v)
                     for v in quad.gadget(i).graph.successors(r + quad.n1)
@@ -286,7 +321,7 @@ def succ_ref(quad: GadgetQuadruple, S: CnfInstance, x: int):
     r = x - (quad.n2 + (1 << s) * quad.n1)
     out = {dm(quad, s, 3, 0, v) for v in quad.g3.graph.successors(r)}
     if r < quad.k_prime:
-        i = sbar_at(S, ell_hat)
+        i = word(ell_hat)
         out |= {
             dm(quad, s, i, ell_hat, v)
             for v in quad.gadget(i).graph.successors(r + quad.n1)

@@ -10,12 +10,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import NotValidated, TooLargeToMaterialize
 from .graph import Digraph, graph_equal
 from .mso import CompiledFormula, parse
-from .reduce import CnfInstance, GadgetQuadruple, compile_reduction, succ_ref, toy_quadruple
+from .reduce import (
+    CnfInstance,
+    GadgetQuadruple,
+    compile_reduction,
+    succ_ref_graph,
+    toy_quadruple,
+)
 from .sgr import materialize
 
 # -- SAT -----------------------------------------------------------------
@@ -160,6 +167,13 @@ LOOP_SENTENCE = "ex x. E(x,x)"
 DEFAULT_SEED = 2024
 
 
+@lru_cache(maxsize=8)
+def _compiled_sentence(text: str) -> CompiledFormula:
+    """check_instance's sentence, parsed and compiled once per text; a
+    ParseError is raised again on every call, as failures are not cached."""
+    return CompiledFormula(parse(text))
+
+
 @dataclass(frozen=True)
 class InstanceRecord:
     instance: CnfInstance
@@ -212,11 +226,8 @@ def check_instance(S: CnfInstance, quad=None, sentence=LOOP_SENTENCE, limit=1000
     sgr = compile_reduction(quad, S)
     g = materialize(sgr, limit)
     agree = graph_equal(g, delta_layout(quad, S))
-    ref = Digraph(
-        sgr.n_vertices,
-        ((x, y) for x in range(sgr.n_vertices) for y in succ_ref(quad, S, x)),
-    )
-    models = CompiledFormula(parse(sentence)).eval(g)
+    ref = succ_ref_graph(quad, S)
+    models = _compiled_sentence(sentence).eval(g)
     sat, _ = sat_solve(S)
     return InstanceRecord(
         S, sat, models, agree, graph_equal(g, ref), sgr.n_vertices, sgr.circuit.gate_count()

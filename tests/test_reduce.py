@@ -7,6 +7,7 @@ from succmso.errors import (
     IndexOutOfRange,
     NotValidated,
     ParseError,
+    TooLargeToMaterialize,
     ValidationError,
 )
 from succmso.graph import BiboundariedGraph, Digraph, GadgetTriple, graph_equal
@@ -25,6 +26,7 @@ from succmso.reduce import (
     reduce_loop,
     sbar_at,
     succ_ref,
+    succ_ref_graph,
     toy_quadruple,
 )
 from succmso.sgr import materialize
@@ -70,6 +72,18 @@ def test_cnf_guards():
         CnfInstance(1, [()])
     with pytest.raises(BadLiteral):
         CnfInstance(0, [])
+
+
+@pytest.mark.parametrize(
+    "s, clauses",
+    [(1, [(1.0,)]), (2.0, [(1,)]), (True, [(1,)]), (1, [(True,)])],
+    ids=["float-literal", "float-s", "bool-s", "bool-literal"],
+)
+def test_cnf_needs_exact_ints(s, clauses):
+    """A float or bool count or literal is refused by name; before the
+    guard a float ended in a bare TypeError in sat_solve and a bool passed."""
+    with pytest.raises(BadLiteral):
+        CnfInstance(s, clauses)
 
 
 def test_parse_dimacs():
@@ -173,6 +187,31 @@ def test_succ_ref_worked_example():
         assert succ_ref(q, S, x) == want
     with pytest.raises(IndexOutOfRange):
         succ_ref(q, S, 5)
+
+
+@pytest.mark.parametrize("name", sorted(QUADRUPLES))
+def test_succ_ref_graph_matches_per_label_route(name):
+    """The whole-graph entry point and the per-label one share one case
+    analysis; they must give the same chain on every battery."""
+    quad = QUADRUPLES[name]()
+    battery = small_cnf_battery()
+    battery += [S for s in range(3, 9) for S in seeded_cnf_battery(s, 2, 70 + s)]
+    for S in battery:
+        g = succ_ref_graph(quad, S)
+        assert graph_equal(g, reference_graph(quad, S)), (S.s, S.clauses)
+
+
+def test_succ_ref_graph_size_guard(monkeypatch):
+    """s = 21 is refused before the word is evaluated."""
+    def no_work(self, q):
+        raise AssertionError("evaluated the CNF before the size guard")
+
+    S = CnfInstance(21, [(21,)])
+    monkeypatch.setattr(CnfInstance, "value", no_work)
+    with pytest.raises(TooLargeToMaterialize):
+        succ_ref_graph(toy_quadruple(), S)
+    with pytest.raises(NotValidated):
+        succ_ref_graph(None, S)
 
 
 # -- compilation ---------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from succmso.errors import NotValidated, TooLargeToMaterialize
+from succmso.errors import NotValidated, ParseError, TooLargeToMaterialize
 from succmso.graph import BiboundariedGraph, Digraph, delta, graph_equal, isomorphic_small
 from succmso.reduce import CnfInstance, normalize_layout, succ_ref, toy_quadruple
 from succmso.verify import (
@@ -45,14 +45,34 @@ def first_model(S):
     return False, None
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 12])
+def generator_value(S, q):
+    """The generator form of CnfInstance.value that the loop form replaced,
+    kept as its oracle."""
+    return all(
+        any((q >> (abs(lit) - 1)) & 1 == (1 if lit > 0 else 0) for lit in clause)
+        for clause in S.clauses
+    )
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6, 7, 8, 12])
 def test_cnf_models_match_value(s):
     instances = seeded_cnf_battery(s, 6 if s < 12 else 2, 500 + s)
     instances.append(CnfInstance(s, []))
+    if s <= 8:
+        instances += [
+            CnfInstance(s, [(1, -1)]),  # tautology
+            CnfInstance(s, [(s, -s), (-1,)]),
+            CnfInstance(s, [(s, s)]),  # repeated literal
+            CnfInstance(s, [(-1, -1, -s), (1, -1), (s, 1, s)]),
+        ]
+        if s >= 2:
+            instances += [CnfInstance(s, [(2, 2)]), CnfInstance(s, [(2, 2), (-2, 1, -2)])]
     for S in instances:
         models = cnf_models(S)
+        values = [S.value(q) for q in range(1 << s)]
+        assert values == [generator_value(S, q) for q in range(1 << s)]
         assert models >> (1 << s) == 0
-        assert [models >> q & 1 for q in range(1 << s)] == [S.value(q) for q in range(1 << s)]
+        assert [models >> q & 1 for q in range(1 << s)] == values
 
 
 def test_sat_solve_takes_the_first_model():
@@ -121,6 +141,35 @@ def test_check_instance_record():
     assert rec.satisfiable and rec.models_sentence
     assert rec.routes_agree and rec.succ_ref_agrees
     assert rec.n_vertices == 5
+
+
+def test_check_instance_size_guard_comes_first(monkeypatch):
+    """N > limit stops in materialize, before any route visits the 2^s
+    copies; compile_reduction itself reads only the last bit of the word."""
+    calls = []
+    value = CnfInstance.value
+    monkeypatch.setattr(CnfInstance, "value", lambda S, q: calls.append(q) or value(S, q))
+    S = CnfInstance(12, [(1, -12)])
+    with pytest.raises(TooLargeToMaterialize, match="exceeds limit 1000"):
+        check_instance(S, toy_quadruple(), limit=1000)
+    assert len(calls) <= 1
+
+
+def test_check_instance_sentences_alternate():
+    """The compiled sentence is cached by its text: alternating two
+    sentences on one instance gives each its own verdict every time."""
+    S = CnfInstance(1, [(1,)])
+    total = "all x. ex y. E(x,y)"  # false: the last label has no successor
+    for _ in range(3):
+        assert check_instance(S, sentence="ex x. E(x,x)").models_sentence
+        assert not check_instance(S, sentence=total).models_sentence
+
+
+def test_check_instance_malformed_sentence_every_call():
+    S = CnfInstance(1, [(1,)])
+    for _ in range(3):
+        with pytest.raises(ParseError):
+            check_instance(S, sentence="ex x. E(x,")
 
 
 # Seeded instances per s for the soundness batteries; at s = 10 the
