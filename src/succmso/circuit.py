@@ -13,7 +13,10 @@ lane ``i * count + y`` holds C(x0 + i, y) for the k rows x0 .. x0+k-1 and
 every y in ``[0, count)``. A y-wire's lane is its ``_lane_masks`` mask
 repeated once per row; an x-wire's lane sets all count bits of row i iff
 the wire's bit of x0 + i is 1. ``BoolCircuit.eval`` is the one-lane case
-of the same interpreter, ``BoolCircuit._lanes``.
+of the same interpreter, ``_run``, on a renumbering of the gates that puts
+every gate that reads no y-wire first. It keeps those x-only gates' values
+for the last x queried, so a run of queries on one row evaluates them once
+and then only the gates that read a y-wire per query.
 
 ``CircuitBuilder`` simplifies as it synthesizes. Each gate is folded before
 the structural-hash lookup: ``and``/``or`` with a constant, equal or
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import BadParam, InputOutOfRange, ParseError, TopologyError
 
@@ -86,47 +89,87 @@ class BoolCircuit:
         if loose:
             object.__setattr__(self, "gates", tuple(map(tuple, gates)))
 
+    # The one-entry memo of eval: (x, values of the x-part of _y_split for
+    # that x). Not a field, so it is left out of ==, hash and the JSON form;
+    # a miss replaces it whole, so threads that race on it only recompute.
+    _x_memo = (None, None)
+
     def eval(self, x: int, y: int) -> bool:
-        """Evaluate the circuit on vertex labels x, y: one lane, holding C(x, y)."""
+        """Evaluate the circuit on vertex labels x, y: one lane, holding C(x, y).
+
+        The gates that read no y-wire depend on x alone. Their values for
+        the last x queried are kept, so a query with the same x as the one
+        before runs only the gates that read a y-wire.
+        """
         n = self.label_bits
+        if type(x) is not int or type(y) is not int:
+            raise InputOutOfRange(f"labels ({x!r:.40}, {y!r:.40}) are not integers")
         if not 0 <= x < (1 << n) or not 0 <= y < (1 << n):
             raise InputOutOfRange(f"labels ({x}, {y}) need more than {n} bits")
+        x_gates, y_gates, output = self._y_split
         bits = range(n)
-        return bool(self._lanes([x >> j & 1 for j in bits], [y >> j & 1 for j in bits]) & 1)
+        last_x, x_values = self._x_memo
+        if last_x != x:
+            x_values = _run(x_gates, [x >> j & 1 for j in bits], [])
+            object.__setattr__(self, "_x_memo", (x, x_values))
+        values = _run(y_gates, [y >> j & 1 for j in bits], x_values.copy())
+        return bool(values[output] & 1)
 
     def rows(self, x0: int, k: int, count: int) -> int:
         """C(x, y) for the k rows x in [x0, x0 + k) and every y in [0, count),
         as an int whose bit (x - x0) * count + y is C(x, y)."""
         n = self.label_bits
+        if type(x0) is not int or type(k) is not int or type(count) is not int:
+            raise InputOutOfRange(f"rows ({x0!r:.40}, {k!r:.40}, {count!r:.40}) are not integers")
         if not 0 <= x0 < (1 << n) or not 1 <= count <= (1 << n):
             raise InputOutOfRange(f"row of label {x0} over {count} labels needs more than {n} bits")
         if k < 1 or x0 + k > (1 << n):
             raise InputOutOfRange(f"{k} rows from label {x0} need more than {n} bits")
-        lanes = self._lanes(_x_lanes(n, x0, k, count), _y_lanes(n, k, count))
+        wires = (*_x_lanes(n, x0, k, count), *_y_lanes(n, k, count))
+        lanes = _run(self.gates, wires, [])[self.output]
         return lanes & ((1 << (k * count)) - 1)
 
-    def _lanes(self, x_lanes, y_lanes):
-        """One pass over the gates with x-wire j set to x_lanes[j] and
-        y-wire j set to y_lanes[j].
-
-        The result may carry set bits above the lanes in use; callers mask it.
+    @cached_property
+    def _y_split(self):
+        """The gates renumbered for eval, built on its first call, as
+        (x_gates, y_gates, output): x_gates are the gates that read no
+        y-wire, directly or through another gate, and y_gates the rest.
+        Gate j of y_gates is gate len(x_gates) + j of the new numbering,
+        and its y-wire inputs read wire w - label_bits, so y_gates run on
+        the y-wires alone. Each part keeps the gates' order, and a gate
+        that reads a y-gate is a y-gate, so every operand still comes first.
         """
-        wires = (*x_lanes, *y_lanes)
-        values = []
-        push = values.append
+        n = self.label_bits
+        x_gates, y_gates = [], []
+        place = []  # gate i's index in x_gates, or ~j if it is y_gates[j]
         for gate in self.gates:
             kind = gate[0]
-            if kind == "and":
-                push(values[gate[1]] & values[gate[2]])
-            elif kind == "or":
-                push(values[gate[1]] | values[gate[2]])
+            if kind == "and" or kind == "or":
+                a, b = place[gate[1]], place[gate[2]]
+                gate, on_y = (kind, a, b), a < 0 or b < 0
             elif kind == "not":
-                push(~values[gate[1]])
-            elif kind == "input":
-                push(wires[gate[1]])
+                a = place[gate[1]]
+                gate, on_y = (kind, a), a < 0
             else:
-                push(-gate[1])
-        return values[self.output]
+                on_y = kind == "input" and gate[1] >= n
+                if on_y:
+                    gate = (kind, gate[1] - n)
+            if on_y:
+                place.append(~len(y_gates))
+                y_gates.append(gate)
+            else:
+                place.append(len(x_gates))
+                x_gates.append(gate)
+        split = len(x_gates)
+        for j, gate in enumerate(y_gates):  # operand ~i is now split + i
+            kind = gate[0]
+            if kind == "and" or kind == "or":
+                a, b = gate[1], gate[2]
+                y_gates[j] = (kind, a if a >= 0 else split + ~a, b if b >= 0 else split + ~b)
+            elif kind == "not":
+                y_gates[j] = (kind, split + ~gate[1])
+        output = place[self.output]
+        return tuple(x_gates), tuple(y_gates), output if output >= 0 else split + ~output
 
     def gate_count(self) -> int:
         return len(self.gates)
@@ -138,6 +181,29 @@ class BoolCircuit:
             "gates": [list(g) for g in self.gates],
             "output": self.output,
         }
+
+
+def _run(gates, wires, values):
+    """The circuit interpreter: append the value of each gate in turn to
+    values, where input gate ("input", w) reads wires[w] and an operand j
+    reads values[j], and return values.
+
+    A value may carry set bits above the lanes in use; callers mask it.
+    """
+    push = values.append
+    for gate in gates:
+        kind = gate[0]
+        if kind == "and":
+            push(values[gate[1]] & values[gate[2]])
+        elif kind == "or":
+            push(values[gate[1]] | values[gate[2]])
+        elif kind == "not":
+            push(~values[gate[1]])
+        elif kind == "input":
+            push(wires[gate[1]])
+        else:
+            push(-gate[1])
+    return values
 
 
 def _check_refs(i, *refs):

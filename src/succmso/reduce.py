@@ -328,9 +328,10 @@ def _succ_ref(quad: GadgetQuadruple, s: int, word, x: int):
         }
     elif r < quad.k:
         out |= {dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(r + quad.n2)}
-        shared_succ = quad.g1.graph.successors(r + quad.n1)
-        for t_copy in range(ell_hat + 1):
-            out |= {dm(quad, s, 1, t_copy, v) for v in shared_succ}
+        # G1's v in every copy q is label dm(1, 0, v) + q * n1; a shared port
+        # has one label for all copies, so both ends agree and the range has one
+        for v in quad.g1.graph.successors(r + quad.n1):
+            out.update(range(dm(quad, s, 1, 0, v), dm(quad, s, 1, ell_hat, v) + 1, quad.n1))
     return out
 
 

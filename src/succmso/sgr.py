@@ -33,6 +33,8 @@ class Sgr:
     circuit: BoolCircuit
 
     def __post_init__(self):
+        if type(self.n_vertices) is not int:
+            raise BadParam(f"N must be an integer, not {self.n_vertices!r:.40}")
         if self.n_vertices < 1:
             raise BadParam("N must be >= 1")
         if self.n_vertices > (1 << self.circuit.label_bits):
@@ -41,6 +43,8 @@ class Sgr:
 
 def edge_query(s: Sgr, x: int, y: int) -> bool:
     """C(x, y) with the label range guard 0 <= x, y < N."""
+    if type(x) is not int or type(y) is not int:
+        raise LabelOutOfRange(f"labels ({x!r:.40}, {y!r:.40}) are not integers")
     if not (0 <= x < s.n_vertices and 0 <= y < s.n_vertices):
         raise LabelOutOfRange(f"labels ({x}, {y}) not in [0, {s.n_vertices})")
     return s.circuit.eval(x, y)

@@ -108,6 +108,21 @@ def test_eval_range_guard():
         c.eval(4, 0)
 
 
+@pytest.mark.parametrize("x, y", [(1.0, 0), (0, 1.0), (True, 0), (0, False), ("1", 0), (None, 0)])
+def test_eval_labels_are_exact_ints(x, y):
+    c = BoolCircuit(2, [("input", 0), ("input", 2), ("and", 0, 1)], 2)
+    with pytest.raises(InputOutOfRange, match="not integers"):
+        c.eval(x, y)
+
+
+@pytest.mark.parametrize("x0, k, count", [(0.0, 1, 2), (0, 1.0, 2), (0, 1, 2.0),
+                                          (True, 1, 2), (0, True, 2), (0, 1, True)])
+def test_rows_arguments_are_exact_ints(x0, k, count):
+    c = BoolCircuit(2, [("input", 0), ("input", 2), ("and", 0, 1)], 2)
+    with pytest.raises(InputOutOfRange, match="not integers"):
+        c.rows(x0, k, count)
+
+
 def test_structural_hashing_dedups():
     b = CircuitBuilder(2)
     x = b.x_bundle()

@@ -1,12 +1,14 @@
-"""The bit-parallel circuit kernel (BoolCircuit.rows, BoolCircuit.eval and
-sgr.materialize) against two routes that do not use it: the scalar
+"""The circuit kernel (BoolCircuit.rows, BoolCircuit.eval with its per-row
+memo, and sgr.materialize) against two routes that do not use it: the scalar
 per-pair interpreter below, and succ_ref's integer arithmetic."""
 
 import random
+import sys
+import threading
 
 import pytest
 
-from succmso.circuit import BoolCircuit
+from succmso.circuit import BoolCircuit, parse, serialize
 from succmso.errors import InputOutOfRange
 from succmso.graph import Digraph, graph_equal
 from succmso.reduce import compile_reduction, succ_ref
@@ -76,6 +78,84 @@ def random_circuit(rng, label_bits, size):
         else:
             gates.append((kind, rng.randrange(i), rng.randrange(i)))
     return BoolCircuit(label_bits, gates, len(gates) - 1)
+
+
+# -- eval's per-row memo against the scalar oracle -----------------------
+
+
+def query_sequences(rng, full):
+    """Seeded (x, y) query sequences: one x repeated, two xs alternating,
+    and a return to the first x after two others."""
+    a, b, c = rng.sample(range(full), 3)
+    ys = [rng.randrange(full) for _ in range(6)]
+    return [
+        [(a, y) for y in ys],
+        [(a if i % 2 else b, y) for i, y in enumerate(ys)],
+        list(zip([a, a, b, c, a, a], ys)),
+    ]
+
+
+def assert_eval_matches_scalar(c, rng):
+    """Every query sequence matches the scalar oracle, and evaluating leaves
+    the circuit's equality, hash and JSON form as they were."""
+    text, digest, twin = serialize(c), hash(c), parse(serialize(c))
+    for queries in query_sequences(rng, 1 << c.label_bits):
+        for x, y in queries:
+            assert c.eval(x, y) is scalar_eval(c, x, y), (x, y)
+    assert c == twin and hash(c) == digest and serialize(c) == text
+
+
+@pytest.mark.parametrize("label_bits", [2, 3, 7])
+def test_eval_memo_on_random_circuits(label_bits):
+    """random_circuit puts every y-wire's input gate before gates that read
+    no y-wire (its consts at least), so eval's x-first order differs from
+    the gate order."""
+    rng = random.Random(200 + label_bits)
+    for _ in range(4):
+        assert_eval_matches_scalar(random_circuit(rng, label_bits, 60), rng)
+
+
+@pytest.mark.parametrize("gates, output", [
+    ([("input", 0), ("input", 2), ("not", 0)], 2),  # the output reads no y-wire
+    ([("input", 2), ("input", 0), ("and", 0, 1)], 0),  # the output is a y-wire
+    ([("const", 1), ("input", 3), ("or", 1, 0)], 2),  # the output reads a const
+])
+def test_eval_memo_on_hand_built_circuits(gates, output):
+    assert_eval_matches_scalar(BoolCircuit(2, gates, output), random.Random(7))
+
+
+@pytest.mark.parametrize("name", sorted(QUADRUPLES))
+def test_eval_memo_on_compiled_circuits_after_json(name):
+    quad = QUADRUPLES[name]()
+    rng = random.Random(300)
+    for S in seeded_cnf_battery(8, 2, 17):
+        assert_eval_matches_scalar(parse(serialize(compile_reduction(quad, S).circuit)), rng)
+
+
+def test_eval_memo_shared_by_threads():
+    """Threads that query one circuit at different xs replace each other's
+    memo entry all the time; every answer still matches the oracle."""
+    rng = random.Random(400)
+    c = random_circuit(rng, 5, 80)
+    queries = [[(x, rng.randrange(32)) for _ in range(2000)] for x in rng.sample(range(32), 4)]
+    want = [[scalar_eval(c, x, y) for x, y in q] for q in queries]
+    got = [None] * len(queries)
+
+    def work(i):
+        got[i] = [c.eval(x, y) for x, y in queries[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(queries))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 # -- row against the scalar oracle ---------------------------------------
@@ -188,14 +268,19 @@ def test_materialize_dense_random_circuit(n):
 # -- rows at large s against succ_ref, never materialized ----------------
 
 
-@pytest.mark.parametrize("s", [16, 20])
-def test_row_matches_succ_ref_at_large_s(s):
-    quad = QUADRUPLES["toy"]()
+# The toy cells are named by s alone, so their ids stay stable.
+@pytest.mark.parametrize("name, s", [("toy", 16), ("toy", 20), ("shared", 12)],
+                         ids=["16", "20", "shared-12"])
+def test_row_matches_succ_ref_at_large_s(name, s):
+    """Every G3 row is checked: with a shared port (the shared quadruple's
+    G3 row k' = 1) it points into all 2^s copies."""
+    quad = QUADRUPLES[name]()
     rng = random.Random(s)
     S = seeded_cnf_battery(s, 1, 5)[0]
     sgr = compile_reduction(quad, S)
     n = sgr.n_vertices
     assert n == quad.big_n(s)
-    rows = set(boundary_labels(quad, s)) | {rng.randrange(n) for _ in range(3)}
+    g3_rows = range(quad.n2 + (1 << s) * quad.n1, n)
+    rows = set(boundary_labels(quad, s)) | set(g3_rows) | {rng.randrange(n) for _ in range(3)}
     for x in sorted(rows):
         assert set_bits(sgr.circuit.rows(x, 1, n)) == sorted(succ_ref(quad, S, x)), x

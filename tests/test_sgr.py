@@ -30,6 +30,18 @@ def test_constructor_guards():
         Sgr(3, c)  # only 2 labels available with 1 bit
 
 
+@pytest.mark.parametrize("n", [2.0, True, "2", None])
+def test_vertex_count_is_an_exact_int(n):
+    with pytest.raises(BadParam, match="N must be an integer"):
+        Sgr(n, cycle_sgr(1).circuit)
+
+
+@pytest.mark.parametrize("x, y", [(1.0, 2), (1, 2.0), (True, 0), (0, False), ("1", 2)])
+def test_edge_query_labels_are_exact_ints(x, y):
+    with pytest.raises(LabelOutOfRange, match="not integers"):
+        edge_query(cycle_sgr(2), x, y)
+
+
 def test_edge_query():
     s = cycle_sgr(2)
     assert edge_query(s, 0, 1)
