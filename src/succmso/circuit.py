@@ -36,6 +36,11 @@ from functools import cached_property, lru_cache
 
 from .errors import BadParam, InputOutOfRange, ParseError, TopologyError
 
+# Cap on label_bits. Evaluation builds one lane per input wire, so the
+# work of any pass grows with label_bits; 2^16 bits label the vertices of
+# a reduction from a CNF with about 65,000 variables.
+MAX_LABEL_BITS = 1 << 16
+
 
 @dataclass(frozen=True)
 class BoolCircuit:
@@ -50,6 +55,8 @@ class BoolCircuit:
         gates in any other iterable, or given as lists, are stored as one."""
         if type(self.label_bits) is not int or self.label_bits < 1:
             raise BadParam(f"label_bits must be an integer >= 1, not {self.label_bits!r:.40}")
+        if self.label_bits > MAX_LABEL_BITS:
+            raise BadParam(f"label_bits {self.label_bits} exceeds the cap {MAX_LABEL_BITS}")
         if type(self.output) is not int:
             raise BadParam(f"output must be a gate index, not {self.output!r:.40}")
         wires = 2 * self.label_bits
@@ -220,21 +227,22 @@ def _lane_masks(label_bits: int, count: int) -> tuple:
     """Mask j has bit y set iff bit j of y is 1, for every lane y < count.
 
     Each mask is its period-2^(j+1) pattern (2^j zeros, then 2^j ones)
-    doubled until it covers count lanes, so building all of them costs
-    O(label_bits * count / 64) word operations.
+    doubled until it covers count lanes. Bit j of every y < count is 0
+    once 2^j >= count, so the loop stops there and the rest are 0: building
+    all of them costs O(log(count) * count / 64) word operations plus
+    label_bits to pad.
     """
     masks = []
     for j in range(label_bits):
         half = 1 << j
         if half >= count:
-            masks.append(0)
-            continue
+            break
         mask, width = ((1 << half) - 1) << half, 2 * half
         while width < count:
             mask |= mask << width
             width *= 2
         masks.append(mask & ((1 << count) - 1))
-    return tuple(masks)
+    return tuple(masks) + (0,) * (label_bits - len(masks))
 
 
 @lru_cache(maxsize=4)
@@ -327,6 +335,8 @@ class CircuitBuilder:
     def __init__(self, label_bits: int):
         if label_bits < 1:
             raise BadParam("label_bits must be >= 1")
+        if label_bits > MAX_LABEL_BITS:
+            raise BadParam(f"label_bits {label_bits} exceeds the cap {MAX_LABEL_BITS}")
         self.label_bits = label_bits
         self._gates = []
         self._cache = {}

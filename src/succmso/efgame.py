@@ -34,7 +34,16 @@ def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
 
     With one move left a point move survives iff its candidate mask is
     nonzero and a set move always survives (its forced bits are consistent),
-    so such positions are decided without recursion and are not memoized."""
+    so such positions are decided without recursion and are not memoized.
+
+    Spoiler tries each set move only up to complement: only the s whose top
+    bit (vertex n - 1 of its board) is clear, and s = 0 on an empty board.
+    This is exact. Complementing one chosen pair on both boards, X to ~X
+    and Y to ~Y, keeps every atomic test, since x in X iff y in Y exactly
+    when x in ~X iff y in ~Y. Applied to every later position, it maps
+    Duplicator's replies t to s (those that agree with s on the pebbles)
+    one to one onto the replies to ~s, and a winning line after (s, t)
+    onto one after (~s, ~t). So Duplicator survives s iff it survives ~s."""
     if m < 0:
         raise BadParam(f"move count must be nonnegative, not {m}")
     if g.n > _MAX_VERTICES or h.n > _MAX_VERTICES or m > _MAX_MOVES:
@@ -94,7 +103,7 @@ def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
             free = full_b
             for _, y in pebbles:
                 free &= ~(1 << y)
-            for s in range(1 << n_a):
+            for s in range(1 << max(n_a - 1, 0)):  # one of each pair s, ~s
                 forced = 0
                 for x, y in pebbles:
                     if s >> x & 1:

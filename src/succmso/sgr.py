@@ -37,7 +37,7 @@ class Sgr:
             raise BadParam(f"N must be an integer, not {self.n_vertices!r:.40}")
         if self.n_vertices < 1:
             raise BadParam("N must be >= 1")
-        if self.n_vertices > (1 << self.circuit.label_bits):
+        if (self.n_vertices - 1).bit_length() > self.circuit.label_bits:
             raise BadParam("N exceeds 2^label_bits")
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from succmso.circuit import BoolCircuit, CircuitBuilder, WireBundle, parse, serialize
-from succmso.errors import BadParam, InputOutOfRange, ParseError, TopologyError
+from succmso.circuit import MAX_LABEL_BITS, BoolCircuit, CircuitBuilder, WireBundle, parse, serialize
+from succmso.errors import BadParam, InputOutOfRange, ParseError, SuccmsoError, TopologyError
 from succmso.reduce import compile_reduction, reduce_clique, reduce_loop
 from succmso.verify import seeded_cnf_battery
 
@@ -92,6 +92,13 @@ def test_label_bits_output_wires_and_consts_are_exact_ints(label_bits, gates, ou
     with pytest.raises(BadParam) as info:
         BoolCircuit(label_bits, gates, output)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make", [lambda bits: BoolCircuit(bits, [X0], 0), CircuitBuilder])
+def test_label_bits_cap(make):
+    make(MAX_LABEL_BITS)
+    with pytest.raises(BadParam, match=f"label_bits {MAX_LABEL_BITS + 1} exceeds the cap"):
+        make(MAX_LABEL_BITS + 1)
 
 
 def test_validation_keeps_tuples_and_tuples_lists():
@@ -369,3 +376,50 @@ def test_builder_matches_python_bools(bits, steps):
         for x in range(n):
             want = sum(1 << y for y in range(n) if fn(x, y))
             assert c.rows(x, 1, n) == want
+
+
+# -- JSON fuzz: arbitrary JSON, and circuit objects near the valid ones ----
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 1 << 70) | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+)
+JSON = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def circuit_json(draw):
+    """A valid circuit's JSON object, or the same with one value (a field,
+    a gate kind or an operand) replaced by another JSON value."""
+    bits = draw(st.integers(1, 3))
+    gates = []
+    for i in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("input", "const", "not", "and", "or")[: 5 if i else 2]))
+        top = {"input": 2 * bits, "const": 2}.get(kind, i)
+        arity = 2 if kind in ("and", "or") else 1
+        gates.append([kind, *(draw(st.integers(0, top - 1)) for _ in range(arity))])
+    obj = {"label_bits": bits, "gates": gates, "output": draw(st.integers(0, len(gates) - 1))}
+    if draw(st.booleans()):
+        bad = draw(st.integers(-1, 6) | st.just(MAX_LABEL_BITS + 1) | JSON_LEAVES)
+        where = draw(st.sampled_from(("label_bits", "output", *range(len(gates)))))
+        if where in obj:
+            obj[where] = bad
+        else:
+            gates[where][draw(st.integers(0, len(gates[where]) - 1))] = bad
+    return obj
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(st.one_of(circuit_json().map(json.dumps), JSON.map(json.dumps), st.text(max_size=12)))
+def test_circuit_json_fuzz(text):
+    """Any text parses to a circuit or raises a SuccmsoError, and a parsed
+    circuit survives serialize and parse unchanged."""
+    try:
+        c = parse(text)
+    except SuccmsoError:
+        return
+    assert parse(serialize(c)) == c

@@ -4,9 +4,10 @@ import time
 import pytest
 
 from succmso import cli, sgr
+from succmso.circuit import MAX_LABEL_BITS
 
 from test_kernel import scalar_materialize
-from test_sgr import BAD_N, with_n
+from test_sgr import BAD_N, wide_sgr_text, with_n
 from succmso.graph import Digraph, graph_equal, parse_graph
 from succmso.verify import seeded_cnf_battery
 
@@ -500,3 +501,12 @@ def test_json_applies_to_graph_and_sgr_writers(capsys, tmp_path, cnf_file):
                            "--out", str(out_file))
         assert code == 0 and json.loads(out) == {"N": n}
         assert sgr.parse(out_file.read_text()).n_vertices == n
+
+
+def test_label_bits_past_the_cap_is_refused(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(wide_sgr_text(MAX_LABEL_BITS + 1))
+    code, out, err = run(capsys, "sgr", "materialize", "--sgr", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ParseError: ")
+    assert "Traceback" not in err

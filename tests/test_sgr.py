@@ -1,9 +1,13 @@
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from succmso.circuit import CircuitBuilder
-from succmso.errors import BadParam, LabelOutOfRange, ParseError, TooLargeToMaterialize
+from succmso import circuit as circuit_mod
+from succmso.circuit import MAX_LABEL_BITS, BoolCircuit, CircuitBuilder
+from succmso.errors import BadParam, LabelOutOfRange, ParseError, SuccmsoError, TooLargeToMaterialize
 from succmso.graph import Digraph, graph_equal
 from succmso.sgr import (
     Sgr,
@@ -13,6 +17,8 @@ from succmso.sgr import (
     parse,
     serialize,
 )
+
+from test_circuit import JSON, circuit_json
 
 
 def cycle_sgr(bits):
@@ -111,3 +117,54 @@ def test_vertex_count_must_be_an_integer(n_text):
 def test_vertex_count_as_integer_or_digit_string():
     assert parse(with_n("2")) == parse(with_n('"2"')) == cycle_sgr(1)
     assert serialize(cycle_sgr(1)) == with_n('"2"')
+
+
+def wide_sgr_text(label_bits):
+    """A 2-vertex SGR, x -> y iff bit 0 of x is 1 and bit 0 of y is 0, on a
+    circuit with label_bits bits per label."""
+    gates = [["input", 0], ["input", label_bits], ["not", 1], ["and", 0, 2]]
+    circuit = {"label_bits": label_bits, "gates": gates, "output": 3}
+    return json.dumps({"N": "2", "circuit": circuit})
+
+
+def test_materialize_at_the_label_bits_cap():
+    start = time.perf_counter()
+    g = materialize(parse(wide_sgr_text(MAX_LABEL_BITS)), 2)
+    assert time.perf_counter() - start < 0.5
+    assert graph_equal(g, Digraph(2, [(1, 0)]))
+
+
+def test_label_bits_past_the_cap_is_a_parse_error():
+    text = wide_sgr_text(MAX_LABEL_BITS + 1)
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        parse(text)
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        circuit_mod.parse(json.dumps(json.loads(text)["circuit"]))
+
+
+@pytest.mark.parametrize("label_bits", [1, 2, 3, 64, MAX_LABEL_BITS])
+def test_vertex_count_fits_label_bits_exactly(label_bits):
+    c = BoolCircuit(label_bits, [("const", 0)], 0)
+    assert Sgr(1 << label_bits, c).n_vertices == 1 << label_bits
+    with pytest.raises(BadParam, match="exceeds 2\\^label_bits"):
+        Sgr((1 << label_bits) + 1, c)
+
+
+# N is at most 2^label_bits or over it, as text or as a JSON integer, or
+# not a vertex count; arbitrary circuit values are test_circuit's
+SGR_JSON = st.fixed_dictionaries({
+    "N": st.integers(1, 9).map(str) | st.integers(0, 9) | st.sampled_from((2.0, True, "0x2", None)),
+    "circuit": circuit_json(),
+})
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(st.one_of(SGR_JSON.map(json.dumps), JSON.map(json.dumps), st.text(max_size=12)))
+def test_sgr_json_fuzz(text):
+    """Any text parses to an SGR or raises a SuccmsoError, and a parsed SGR
+    survives serialize and parse unchanged."""
+    try:
+        s = parse(text)
+    except SuccmsoError:
+        return
+    assert parse(serialize(s)) == s
