@@ -12,11 +12,19 @@ one bit per lane, every wire gets one lane int, ``not`` is ``~v``
 lane ``i * count + y`` holds C(x0 + i, y) for the k rows x0 .. x0+k-1 and
 every y in ``[0, count)``. A y-wire's lane is its ``_lane_masks`` mask
 repeated once per row; an x-wire's lane sets all count bits of row i iff
-the wire's bit of x0 + i is 1. ``BoolCircuit.eval`` is the one-lane case
-of the same interpreter, ``_run``, on a renumbering of the gates that puts
-every gate that reads no y-wire first. It keeps those x-only gates' values
-for the last x queried, so a run of queries on one row evaluates them once
-and then only the gates that read a y-wire per query.
+the wire's bit of x0 + i is 1.
+
+``BoolCircuit.eval`` is the one-lane case of the same interpreter, ``_run``,
+on a residual circuit for its row. Once x is fixed, one pass over the gates
+(``_residual``) folds every gate that reads no y-wire to a constant, passes
+an ``and``/``or`` with one constant operand through to the constant or to
+its other operand, and keeps the output's cone of what is left: the gates
+that still read a y-wire, with y-wire w renumbered to w - label_bits. Only
+those gates run per query, and the residual of the last x queried is kept,
+so a run of queries on one row folds once. The fold is partial evaluation,
+not a second interpreter: it never reads y, and every answer that depends
+on y comes from ``_run``, as in ``rows``, so the gates' semantics live in
+one place.
 
 ``CircuitBuilder`` simplifies as it synthesizes. Each gate is folded before
 the structural-hash lookup: ``and``/``or`` with a constant, equal or
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import BadParam, InputOutOfRange, ParseError, TopologyError
 
@@ -96,31 +104,33 @@ class BoolCircuit:
         if loose:
             object.__setattr__(self, "gates", tuple(map(tuple, gates)))
 
-    # The one-entry memo of eval: (x, values of the x-part of _y_split for
-    # that x). Not a field, so it is left out of ==, hash and the JSON form;
-    # a miss replaces it whole, so threads that race on it only recompute.
-    _x_memo = (None, None)
+    # The one-entry memo of eval: (x, residual gates, output index) for the
+    # last x queried, or (x, None, answer) when the output folds to a
+    # constant. Not a field, so it is left out of ==, hash and the JSON
+    # form; a miss replaces it whole, so threads that race on it only
+    # recompute.
+    _row_memo = (None, None, None)
 
     def eval(self, x: int, y: int) -> bool:
         """Evaluate the circuit on vertex labels x, y: one lane, holding C(x, y).
 
-        The gates that read no y-wire depend on x alone. Their values for
-        the last x queried are kept, so a query with the same x as the one
-        before runs only the gates that read a y-wire.
+        A query runs only the residual circuit of row x, the gates that
+        still read a y-wire once x is folded in. The residual of the last x
+        queried is kept, so a query with the same x as the one before skips
+        the fold.
         """
         n = self.label_bits
         if type(x) is not int or type(y) is not int:
             raise InputOutOfRange(f"labels ({x!r:.40}, {y!r:.40}) are not integers")
         if not 0 <= x < (1 << n) or not 0 <= y < (1 << n):
             raise InputOutOfRange(f"labels ({x}, {y}) need more than {n} bits")
-        x_gates, y_gates, output = self._y_split
-        bits = range(n)
-        last_x, x_values = self._x_memo
+        last_x, residual, output = self._row_memo
         if last_x != x:
-            x_values = _run(x_gates, [x >> j & 1 for j in bits], [])
-            object.__setattr__(self, "_x_memo", (x, x_values))
-        values = _run(y_gates, [y >> j & 1 for j in bits], x_values.copy())
-        return bool(values[output] & 1)
+            residual, output = _residual(self.gates, self.output, n, x)
+            object.__setattr__(self, "_row_memo", (x, residual, output))
+        if residual is None:
+            return output
+        return bool(_run(residual, [y >> j & 1 for j in range(n)], [])[output] & 1)
 
     def rows(self, x0: int, k: int, count: int) -> int:
         """C(x, y) for the k rows x in [x0, x0 + k) and every y in [0, count),
@@ -135,48 +145,6 @@ class BoolCircuit:
         wires = (*_x_lanes(n, x0, k, count), *_y_lanes(n, k, count))
         lanes = _run(self.gates, wires, [])[self.output]
         return lanes & ((1 << (k * count)) - 1)
-
-    @cached_property
-    def _y_split(self):
-        """The gates renumbered for eval, built on its first call, as
-        (x_gates, y_gates, output): x_gates are the gates that read no
-        y-wire, directly or through another gate, and y_gates the rest.
-        Gate j of y_gates is gate len(x_gates) + j of the new numbering,
-        and its y-wire inputs read wire w - label_bits, so y_gates run on
-        the y-wires alone. Each part keeps the gates' order, and a gate
-        that reads a y-gate is a y-gate, so every operand still comes first.
-        """
-        n = self.label_bits
-        x_gates, y_gates = [], []
-        place = []  # gate i's index in x_gates, or ~j if it is y_gates[j]
-        for gate in self.gates:
-            kind = gate[0]
-            if kind == "and" or kind == "or":
-                a, b = place[gate[1]], place[gate[2]]
-                gate, on_y = (kind, a, b), a < 0 or b < 0
-            elif kind == "not":
-                a = place[gate[1]]
-                gate, on_y = (kind, a), a < 0
-            else:
-                on_y = kind == "input" and gate[1] >= n
-                if on_y:
-                    gate = (kind, gate[1] - n)
-            if on_y:
-                place.append(~len(y_gates))
-                y_gates.append(gate)
-            else:
-                place.append(len(x_gates))
-                x_gates.append(gate)
-        split = len(x_gates)
-        for j, gate in enumerate(y_gates):  # operand ~i is now split + i
-            kind = gate[0]
-            if kind == "and" or kind == "or":
-                a, b = gate[1], gate[2]
-                y_gates[j] = (kind, a if a >= 0 else split + ~a, b if b >= 0 else split + ~b)
-            elif kind == "not":
-                y_gates[j] = (kind, split + ~gate[1])
-        output = place[self.output]
-        return tuple(x_gates), tuple(y_gates), output if output >= 0 else split + ~output
 
     def gate_count(self) -> int:
         return len(self.gates)
@@ -211,6 +179,99 @@ def _run(gates, wires, values):
         else:
             push(-gate[1])
     return values
+
+
+def _residual(gates, output, label_bits, x):
+    """Gates and output fixed at first argument x, as (residual, output):
+    the circuit on the y-wires alone that gives C(x, y) for every y, or
+    (None, answer) when the output does not depend on y.
+
+    One pass in gate order: x-wire inputs and consts become constants;
+    and, or and not of constants fold to a constant; an and/or with one
+    constant operand becomes that constant or its other operand; every
+    other gate goes to the residual with its operands renumbered, a y-wire
+    input reading wire w - label_bits. The residual is then cut to the
+    output's cone.
+    """
+    zero, one = ~0, ~1  # a folded value is ~c for constant c, else a residual index
+    kept = []
+    emit = kept.append
+    place = []  # each gate's folded value
+    push = place.append
+    for gate in gates:
+        kind = gate[0]
+        if kind == "and":
+            a, b = place[gate[1]], place[gate[2]]
+            if a == zero or b == zero:
+                push(zero)
+            elif a == one:
+                push(b)
+            elif b == one:
+                push(a)
+            else:
+                push(len(kept))
+                emit((kind, a, b))
+        elif kind == "or":
+            a, b = place[gate[1]], place[gate[2]]
+            if a == one or b == one:
+                push(one)
+            elif a == zero:
+                push(b)
+            elif b == zero:
+                push(a)
+            else:
+                push(len(kept))
+                emit((kind, a, b))
+        elif kind == "not":
+            a = place[gate[1]]
+            if a < 0:
+                push(zero + one - a)  # swaps zero and one
+            else:
+                push(len(kept))
+                emit((kind, a))
+        elif kind == "input":
+            w = gate[1]
+            if w < label_bits:
+                push(~(x >> w & 1))
+            else:
+                push(len(kept))
+                emit((kind, w - label_bits))
+        else:
+            push(~gate[1])
+    out = place[output]
+    if out < 0:
+        return None, out == one
+    kept = _cone(kept, out)
+    return kept, len(kept) - 1
+
+
+def _cone(gates, output):
+    """The gates the output reads, directly or not, renumbered in order:
+    one backward pass marks them and one forward pass renumbers them, so
+    the output is the last gate."""
+    live = bytearray(output + 1)
+    live[output] = 1
+    for i in range(output, -1, -1):
+        if live[i]:
+            gate = gates[i]
+            kind = gate[0]
+            if kind == "and" or kind == "or":
+                live[gate[1]] = live[gate[2]] = 1
+            elif kind == "not":
+                live[gate[1]] = 1
+    new_index = [0] * (output + 1)
+    kept = []
+    for i in range(output + 1):
+        if live[i]:
+            gate = gates[i]
+            kind = gate[0]
+            if kind == "and" or kind == "or":
+                gate = (kind, new_index[gate[1]], new_index[gate[2]])
+            elif kind == "not":
+                gate = (kind, new_index[gate[1]])
+            new_index[i] = len(kept)
+            kept.append(gate)
+    return tuple(kept)
 
 
 def _check_refs(i, *refs):
@@ -589,32 +650,10 @@ class CircuitBuilder:
         return len(self._gates)
 
     def build(self, output: int) -> BoolCircuit:
-        """The circuit of the output's cone: one backward pass marks the
-        gates the output reads, one forward pass renumbers them in order.
-        The builder is left as it was, so building mid-construction is fine."""
+        """The circuit of the output's cone (``_cone``). The builder is left
+        as it was, so building mid-construction is fine."""
         gates = self._gates
         if not 0 <= output < len(gates):
             raise TopologyError(f"output index {output} out of range")
-        live = bytearray(output + 1)
-        live[output] = 1
-        for i in range(output, -1, -1):
-            if live[i]:
-                gate = gates[i]
-                kind = gate[0]
-                if kind == "and" or kind == "or":
-                    live[gate[1]] = live[gate[2]] = 1
-                elif kind == "not":
-                    live[gate[1]] = 1
-        new_index = [0] * (output + 1)
-        kept = []
-        for i in range(output + 1):
-            if live[i]:
-                gate = gates[i]
-                kind = gate[0]
-                if kind == "and" or kind == "or":
-                    gate = (kind, new_index[gate[1]], new_index[gate[2]])
-                elif kind == "not":
-                    gate = (kind, new_index[gate[1]])
-                new_index[i] = len(kept)
-                kept.append(gate)
-        return BoolCircuit(self.label_bits, tuple(kept), len(kept) - 1)
+        kept = _cone(gates, output)
+        return BoolCircuit(self.label_bits, kept, len(kept) - 1)

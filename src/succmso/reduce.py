@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .circuit import CircuitBuilder, WireBundle
+from .circuit import MAX_LABEL_BITS, CircuitBuilder, WireBundle
 from .errors import (
     BadLiteral,
     BadParam,
@@ -37,7 +37,13 @@ from .sgr import Sgr
 
 @dataclass(frozen=True)
 class CnfInstance:
-    """CNF with s variables; clauses are nonempty tuples of nonzero literals."""
+    """CNF with s variables; clauses are nonempty tuples of nonzero literals.
+
+    s is at most circuit.MAX_LABEL_BITS. A reduction's labels are wider
+    than s bits, so no larger CNF can be compiled, and a larger s only made
+    the vertex count 2^s and the SAT model, one entry per variable, ask for
+    memory in proportion to s.
+    """
 
     s: int
     clauses: tuple
@@ -47,6 +53,8 @@ class CnfInstance:
             raise BadLiteral(f"variable count {s!r} is not an int")
         if s < 1:
             raise BadLiteral("need at least one variable")
+        if s > MAX_LABEL_BITS:
+            raise BadLiteral(f"variable count {s} exceeds the cap {MAX_LABEL_BITS}")
         clauses = tuple(tuple(c) for c in clauses)
         for clause in clauses:
             if not clause:

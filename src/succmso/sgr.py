@@ -104,9 +104,12 @@ def _vertex_count(value) -> int:
 
 
 def from_json_obj(obj) -> Sgr:
+    """The SGR of a JSON object; every failure is a ParseError, including
+    an N that Sgr refuses (below 1, or above 2^label_bits)."""
     try:
         n = _vertex_count(obj["N"])
-        circ = circuit_mod.from_json_obj(obj["circuit"])
+        return Sgr(n, circuit_mod.from_json_obj(obj["circuit"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed SGR bundle: {exc}") from exc
-    return Sgr(n, circ)
+    except BadParam as exc:
+        raise ParseError(str(exc)) from exc

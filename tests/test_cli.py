@@ -510,3 +510,22 @@ def test_label_bits_past_the_cap_is_refused(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: ParseError: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "sat2sgr", "--cnf", "{cnf}", "--gadgets", "toy"),
+    ("reduce", "succ-ref", "--gadgets", "toy", "--cnf", "{cnf}", "--x", "0"),
+    ("verify", "sat", "--cnf", "{cnf}"),
+], ids=["sat2sgr", "succ-ref", "verify-sat"])
+def test_cnf_past_the_variable_cap_is_refused(capsys, tmp_path, argv):
+    """About 10^15 variables once ended in a MemoryError traceback, from the
+    vertex count 2^s or from the SAT model's dict; a smaller count over the
+    cap tried to allocate gigabytes first."""
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 1000000000000000 1\n1 -2 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(arg.format(cnf=path) for arg in argv))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("error: BadLiteral: ") and "exceeds the cap" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,6 +1,7 @@
 """The circuit kernel (BoolCircuit.rows, BoolCircuit.eval with its per-row
-memo, and sgr.materialize) against two routes that do not use it: the scalar
-per-pair interpreter below, and succ_ref's integer arithmetic."""
+residual circuit, and sgr.materialize) against two routes that do not use
+it: the scalar per-pair interpreter below, and succ_ref's integer
+arithmetic."""
 
 import random
 import sys
@@ -12,7 +13,8 @@ from succmso.circuit import BoolCircuit, parse, serialize
 from succmso.errors import InputOutOfRange
 from succmso.graph import Digraph, graph_equal
 from succmso.reduce import compile_reduction, succ_ref
-from succmso.sgr import LANES, Sgr, materialize
+from succmso import sgr as sgr_mod
+from succmso.sgr import LANES, Sgr, edge_query, materialize
 from succmso.verify import seeded_cnf_battery
 
 from test_reduce import QUADRUPLES
@@ -108,8 +110,8 @@ def assert_eval_matches_scalar(c, rng):
 @pytest.mark.parametrize("label_bits", [2, 3, 7])
 def test_eval_memo_on_random_circuits(label_bits):
     """random_circuit puts every y-wire's input gate before gates that read
-    no y-wire (its consts at least), so eval's x-first order differs from
-    the gate order."""
+    no y-wire (its consts at least), so eval's residual interleaves with
+    gates it folds away."""
     rng = random.Random(200 + label_bits)
     for _ in range(4):
         assert_eval_matches_scalar(random_circuit(rng, label_bits, 60), rng)
@@ -119,8 +121,17 @@ def test_eval_memo_on_random_circuits(label_bits):
     ([("input", 0), ("input", 2), ("not", 0)], 2),  # the output reads no y-wire
     ([("input", 2), ("input", 0), ("and", 0, 1)], 0),  # the output is a y-wire
     ([("const", 1), ("input", 3), ("or", 1, 0)], 2),  # the output reads a const
+    # the output folds to 0 when bit 0 of x is 0, and reads y0 otherwise
+    ([("input", 0), ("input", 2), ("and", 0, 1)], 2),
+    # the output folds to 1 when bit 1 of x is 1, and reads y1 otherwise
+    ([("input", 3), ("input", 1), ("or", 0, 1)], 2),
+    ([("input", 2), ("const", 1)], 1),  # the output is a const gate
+    # when bit 1 of x is 1, the and passes the y-gate ~y0 through
+    ([("input", 2), ("not", 0), ("input", 1), ("and", 2, 1)], 3),
 ])
 def test_eval_memo_on_hand_built_circuits(gates, output):
+    """Every sequence queries three of the four xs, so each case meets both
+    values of the x bit it folds on."""
     assert_eval_matches_scalar(BoolCircuit(2, gates, output), random.Random(7))
 
 
@@ -284,3 +295,22 @@ def test_row_matches_succ_ref_at_large_s(name, s):
     rows = set(boundary_labels(quad, s)) | set(g3_rows) | {rng.randrange(n) for _ in range(3)}
     for x in sorted(rows):
         assert set_bits(sgr.circuit.rows(x, 1, n)) == sorted(succ_ref(quad, S, x)), x
+
+
+@pytest.mark.parametrize("s", [16, 20])
+@pytest.mark.parametrize("name", sorted(QUADRUPLES))
+def test_edge_queries_match_succ_ref_at_large_s(name, s):
+    """Single queries as the succinct_query bench makes them, after a JSON
+    round trip: each row's first out-neighbours, and random labels."""
+    quad = QUADRUPLES[name]()
+    rng = random.Random(s)
+    S = seeded_cnf_battery(s, 1, 5)[0]
+    sgr = sgr_mod.parse(sgr_mod.serialize(compile_reduction(quad, S)))
+    n = sgr.n_vertices
+    rows = set(boundary_labels(quad, s)) | {rng.randrange(n) for _ in range(3)}
+    for x in sorted(rows):
+        row = succ_ref(quad, S, x)
+        for y in sorted(row)[:16]:
+            assert edge_query(sgr, x, y), (x, y)
+        for y in [rng.randrange(n) for _ in range(4)] + [x]:
+            assert edge_query(sgr, x, y) == (y in row), (x, y)

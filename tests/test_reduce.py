@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from succmso.circuit import MAX_LABEL_BITS
 from succmso.errors import (
     BadLiteral,
     BadParam,
@@ -7,6 +10,7 @@ from succmso.errors import (
     IndexOutOfRange,
     NotValidated,
     ParseError,
+    SuccmsoError,
     TooLargeToMaterialize,
     ValidationError,
 )
@@ -84,6 +88,49 @@ def test_cnf_needs_exact_ints(s, clauses):
     guard a float ended in a bare TypeError in sat_solve and a bool passed."""
     with pytest.raises(BadLiteral):
         CnfInstance(s, clauses)
+
+
+def test_cnf_variable_count_cap():
+    """s is capped at circuit.MAX_LABEL_BITS. About 10^15 variables once
+    made the reduction's vertex count and the SAT model ask for more memory
+    than any host has."""
+    assert CnfInstance(MAX_LABEL_BITS, [(1, -MAX_LABEL_BITS)]).s == MAX_LABEL_BITS
+    for s in (MAX_LABEL_BITS + 1, 10**15):
+        with pytest.raises(BadLiteral, match="exceeds the cap"):
+            CnfInstance(s, [(1, -2)])
+        with pytest.raises(BadLiteral, match="exceeds the cap"):
+            parse_dimacs(f"p cnf {s} 1\n1 -2 0\n")
+
+
+def to_dimacs(S):
+    """S as DIMACS text: the header, then one line per clause."""
+    lines = [f"p cnf {S.s} {len(S.clauses)}"]
+    lines += [" ".join(map(str, clause)) + " 0" for clause in S.clauses]
+    return "\n".join(lines) + "\n"
+
+
+# A header, then clause and comment lines, some of them malformed; or any
+# text
+DIMACS_HEADER = st.builds("p cnf {} {}".format, st.integers(-1, 5) | st.just(10**15),
+                          st.integers(0, 3))
+DIMACS_LINE = st.one_of(
+    st.lists(st.integers(-4, 4), max_size=5).map(lambda lits: " ".join(map(str, lits))),
+    st.sampled_from(("c note", "", "1 x 0", "%", " 2  -1\t0 ", "p cnf", "p dnf 2 1")),
+)
+DIMACS = st.builds(lambda head, body: "\n".join([head, *body]), DIMACS_HEADER,
+                   st.lists(DIMACS_LINE, max_size=5))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(DIMACS | st.text(max_size=20))
+def test_parse_dimacs_fuzz(text):
+    """Any text parses to a CnfInstance or raises a SuccmsoError, and a
+    parsed instance written back as DIMACS parses to itself."""
+    try:
+        S = parse_dimacs(text)
+    except SuccmsoError:
+        return
+    assert parse_dimacs(to_dimacs(S)) == S
 
 
 def test_parse_dimacs():

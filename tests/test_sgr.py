@@ -142,6 +142,15 @@ def test_label_bits_past_the_cap_is_a_parse_error():
         circuit_mod.parse(json.dumps(json.loads(text)["circuit"]))
 
 
+@pytest.mark.parametrize("n", ["0", "3"])
+def test_vertex_count_out_of_range_is_a_parse_error(n):
+    """N = 0, or N over 2^label_bits of a 1-bit circuit: the constructor
+    raises BadParam (test_constructor_guards), parse a ParseError."""
+    circuit = {"label_bits": 1, "gates": [["const", 0]], "output": 0}
+    with pytest.raises(ParseError, match="N must be >= 1|N exceeds 2\\^label_bits"):
+        parse(json.dumps({"N": n, "circuit": circuit}))
+
+
 @pytest.mark.parametrize("label_bits", [1, 2, 3, 64, MAX_LABEL_BITS])
 def test_vertex_count_fits_label_bits_exactly(label_bits):
     c = BoolCircuit(label_bits, [("const", 0)], 0)
