@@ -59,12 +59,11 @@ class BoolCircuit:
     output: int
 
     def __post_init__(self):
-        """Check every gate in one pass. A tuple of tuples is kept as given;
-        gates in any other iterable, or given as lists, are stored as one."""
-        if type(self.label_bits) is not int or self.label_bits < 1:
-            raise BadParam(f"label_bits must be an integer >= 1, not {self.label_bits!r:.40}")
-        if self.label_bits > MAX_LABEL_BITS:
-            raise BadParam(f"label_bits {self.label_bits} exceeds the cap {MAX_LABEL_BITS}")
+        """Check every gate in one pass: the only check of a gate list. A
+        tuple of tuples is kept as given; gates in any other iterable, or
+        given as lists, are stored as one. A gate that is not a non-empty
+        tuple or list is malformed."""
+        _check_label_bits(self.label_bits)
         if type(self.output) is not int:
             raise BadParam(f"output must be a gate index, not {self.output!r:.40}")
         wires = 2 * self.label_bits
@@ -74,7 +73,11 @@ class BoolCircuit:
             gates = tuple(gates)
         for i, gate in enumerate(gates):
             if type(gate) is not tuple:
+                if type(gate) is not list:  # exact types: isinstance cost ~80 ns a gate
+                    raise BadParam(f"gate {i} is malformed")
                 loose = True
+            if not gate:
+                raise BadParam(f"gate {i} is malformed")
             kind = gate[0]
             if kind == "and" or kind == "or":
                 if len(gate) != 3:
@@ -153,7 +156,7 @@ class BoolCircuit:
         return {
             "version": 1,
             "label_bits": self.label_bits,
-            "gates": [list(g) for g in self.gates],
+            "gates": self.gates,  # json.dumps writes tuples as arrays
             "output": self.output,
         }
 
@@ -274,6 +277,14 @@ def _cone(gates, output):
     return tuple(kept)
 
 
+def _check_label_bits(label_bits):
+    """Raise unless label_bits is an exact int in [1, MAX_LABEL_BITS]."""
+    if type(label_bits) is not int or label_bits < 1:
+        raise BadParam(f"label_bits must be an integer >= 1, not {label_bits!r:.40}")
+    if label_bits > MAX_LABEL_BITS:
+        raise BadParam(f"label_bits {label_bits} exceeds the cap {MAX_LABEL_BITS}")
+
+
 def _check_refs(i, *refs):
     """Raise for the first operand of gate i that is not an earlier gate; a
     bool is not a gate index. The validation loop calls it only when its
@@ -369,35 +380,22 @@ def from_json_obj(obj) -> BoolCircuit:
         raise ParseError(f"missing circuit field: {exc}") from exc
     if not isinstance(gates, list):
         raise ParseError("gates must be a list")
-    for i, g in enumerate(gates):
-        if not isinstance(g, list) or not g or not isinstance(g[0], str):
-            raise ParseError(f"gate {i} is malformed")
     try:
-        return BoolCircuit(label_bits, tuple(map(tuple, gates)), output)
+        return BoolCircuit(label_bits, gates, output)
     except BadParam as exc:
         raise ParseError(str(exc)) from exc
-
-
-class WireBundle(tuple):
-    """Ordered gate indices read as an unsigned integer, LSB first."""
-
-    @property
-    def width(self):
-        return len(self)
 
 
 class CircuitBuilder:
     """Appends gates to a circuit under construction.
 
     Synthesis primitives return either a single gate index (a bit) or a
-    WireBundle (a multi-bit unsigned value).
+    bundle (a multi-bit unsigned value): a tuple of gate indices, least
+    significant bit first.
     """
 
     def __init__(self, label_bits: int):
-        if label_bits < 1:
-            raise BadParam("label_bits must be >= 1")
-        if label_bits > MAX_LABEL_BITS:
-            raise BadParam(f"label_bits {label_bits} exceeds the cap {MAX_LABEL_BITS}")
+        _check_label_bits(label_bits)
         self.label_bits = label_bits
         self._gates = []
         self._cache = {}
@@ -495,27 +493,27 @@ class CircuitBuilder:
 
     # -- bundles ---------------------------------------------------------
 
-    def x_bundle(self) -> WireBundle:
-        return WireBundle(self.input(w) for w in range(self.label_bits))
+    def x_bundle(self) -> tuple:
+        return tuple(self.input(w) for w in range(self.label_bits))
 
-    def y_bundle(self) -> WireBundle:
+    def y_bundle(self) -> tuple:
         n = self.label_bits
-        return WireBundle(self.input(n + w) for w in range(n))
+        return tuple(self.input(n + w) for w in range(n))
 
-    def const_bundle(self, value: int, width: int) -> WireBundle:
+    def const_bundle(self, value: int, width: int) -> tuple:
         if value < 0 or width < 1 or value >= (1 << width):
             raise BadParam(f"constant {value} does not fit {width} bits")
-        return WireBundle(self.const((value >> i) & 1) for i in range(width))
+        return tuple(self.const((value >> i) & 1) for i in range(width))
 
-    def pad(self, bundle: WireBundle, width: int) -> WireBundle:
+    def pad(self, bundle: tuple, width: int) -> tuple:
+        bundle = tuple(bundle)
         if len(bundle) >= width:
-            return WireBundle(bundle[:width])
-        zero = self.const(0)
-        return WireBundle(tuple(bundle) + (zero,) * (width - len(bundle)))
+            return bundle[:width]
+        return bundle + (self.const(0),) * (width - len(bundle))
 
     # -- comparison ------------------------------------------------------
 
-    def eq_const(self, bundle: WireBundle, c: int) -> int:
+    def eq_const(self, bundle: tuple, c: int) -> int:
         """Bit that is 1 iff the bundle value equals constant c."""
         if c < 0:
             raise BadParam("negative constant")
@@ -525,12 +523,12 @@ class CircuitBuilder:
             bit if (c >> i) & 1 else self.not_(bit) for i, bit in enumerate(bundle)
         )
 
-    def eq(self, a: WireBundle, b: WireBundle) -> int:
+    def eq(self, a: tuple, b: tuple) -> int:
         w = max(len(a), len(b))
         a, b = self.pad(a, w), self.pad(b, w)
         return self.and_many(self.xnor_(x, y) for x, y in zip(a, b))
 
-    def less_const(self, bundle: WireBundle, c: int) -> int:
+    def less_const(self, bundle: tuple, c: int) -> int:
         """Bit that is 1 iff bundle value < constant c (unsigned)."""
         if c < 0:
             raise BadParam("negative constant")
@@ -549,7 +547,7 @@ class CircuitBuilder:
 
     # -- arithmetic ------------------------------------------------------
 
-    def add_const(self, bundle: WireBundle, c: int) -> WireBundle:
+    def add_const(self, bundle: tuple, c: int) -> tuple:
         """Add a constant, result truncated to the bundle width (mod 2^w)."""
         if not 0 <= c < (1 << len(bundle)):
             raise BadParam(f"constant {c} does not fit the bundle width")
@@ -562,16 +560,16 @@ class CircuitBuilder:
             else:
                 out.append(self.xor_(bit, carry))
                 carry = self.and_(bit, carry)
-        return WireBundle(out)
+        return tuple(out)
 
-    def sub_const(self, bundle: WireBundle, c: int) -> WireBundle:
+    def sub_const(self, bundle: tuple, c: int) -> tuple:
         """Subtract a constant mod 2^w (wrapping two's complement)."""
         w = len(bundle)
         if not 0 <= c < (1 << w):
             raise BadParam(f"constant {c} does not fit the bundle width")
         return self.add_const(bundle, ((1 << w) - c) % (1 << w))
 
-    def _add_bundles(self, a: WireBundle, b: WireBundle, width: int) -> WireBundle:
+    def _add_bundles(self, a: tuple, b: tuple, width: int) -> tuple:
         a, b = self.pad(a, width), self.pad(b, width)
         out = []
         carry = self.const(0)
@@ -579,9 +577,9 @@ class CircuitBuilder:
             s = self.xor_(self.xor_(x, y), carry)
             carry = self.or_(self.and_(x, y), self.and_(carry, self.xor_(x, y)))
             out.append(s)
-        return WireBundle(out)
+        return tuple(out)
 
-    def mul_const(self, bundle: WireBundle, c: int) -> WireBundle:
+    def mul_const(self, bundle: tuple, c: int) -> tuple:
         """Shift-and-add multiplier by a nonnegative constant."""
         if c < 0:
             raise BadParam("negative constant")
@@ -593,11 +591,11 @@ class CircuitBuilder:
         acc = None
         for p in range(c.bit_length()):
             if (c >> p) & 1:
-                shifted = WireBundle((zero,) * p + tuple(bundle))
+                shifted = (zero,) * p + tuple(bundle)
                 acc = shifted if acc is None else self._add_bundles(acc, shifted, out_w)
         return self.pad(acc, out_w)
 
-    def divmod_const(self, bundle: WireBundle, d: int):
+    def divmod_const(self, bundle: tuple, d: int):
         """Restoring long division by a positive constant.
 
         Returns (quotient, remainder): quotient has the input width,
@@ -610,15 +608,15 @@ class CircuitBuilder:
         rem = self.const_bundle(0, rb)
         q_bits = [None] * w
         for i in reversed(range(w)):
-            shifted = WireBundle((bundle[i],) + tuple(rem))  # rem*2 + bit, width rb+1
+            shifted = (bundle[i],) + rem  # rem*2 + bit, width rb+1
             ge = self.not_(self.less_const(shifted, d))
             reduced = self.add_const(shifted, ((1 << (rb + 1)) - d))
-            rem = WireBundle(
+            rem = tuple(
                 self.or_(self.and_(ge, r), self.and_(self.not_(ge), s))
                 for s, r in zip(shifted[:rb], reduced[:rb])
             )
             q_bits[i] = ge
-        return WireBundle(q_bits), rem
+        return tuple(q_bits), rem
 
     # -- selection -------------------------------------------------------
 
@@ -627,7 +625,7 @@ class CircuitBuilder:
 
     # -- CNF embedding ---------------------------------------------------
 
-    def cnf_eval(self, clauses, var_bundle: WireBundle) -> int:
+    def cnf_eval(self, clauses, var_bundle: tuple) -> int:
         """Bit that is 1 iff the clause list is satisfied.
 
         Variable j (1-based) reads bit j-1 of the bundle. An empty clause

@@ -205,19 +205,17 @@ def parse_graph(text: str):
         if not line:
             continue
         parts = line.split()
-        try:
-            if parts[0] == "graph" and len(parts) == 2:
-                n = int(parts[1])
-            elif parts[0] == "e" and len(parts) == 3:
-                edges.append((int(parts[1]), int(parts[2])))
-            elif parts[0] == "p1":
-                p1 = tuple(int(v) for v in parts[1:])
-            elif parts[0] == "p2":
-                p2 = tuple(int(v) for v in parts[1:])
-            else:
-                raise ValueError
-        except ValueError:
-            raise ParseError(f"line {lineno}: cannot parse {raw!r}") from None
+        where = f"line {lineno}: a number"
+        if parts[0] == "graph" and len(parts) == 2:
+            n = text_int(parts[1], where)
+        elif parts[0] == "e" and len(parts) == 3:
+            edges.append((text_int(parts[1], where), text_int(parts[2], where)))
+        elif parts[0] == "p1":
+            p1 = tuple(text_int(v, where) for v in parts[1:])
+        elif parts[0] == "p2":
+            p2 = tuple(text_int(v, where) for v in parts[1:])
+        else:
+            raise ParseError(f"line {lineno}: cannot parse {raw!r}")
     if n is None:
         raise ParseError("missing 'graph <n>' line")
     g = Digraph(n, edges)
@@ -249,6 +247,20 @@ def json_int(value, what) -> int:
     if type(value) is not int:
         raise ParseError(f"{what} is {value!r:.40}, not an integer")
     return value
+
+
+def text_int(token: str, what) -> int:
+    """token as a plain decimal integer: ASCII digits with an optional
+    leading "-". int() alone would also take "+", "_" and non-ASCII digits;
+    anything else, or more digits than int() converts, is a ParseError
+    naming what."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{what} is {token!r:.40}, not an integer")
+    try:
+        return int(token)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ParseError(f"{what} has {len(digits)} digits, too many") from None
 
 
 def json_ints(value, what) -> tuple:

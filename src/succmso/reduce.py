@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .circuit import MAX_LABEL_BITS, CircuitBuilder, WireBundle
+from .circuit import MAX_LABEL_BITS, CircuitBuilder
 from .errors import (
     BadLiteral,
     BadParam,
@@ -28,7 +28,7 @@ from .errors import (
     TooLargeToMaterialize,
     ValidationError,
 )
-from .graph import BiboundariedGraph, Digraph, GadgetTriple, delta
+from .graph import BiboundariedGraph, Digraph, GadgetTriple, bib_to_json_obj, delta, text_int
 from .mso import CompiledFormula
 from .sgr import Sgr
 
@@ -82,7 +82,8 @@ class CnfInstance:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    """Parse standard DIMACS cnf."""
+    """Parse standard DIMACS cnf. The file must hold as many clauses as its
+    header says."""
     s = None
     clauses = []
     current = []
@@ -94,18 +95,13 @@ def parse_dimacs(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"line {lineno}: bad problem line {raw!r}")
-            try:
-                s = int(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad variable count") from None
+            s = text_int(parts[2], f"line {lineno}: the variable count")
+            count = text_int(parts[3], f"line {lineno}: the clause count")
             continue
         if s is None:
             raise ParseError(f"line {lineno}: clause before 'p cnf' header")
-        try:
-            nums = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError(f"line {lineno}: cannot parse {raw!r}") from None
-        for num in nums:
+        where = f"line {lineno}: a literal"
+        for num in [text_int(tok, where) for tok in line.split()]:
             if num == 0:
                 if current:
                     clauses.append(tuple(current))
@@ -116,6 +112,8 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise ParseError("missing 'p cnf' header")
     if current:
         clauses.append(tuple(current))
+    if len(clauses) != count:
+        raise ParseError(f"the header says {count} clauses, the file holds {len(clauses)}")
     return CnfInstance(s, clauses)
 
 
@@ -155,8 +153,6 @@ class GadgetQuadruple:
         return (self.g0, self.g1, self.g2, self.g3)[j]
 
     def to_json_obj(self):
-        from .graph import bib_to_json_obj
-
         return [bib_to_json_obj(g) for g in (self.g0, self.g1, self.g2, self.g3)]
 
 
@@ -364,8 +360,8 @@ class _Template:
     copy holds gadget i.
     """
 
-    q_low: WireBundle
-    qm1_low: WireBundle
+    q_low: tuple
+    qm1_low: tuple
     q_is_zero: int
     in_mid: int
     mid_rows: tuple
@@ -409,9 +405,9 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
     # region n2 <= x < n2 + 2^s*n1: Euclidean division recovers (q, r)
     t = b.sub_const(x_in, quad.n2)
     qb, rb = b.divmod_const(t, quad.n1)
-    q_low = WireBundle(qb[:s])
+    q_low = qb[:s]
     qm1 = b.sub_const(qb, 1)
-    qm1_low = WireBundle(qm1[:s])
+    qm1_low = qm1[:s]
     q_n1 = b.pad(b.mul_const(q_low, quad.n1), nb)
     qm1_n1 = b.pad(b.mul_const(qm1_low, quad.n1), nb)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from . import circuit as circuit_mod
 from .circuit import BoolCircuit
 from .errors import BadParam, LabelOutOfRange, ParseError, TooLargeToMaterialize
-from .graph import Digraph
+from .graph import Digraph, json_int, text_int
 
 # Lanes per circuit pass in materialize. A wider pass spreads the
 # interpreter's per-gate cost over more pairs, but each gate value of the
@@ -95,12 +95,12 @@ def parse(text: str) -> Sgr:
 
 def _vertex_count(value) -> int:
     """N as serialize writes it (a decimal-digit string) or as a JSON
-    integer; a bool, a float or any other string is not a vertex count."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
-    raise ParseError(f"malformed SGR bundle: N is {value!r:.40}, not an integer")
+    integer; a sign, a bool, a float or any other string is not a vertex
+    count."""
+    what = "malformed SGR bundle: N"
+    if type(value) is str and value[:1] != "-":
+        value = text_int(value, what)
+    return json_int(value, what)
 
 
 def from_json_obj(obj) -> Sgr:

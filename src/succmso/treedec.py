@@ -64,14 +64,6 @@ class TreeDecomposition:
                 index[p].append(i)
         return tuple(map(tuple, index))
 
-    @property
-    def node_count(self):
-        return len(self.parents)
-
-    def degree(self, v):
-        """Parent plus children count."""
-        return len(self.children[v]) + (0 if v == self.root else 1)
-
 
 # -- validity ------------------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from succmso.circuit import MAX_LABEL_BITS, BoolCircuit, CircuitBuilder, WireBundle, parse, serialize
+from succmso.circuit import MAX_LABEL_BITS, BoolCircuit, CircuitBuilder, parse, serialize
 from succmso.errors import BadParam, InputOutOfRange, ParseError, SuccmsoError, TopologyError
 from succmso.reduce import compile_reduction, reduce_clique, reduce_loop
 from succmso.verify import seeded_cnf_battery
@@ -96,9 +96,21 @@ def test_label_bits_output_wires_and_consts_are_exact_ints(label_bits, gates, ou
 
 @pytest.mark.parametrize("make", [lambda bits: BoolCircuit(bits, [X0], 0), CircuitBuilder])
 def test_label_bits_cap(make):
+    """Both classes share one check: an exact int in [1, MAX_LABEL_BITS]."""
     make(MAX_LABEL_BITS)
     with pytest.raises(BadParam, match=f"label_bits {MAX_LABEL_BITS + 1} exceeds the cap"):
         make(MAX_LABEL_BITS + 1)
+    for bad in (1.0, True, "2", 0):
+        with pytest.raises(BadParam, match="label_bits must be an integer >= 1"):
+            make(bad)
+
+
+@pytest.mark.parametrize("gate", [(), 5, None, {}])
+def test_malformed_gate_shape(gate):
+    """A gate that is not a non-empty tuple or list is refused by the one
+    validation pass, not by an IndexError, TypeError or KeyError."""
+    with pytest.raises(BadParam, match="gate 0 is malformed"):
+        BoolCircuit(1, [gate], 0)
 
 
 def test_validation_keeps_tuples_and_tuples_lists():
@@ -155,8 +167,10 @@ def test_parse_rejects_malformed():
         parse("not json {")
     with pytest.raises(ParseError):
         parse(json.dumps({"label_bits": 1, "gates": [["bogus"]], "output": 0}))
-    # operands missing, extra or not integers, and a kind that is not a string
-    malformed = (["and", 0], ["input"], ["input", 0.5], ["const", 1.0], ["not", 0, 0], [["and"], 0, 0])
+    # operands missing, extra or not integers, a kind that is not a string,
+    # and gates that are empty or not lists
+    malformed = (["and", 0], ["input"], ["input", 0.5], ["const", 1.0], ["not", 0, 0], [["and"], 0, 0],
+                 [], 5, None, {}, "and")
     for bad in malformed:
         with pytest.raises(ParseError):
             parse(json.dumps({"label_bits": 1, "gates": [["input", 0], bad], "output": 1}))
@@ -234,10 +248,6 @@ def test_cnf_eval_matches_python():
 def test_cnf_eval_empty_is_true():
     b = CircuitBuilder(1)
     assert b.build(b.cnf_eval([], b.x_bundle())).eval(0, 0) is True
-
-
-def test_wire_bundle_width():
-    assert WireBundle((0, 1, 2)).width == 3
 
 
 # -- the folding builder -------------------------------------------------

@@ -435,11 +435,17 @@ PUMP = ("reduce", "pump-check", "--formula", "ex x. E(x,x)", "--expected", "fals
         (("ef", "equiv", "--g", "{a}", "--h", "{a}", "--m", "-1"), {"a": "graph 1\n"}, "BadParam"),
         (("ef", "qsearch", "--graph", "{a}", "--m", "-1"), {"a": "graph 1\n"}, "BadParam"),
         (("ef", "qbound", "--size", "1", "--m", "-1"), {}, "BoundTooLarge"),
+        (("verify", "sat", "--cnf", "{a}"), {"a": "p cnf 3 5\n1 0\n"}, "ParseError"),
+        (("verify", "sat", "--cnf", "{a}"), {"a": "p cnf 3 x\n1 0\n"}, "ParseError"),
+        (("verify", "sat", "--cnf", "{a}"), {"a": "p cnf 1_0 1\n1 0\n"}, "ParseError"),
+        (("mso", "check", "--graph", "{a}", "--formula", "ex x. x=x"), {"a": "graph 1_0\n"},
+         "ParseError"),
     ],
     ids=[
         "gadgets-5", "pump-triple-5", "build-quad-triple-5", "three-gadgets", "cnf-not-utf8",
         "truncated-family", "truncated-gadgets", "missing-file", "ef-equiv-negative-m",
-        "ef-qsearch-negative-m", "ef-qbound-negative-m",
+        "ef-qsearch-negative-m", "ef-qbound-negative-m", "cnf-clause-count-wrong",
+        "cnf-clause-count-not-int", "cnf-underscore", "graph-underscore",
     ],
 )
 def test_input_failures_follow_the_error_contract(capsys, tmp_path, argv, files, error):

@@ -162,6 +162,20 @@ def test_parse_graph_errors():
         parse_graph("graph two\n")
 
 
+@pytest.mark.parametrize("text", ["graph 1_0\n", "graph \u0661\n", "graph +2\n", "graph 2\ne 0 1_0\n",
+                                  "graph 2\ne 0 1\np1 0_0\np2 1\n"])
+def test_parse_graph_takes_plain_decimal_integers(text):
+    """int() alone read "1_0" as 10 and took "+" and non-ASCII digits."""
+    with pytest.raises(ParseError, match="not an integer"):
+        parse_graph(text)
+
+
+def test_parse_graph_sign_and_long_integers():
+    assert parse_graph("graph -0\n") == parse_graph("graph 0\n")
+    with pytest.raises(ParseError, match="5000 digits, too many"):
+        parse_graph("graph " + "1" * 5000)
+
+
 def test_json_round_trip():
     g = BiboundariedGraph(Digraph(3, [(0, 2)]), (0,), (2,))
     assert bib_from_json_obj(bib_to_json_obj(g)) == g

@@ -144,6 +144,30 @@ def test_parse_dimacs():
         parse_dimacs("p cnf x 0\n")
 
 
+@pytest.mark.parametrize("text", ["p cnf 3 5\n1 0\n", "p cnf 3 x\n1 0\n", "p cnf 3 0\n1 0\n",
+                                  "p cnf 3 2\n1 0\n0\n"])
+def test_parse_dimacs_reads_the_clause_count(text):
+    """A header whose clause count is not the file's, or not an integer,
+    once parsed to CnfInstance(s=3, clauses=((1,),))."""
+    with pytest.raises(ParseError, match="clause"):
+        parse_dimacs(text)
+
+
+@pytest.mark.parametrize("text", ["p cnf 1_0 1\n1 0\n", "p cnf \u0661 1\n1 0\n", "p cnf 3 1\n+1 0\n",
+                                  "p cnf 3 1\n1 -2_0 0\n", "p cnf 3 0_1\n1 0\n"])
+def test_parse_dimacs_takes_plain_decimal_integers(text):
+    """int() alone read "1_0" as 10 and took "+" and non-ASCII digits."""
+    with pytest.raises(ParseError, match="not an integer"):
+        parse_dimacs(text)
+
+
+def test_parse_dimacs_counts_and_long_integers():
+    assert parse_dimacs("p cnf 3 1\n1 0\n") == CnfInstance(3, [(1,)])
+    assert parse_dimacs("p cnf 3 2\n1 -2 0 3\n") == CnfInstance(3, [(1, -2), (3,)])
+    with pytest.raises(ParseError, match="5000 digits, too many"):
+        parse_dimacs("p cnf 1 1\n" + "1" * 5000 + " 0\n")
+
+
 def test_sbar():
     S = CnfInstance(1, [(1,)])
     assert sbar_at(S, 0) == 1  # assignment v1=0 falsifies

@@ -98,7 +98,8 @@ def test_parse_errors():
 # JSON texts of N that are not vertex counts: a float, a bool, a number past
 # the double range, strings int() would read but serialize never writes, and
 # non-numbers
-BAD_N = ("2.7", "true", "1e400", '"2.7"', '"-1"', '" 2"', '"0x2"', "null", "[2]")
+BAD_N = ("2.7", "true", "1e400", '"2.7"', '"-1"', '" 2"', '"0x2"', "null", "[2]", '"1_0"', '"+2"',
+         '"\\u0662"')
 
 
 def with_n(n_text):

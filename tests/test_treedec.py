@@ -96,9 +96,9 @@ def test_normalize_degree3():
     g = Digraph(1)
     n = normalize_degree3(t)
     assert n.parents == (-1, 0, 6, 7, 8, 8, 0, 6, 7)
-    assert max(n.degree(v) for v in range(n.node_count)) <= 3
+    assert max(degrees(n.root, n.parents)) <= 3
     assert width(n) == width(t)
-    assert n.node_count >= t.node_count
+    assert len(n.parents) >= len(t.parents)
     assert validate(g, n) == []
 
 
@@ -174,7 +174,7 @@ def test_random_decompositions_against_oracles():
         n3 = normalize_degree3(t)
         assert width(n3) == width(t)
         assert validate(g, n3) == violations
-        assert n3.node_count >= t.node_count
+        assert len(n3.parents) >= len(t.parents)
         assert max(degrees(n3.root, n3.parents)) <= 3
         if max(degrees(root, parents)) <= 3:
             assert n3 == t
@@ -228,9 +228,9 @@ def oracle_glue_pointed(t, u):
     leaf = t.pointed_leaf
     if leaf is None:
         raise NotALeaf("left operand has no pointed leaf")
-    if t.node_count == 1:
+    if len(t.parents) == 1:
         return u
-    offset = t.node_count - 1
+    offset = len(t.parents) - 1
 
     def shift(i):  # maps -1 to itself, as leaf >= 0
         return i - 1 if i > leaf else i
@@ -278,7 +278,7 @@ def oracle_decomposition_of_delta(gamma, decs, word):
 
 def test_oracle_glue_pointed():
     t = oracle_glue_pointed(path_dec(3), path_dec(3))
-    assert t.node_count == 3  # pointed leaf replaced by the second chain
+    assert len(t.parents) == 3  # pointed leaf replaced by the second chain
     assert t.pointed_leaf is not None
     with pytest.raises(NotALeaf):
         oracle_glue_pointed(TreeDecomposition(0, [-1], [{0}]), path_dec(3))
@@ -323,7 +323,7 @@ def test_chain_fold_matches_pairwise_oracle():
         assert t == oracle_decomposition_of_delta(gamma, decs, word)
         a, b = rng.choice("abc"), rng.choice("abc")
         assert glue(gamma[a], gamma[b]) == oracle_glue(gamma[a], gamma[b])
-        single_nodes_glued += any(decs[x].node_count == 1 for x in word[:-1])
+        single_nodes_glued += any(len(decs[x].parents) == 1 for x in word[:-1])
         roots_shifted += len(word) > 1 and decs[word[0]].root > decs[word[0]].pointed_leaf
     # both special cases of the renumbering are exercised
     assert min(single_nodes_glued, roots_shifted) > 60
@@ -369,7 +369,7 @@ def test_long_chain_in_linear_time():
     elapsed = time.monotonic() - start
     # every glue shares one port vertex and replaces one pointed leaf
     assert chain.n == 1 + 2 * word.count("a") + 3 * word.count("b")
-    assert t.node_count == 3 * len(word) + 1
+    assert len(t.parents) == 3 * len(word) + 1
     assert validate(chain.graph, t) == []
     assert width(t) == 2
     assert elapsed < 5.0, elapsed  # the pairwise fold took tens of seconds
