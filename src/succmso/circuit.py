@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadParam, InputOutOfRange, ParseError, TopologyError
+from .graph import json_value
 
 # Cap on label_bits. Evaluation builds one lane per input wire, so the
 # work of any pass grows with label_bits; 2^16 bits label the vertices of
@@ -61,8 +62,8 @@ class BoolCircuit:
     def __post_init__(self):
         """Check every gate in one pass: the only check of a gate list. A
         tuple of tuples is kept as given; gates in any other iterable, or
-        given as lists, are stored as one. A gate that is not a non-empty
-        tuple or list is malformed."""
+        given as lists, are stored as one. Gates that are not iterable, and
+        a gate that is not a non-empty tuple or list, are a BadParam."""
         _check_label_bits(self.label_bits)
         if type(self.output) is not int:
             raise BadParam(f"output must be a gate index, not {self.output!r:.40}")
@@ -70,7 +71,10 @@ class BoolCircuit:
         gates = self.gates
         loose = type(gates) is not tuple
         if loose:
-            gates = tuple(gates)
+            try:
+                gates = tuple(gates)
+            except TypeError:
+                raise BadParam(f"gates must be an iterable, not {gates!r:.40}") from None
         for i, gate in enumerate(gates):
             if type(gate) is not tuple:
                 if type(gate) is not list:  # exact types: isinstance cost ~80 ns a gate
@@ -362,11 +366,7 @@ def serialize(circuit: BoolCircuit) -> str:
 
 def parse(text: str) -> BoolCircuit:
     """Parse the JSON circuit format; inverse of serialize."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return from_json_obj(obj)
+    return from_json_obj(json_value(text))
 
 
 def from_json_obj(obj) -> BoolCircuit:

@@ -6,7 +6,8 @@ pipelines can branch on either), 2 for usage errors. An operation failure
 prints one line, ``error: <Name>: <message>``, on stderr.
 
 Each leaf command carries its handler (``set_defaults(run=...)``); every
-file is read through ``_read`` or ``_read_json``.
+file is read through ``_read``, so a failure while reading one names it:
+``error: <Name>: <path>: <message>``.
 """
 
 from __future__ import annotations
@@ -24,34 +25,41 @@ from .graph import BiboundariedGraph, Digraph
 # -- input ---------------------------------------------------------------
 
 
-def _read(path):
+def _read(path, parse):
+    """parse applied to the UTF-8 text of path: the one reader of input
+    files. A SuccmsoError raised while reading keeps its class and gets the
+    path put before its message."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return parse(fh.read())
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except SuccmsoError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
-def _read_json(path, kind):
-    """The JSON value in path, which must be of type kind (list or dict)."""
-    try:
-        obj = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(obj, kind):
-        raise ParseError(f"{path}: expected a JSON {'array' if kind is list else 'object'}")
-    return obj
+def _read_json(path, kind, convert):
+    """The JSON array or object (kind list or dict) in path, each entry converted."""
+
+    def parse(text):
+        value = graph.json_value(text)
+        if not isinstance(value, kind):
+            raise ParseError(f"expected a JSON {'array' if kind is list else 'object'}")
+        if kind is list:
+            return list(map(convert, value))
+        return {k: convert(v) for k, v in value.items()}
+
+    return _read(path, parse)
 
 
 def _load_graph(path) -> Digraph:
-    g = graph.parse_graph(_read(path))
+    g = _read(path, graph.parse_graph)
     return g.graph if isinstance(g, BiboundariedGraph) else g
 
 
 def _load_bib(path) -> BiboundariedGraph:
-    g = graph.parse_graph(_read(path))
+    g = _read(path, graph.parse_graph)
     return g if isinstance(g, BiboundariedGraph) else BiboundariedGraph(g, (), ())
 
 
@@ -68,29 +76,20 @@ def _load_gadgets(spec, count):
     name, builtin, assemble = _GADGET_SETS[count]
     if spec == name:
         return builtin()
-    objs = _read_json(spec, list)
-    if len(objs) != count:
-        raise ParseError(f"{spec}: expected {count} gadgets, got {len(objs)}")
-    return assemble(*map(graph.bib_from_json_obj, objs))
+    gadgets = _read_json(spec, list, graph.bib_from_json_obj)
+    if len(gadgets) != count:
+        raise ParseError(f"{spec}: expected {count} gadgets, got {len(gadgets)}")
+    return assemble(*gadgets)
 
 
-def _load_family(path):
-    return {k: graph.bib_from_json_obj(o) for k, o in _read_json(path, dict).items()}
-
-
-def _load_cnf(path) -> reduce_mod.CnfInstance:
-    return reduce_mod.parse_dimacs(_read(path))
-
-
-def _load_dec(path) -> treedec.TreeDecomposition:
-    return treedec.parse(_read(path))
+def _parse_battery(text):
+    return [reduce_mod.parse_dimacs(chunk) for chunk in text.split("\n%\n") if chunk.strip()]
 
 
 def _battery(spec, seed):
     if spec == "builtin":
-        seed = verify.DEFAULT_SEED if seed is None else seed
-        return verify.small_cnf_battery() + verify.seeded_cnf_battery(3, 10, seed)
-    return [reduce_mod.parse_dimacs(chunk) for chunk in _read(spec).split("\n%\n") if chunk.strip()]
+        return verify.builtin_battery(verify.DEFAULT_SEED if seed is None else seed)
+    return _read(spec, _parse_battery)
 
 
 def _graph_battery(spec):
@@ -150,15 +149,15 @@ def _verdict(args, value: bool, payload=None) -> int:
 
 
 def _sgr_materialize(args):
-    return _write_graph(args, sgr.materialize(sgr.parse(_read(args.sgr)), args.limit))
+    return _write_graph(args, sgr.materialize(_read(args.sgr, sgr.parse), args.limit))
 
 
 def _sgr_edge(args):
-    return _verdict(args, sgr.edge_query(sgr.parse(_read(args.sgr)), args.x, args.y))
+    return _verdict(args, sgr.edge_query(_read(args.sgr, sgr.parse), args.x, args.y))
 
 
 def _sgr_check_size(args):
-    return _verdict(args, sgr.check_size_convention(sgr.parse(_read(args.sgr))))
+    return _verdict(args, sgr.check_size_convention(_read(args.sgr, sgr.parse)))
 
 
 def _mso_check(args):
@@ -178,7 +177,7 @@ def _mso_parse(args):
 
 
 def _td_validate(args):
-    violations = treedec.validate(_load_graph(args.graph), _load_dec(args.dec))
+    violations = treedec.validate(_load_graph(args.graph), _read(args.dec, treedec.parse))
     if args.json:
         print(json.dumps({"valid": not violations, "violations": list(map(repr, violations))}))
     else:
@@ -189,12 +188,13 @@ def _td_validate(args):
 
 
 def _td_width(args):
-    w = treedec.width(_load_dec(args.dec))
+    w = treedec.width(_read(args.dec, treedec.parse))
     return _emit(args, str(w), {"width": w})
 
 
 def _td_normalize3(args):
-    return _write_out(args, treedec.serialize(treedec.normalize_degree3(_load_dec(args.dec))))
+    t = treedec.normalize_degree3(_read(args.dec, treedec.parse))
+    return _write_out(args, treedec.serialize(t))
 
 
 def _td_treewidth(args):
@@ -203,8 +203,8 @@ def _td_treewidth(args):
 
 
 def _td_of_delta(args):
-    gamma = _load_family(args.gadgets)
-    decs = {k: treedec.from_json_obj(v) for k, v in _read_json(args.decs, dict).items()}
+    gamma = _read_json(args.gadgets, dict, graph.bib_from_json_obj)
+    decs = _read_json(args.decs, dict, treedec.from_json_obj)
     t = treedec.decomposition_of_delta(gamma, decs, args.word)
     return _write_out(args, treedec.serialize(t))
 
@@ -215,10 +215,8 @@ def _ef_equiv(args):
 
 def _ef_qsearch(args):
     q = efgame.q_search(_load_graph(args.graph), args.m, args.qmax)
-    if q is efgame.NOT_FOUND:
-        _emit(args, "not found", {"q": None})
-        return 1
-    return _emit(args, str(q), {"q": q})
+    _emit(args, "not found" if q is None else str(q), {"q": q})
+    return 1 if q is None else 0
 
 
 def _ef_qbound(args):
@@ -241,7 +239,8 @@ def _graph_glue(args):
 
 
 def _graph_delta(args):
-    return _write_graph(args, graph.delta(_load_family(args.gadgets), args.word))
+    gamma = _read_json(args.gadgets, dict, graph.bib_from_json_obj)
+    return _write_graph(args, graph.delta(gamma, args.word))
 
 
 def _graph_union(args):
@@ -253,12 +252,12 @@ def _graph_iso(args):
 
 
 def _reduce_sat2sgr(args):
-    quad = _load_gadgets(args.gadgets, 4)
-    return _write_sgr(args, reduce_mod.compile_reduction(quad, _load_cnf(args.cnf)))
+    quad, S = _load_gadgets(args.gadgets, 4), _read(args.cnf, reduce_mod.parse_dimacs)
+    return _write_sgr(args, reduce_mod.compile_reduction(quad, S))
 
 
 def _reduce_auxiliary(args):
-    return _write_sgr(args, args.reduction(_load_cnf(args.cnf)))
+    return _write_sgr(args, args.reduction(_read(args.cnf, reduce_mod.parse_dimacs)))
 
 
 def _reduce_build_quad(args):
@@ -289,12 +288,12 @@ def _reduce_pump_check(args):
 
 def _reduce_succ_ref(args):
     quad = _load_gadgets(args.gadgets, 4)
-    succs = sorted(reduce_mod.succ_ref(quad, _load_cnf(args.cnf), args.x))
+    succs = sorted(reduce_mod.succ_ref(quad, _read(args.cnf, reduce_mod.parse_dimacs), args.x))
     return _emit(args, " ".join(map(str, succs)), {"successors": succs})
 
 
 def _verify_sat(args):
-    ok, model = verify.sat_solve(_load_cnf(args.cnf))
+    ok, model = verify.sat_solve(_read(args.cnf, reduce_mod.parse_dimacs))
     payload = {"satisfiable": ok, "model": model and {str(k): v for k, v in model.items()}}
     _emit(args, "sat" if ok else "unsat", payload)
     return 0 if ok else 1
@@ -302,7 +301,7 @@ def _verify_sat(args):
 
 def _verify_delta_layout(args):
     quad = _load_gadgets(args.gadgets, 4)
-    return _write_graph(args, verify.delta_layout(quad, _load_cnf(args.cnf)))
+    return _write_graph(args, verify.delta_layout(quad, _read(args.cnf, reduce_mod.parse_dimacs)))
 
 
 def _verify_end2end(args):

@@ -125,18 +125,9 @@ def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
     return m == 0 or answers((), (), (), (), m)
 
 
-class NotFound:
-    """Sentinel: no idempotence exponent within the searched range."""
-
-    def __repr__(self):
-        return "NotFound"
-
-
-NOT_FOUND = NotFound()
-
-
 def q_search(g: Digraph, m: int, q_max: int):
-    """Least q <= q_max with ⊔^q g equivalent (rank m) to ⊔^(q+1) g."""
+    """Least q <= q_max with ⊔^q g equivalent (rank m) to ⊔^(q+1) g, or
+    None if there is none."""
     if g.n == 0:
         raise EmptyGraph("q_search needs a nonempty graph")
     if m < 0:
@@ -144,7 +135,7 @@ def q_search(g: Digraph, m: int, q_max: int):
     for q in range(1, q_max + 1):
         if ef_equiv(power_union(g, q), power_union(g, q + 1), m):
             return q
-    return NOT_FOUND
+    return None
 
 
 def q_bound(size_g: int, m1: int, m2: int) -> int:

@@ -96,22 +96,22 @@ class BadLiteral(SuccmsoError):
     pass
 
 
-class ValidationError(SuccmsoError):
-    """A gadget quadruple failed one of the compiler preconditions.
-
-    ``condition`` is one of COND_I, COND_II, COND_III, PORT_ALIGNMENT.
-    """
+class ConditionError(SuccmsoError):
+    """Failure of the named ``condition``; str() is "condition: message"."""
 
     def __init__(self, condition, message=""):
-        self.condition = condition
+        self.condition, self.message = condition, message
         super().__init__(f"{condition}: {message}" if message else condition)
+
+
+class ValidationError(ConditionError):
+    """A gadget quadruple failed a compiler precondition: ``condition`` is
+    one of COND_I, COND_II, COND_III, PORT_ALIGNMENT."""
 
 
 class NotValidated(SuccmsoError):
     pass
 
 
-class ConstructionFailed(SuccmsoError):
-    def __init__(self, condition, message=""):
-        self.condition = condition
-        super().__init__(f"{condition}: {message}" if message else condition)
+class ConstructionFailed(ConditionError):
+    pass

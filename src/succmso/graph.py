@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -195,11 +196,12 @@ def isomorphic_small(a: Digraph, b: Digraph) -> bool:
 def parse_graph(text: str):
     """Parse the line-oriented graph format.
 
-    Returns a BiboundariedGraph when p1/p2 lines are present, else a Digraph.
+    Returns a BiboundariedGraph when p1/p2 lines list ports, else a Digraph
+    (format_graph writes no port lines for a graph without ports).
     """
     n = None
     edges = []
-    p1 = p2 = None
+    p1 = p2 = ()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -219,26 +221,34 @@ def parse_graph(text: str):
     if n is None:
         raise ParseError("missing 'graph <n>' line")
     g = Digraph(n, edges)
-    if p1 is None and p2 is None:
+    if not (p1 or p2):
         return g
-    return BiboundariedGraph(g, p1 or (), p2 or ())
+    return BiboundariedGraph(g, p1, p2)
 
 
 def format_graph(g) -> str:
     """Serialize a Digraph or BiboundariedGraph to the text format."""
-    if isinstance(g, BiboundariedGraph):
-        lines = [f"graph {g.n}"]
-        lines += [f"e {u} {v}" for u, v in sorted(g.graph.edges)]
-        if g.p1 or g.p2:
-            lines.append("p1 " + " ".join(str(v) for v in g.p1))
-            lines.append("p2 " + " ".join(str(v) for v in g.p2))
-    else:
-        lines = [f"graph {g.n}"]
-        lines += [f"e {u} {v}" for u, v in sorted(g.edges)]
+    bib = isinstance(g, BiboundariedGraph)
+    lines = [f"graph {g.n}"] + [f"e {u} {v}" for u, v in sorted((g.graph if bib else g).edges)]
+    if bib and (g.p1 or g.p2):
+        lines += ["p1 " + " ".join(map(str, g.p1)), "p2 " + " ".join(map(str, g.p2))]
     return "\n".join(lines) + "\n"
 
 
-# -- JSON gadget files ---------------------------------------------------
+# -- JSON text and gadget files ------------------------------------------
+
+
+def json_value(text: str):
+    """The value of JSON text, the library's one JSON decoder. Text that is
+    not JSON is a ParseError with the line, the column and the decoder's
+    message; so is a number past int()'s digit limit, or deep nesting."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = f"line {exc.lineno}, column {exc.colno}"
+        raise ParseError(f"invalid JSON at {where}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
 
 
 def json_int(value, what) -> int:

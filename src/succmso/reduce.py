@@ -83,7 +83,8 @@ class CnfInstance:
 
 def parse_dimacs(text: str) -> CnfInstance:
     """Parse standard DIMACS cnf. The file must hold as many clauses as its
-    header says."""
+    header says. A 0 that ends no literal (an empty clause, which DIMACS
+    reads as unsatisfiable) is a ParseError."""
     s = None
     clauses = []
     current = []
@@ -103,9 +104,10 @@ def parse_dimacs(text: str) -> CnfInstance:
         where = f"line {lineno}: a literal"
         for num in [text_int(tok, where) for tok in line.split()]:
             if num == 0:
-                if current:
-                    clauses.append(tuple(current))
-                    current = []
+                if not current:
+                    raise ParseError(f"line {lineno}: a 0 that ends no clause")
+                clauses.append(tuple(current))
+                current = []
             else:
                 current.append(num)
     if s is None:
@@ -556,7 +558,7 @@ def build_quadruple(triple: GadgetTriple, omega: Digraph, max_copies=50) -> Gadg
             last_error = exc
             continue
     if last_error is not None:
-        raise ConstructionFailed(last_error.condition, str(last_error))
+        raise ConstructionFailed(last_error.condition, last_error.message)
     raise ConstructionFailed("SIZE", f"no workable copy count up to {max_copies}")
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from . import circuit as circuit_mod
 from .circuit import BoolCircuit
 from .errors import BadParam, LabelOutOfRange, ParseError, TooLargeToMaterialize
-from .graph import Digraph, json_int, text_int
+from .graph import Digraph, json_int, json_value, text_int
 
 # Lanes per circuit pass in materialize. A wider pass spreads the
 # interpreter's per-gate cost over more pairs, but each gate value of the
@@ -86,11 +86,7 @@ def serialize(s: Sgr) -> str:
 
 
 def parse(text: str) -> Sgr:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return from_json_obj(obj)
+    return from_json_obj(json_value(text))
 
 
 def _vertex_count(value) -> int:

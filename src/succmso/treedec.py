@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .graph import Digraph, chain_maps, json_int, json_ints
+from .graph import Digraph, chain_maps, json_int, json_ints, json_value
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,4 @@ def serialize(t: TreeDecomposition) -> str:
 
 
 def parse(text: str) -> TreeDecomposition:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return from_json_obj(obj)
+    return from_json_obj(json_value(text))

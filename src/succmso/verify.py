@@ -237,13 +237,18 @@ def check_instance(S: CnfInstance, quad=None, sentence=LOOP_SENTENCE, limit=1000
 def end_to_end(quad=None, sentence=LOOP_SENTENCE, instances=None) -> EndToEndReport:
     """Run check_instance across a battery (the built-in one by default)."""
     if instances is None:
-        instances = small_cnf_battery() + seeded_cnf_battery(3, 10, DEFAULT_SEED)
+        instances = builtin_battery()
     return EndToEndReport(
         tuple(check_instance(S, quad, sentence) for S in instances)
     )
 
 
 # -- instance batteries --------------------------------------------------
+
+
+def builtin_battery(seed=DEFAULT_SEED):
+    """small_cnf_battery, then ten seeded instances on three variables."""
+    return small_cnf_battery() + seeded_cnf_battery(3, 10, seed)
 
 
 def small_cnf_battery():

@@ -105,12 +105,20 @@ def test_label_bits_cap(make):
             make(bad)
 
 
-@pytest.mark.parametrize("gate", [(), 5, None, {}])
-def test_malformed_gate_shape(gate):
-    """A gate that is not a non-empty tuple or list is refused by the one
-    validation pass, not by an IndexError, TypeError or KeyError."""
-    with pytest.raises(BadParam, match="gate 0 is malformed"):
-        BoolCircuit(1, [gate], 0)
+@pytest.mark.parametrize(
+    "gates, message",
+    [([()], "gate 0 is malformed"), ([5], "gate 0 is malformed"),
+     ([None], "gate 0 is malformed"), ([{}], "gate 0 is malformed"),
+     (5, "gates must be an iterable, not 5"), (None, "gates must be an iterable, not None")],
+    ids=["gate0", "5", "None", "gate3", "gates-5", "gates-None"],
+)
+def test_malformed_gate_shape(gates, message):
+    """A gate that is not a non-empty tuple or list, or gates that are not
+    iterable, are refused by the one validation pass, not by an IndexError,
+    TypeError or KeyError."""
+    with pytest.raises(BadParam) as info:
+        BoolCircuit(1, gates, 0)
+    assert str(info.value) == message
 
 
 def test_validation_keeps_tuples_and_tuples_lists():

@@ -1,13 +1,19 @@
 import json
+import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from succmso import cli, sgr
 from succmso.circuit import MAX_LABEL_BITS
 
+from test_circuit import JSON
+from test_graph import GRAPH_TEXT, gadget_json
 from test_kernel import scalar_materialize
 from test_sgr import BAD_N, wide_sgr_text, with_n
+from test_treedec import DECOMPOSITION_TEXT
 from succmso.graph import Digraph, graph_equal, parse_graph
 from succmso.verify import seeded_cnf_battery
 
@@ -417,6 +423,23 @@ CNF = "p cnf 1 1\n1 0\n"
 PUMP = ("reduce", "pump-check", "--formula", "ex x. E(x,x)", "--expected", "false")
 
 
+def run_with_files(capsys, tmp_path, argv, files):
+    """Write each of files (text or bytes) to <name>.in, beside a CNF file
+    {cnf}, a one-vertex graph {ok} and a path {missing} that does not
+    exist, and run argv with the paths put in; also returns the paths."""
+    paths = {"cnf": tmp_path / "f.cnf", "ok": tmp_path / "ok.txt",
+             "missing": tmp_path / "missing.txt"}
+    paths["cnf"].write_text(CNF)
+    paths["ok"].write_text("graph 1\n")
+    for name, content in files.items():
+        paths[name] = tmp_path / f"{name}.in"
+        if isinstance(content, bytes):
+            paths[name].write_bytes(content)
+        else:
+            paths[name].write_text(content)
+    return (*run(capsys, *(arg.format(**paths) for arg in argv)), paths)
+
+
 @pytest.mark.parametrize(
     "argv, files, error",
     [
@@ -450,15 +473,7 @@ PUMP = ("reduce", "pump-check", "--formula", "ex x. E(x,x)", "--expected", "fals
 )
 def test_input_failures_follow_the_error_contract(capsys, tmp_path, argv, files, error):
     """Each input once gave a traceback, a bare error name or no name at all."""
-    paths = {"cnf": tmp_path / "f.cnf", "missing": tmp_path / "missing.txt"}
-    paths["cnf"].write_text(CNF)
-    for name, content in files.items():
-        paths[name] = tmp_path / f"{name}.in"
-        if isinstance(content, bytes):
-            paths[name].write_bytes(content)
-        else:
-            paths[name].write_text(content)
-    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    code, out, err, _ = run_with_files(capsys, tmp_path, argv, files)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -535,3 +550,91 @@ def test_cnf_past_the_variable_cap_is_refused(capsys, tmp_path, argv):
     assert code == 1 and out == ""
     assert err.startswith("error: BadLiteral: ") and "exceeds the cap" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, files, error",
+    [
+        (("ef", "equiv", "--g", "{ok}", "--h", "{a}", "--m", "1"), {"a": "graph 2\ne 0 x\n"},
+         "ParseError"),
+        (("verify", "sat", "--cnf", "{a}"), {"a": "p cnf 1 1\n1 x 0\n"}, "ParseError"),
+        (("sgr", "materialize", "--sgr", "{a}"), {"a": '{"N": "2"}'}, "ParseError"),
+        (("td", "validate", "--graph", "{ok}", "--dec", "{a}"),
+         {"a": '{"root": 0, "parents": [-1, 0], "bags": [[0], [0]], "pointed_leaf": 0}'},
+         "NotALeaf"),
+        (("reduce", "sat2sgr", "--cnf", "{cnf}", "--gadgets", "{a}"),
+         {"a": json.dumps([{**FAMILY["1"], "edges": [[0, 5]]}] + [FAMILY["1"]] * 3)}, "BadVertex"),
+        (("verify", "end2end", "--gadgets", "toy", "--battery", "{a}"),
+         {"a": CNF + "%\np cnf 1000000000000000 1\n1 0\n"}, "BadLiteral"),
+        (("verify", "sat", "--cnf", "{a}"), {"a": b"p cnf 1 1\n\xff 0\n"}, "ParseError"),
+        (("sgr", "materialize", "--sgr", "{a}"), {"a": "[" * 100_000}, "ParseError"),
+    ],
+    ids=["graph-text", "dimacs", "sgr", "decomposition", "gadgets", "battery", "not-utf8",
+         "json-nested-too-deep"],
+)
+def test_a_file_that_fails_to_read_is_named(capsys, tmp_path, argv, files, error):
+    """The message names the file, so with two graphs (ef equiv) the user
+    can tell which one is at fault; the error name is unchanged."""
+    code, out, err, paths = run_with_files(capsys, tmp_path, argv, files)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {error}: {paths['a']}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_zero_that_ends_no_clause_is_refused(capsys, tmp_path):
+    """"p cnf 1 1" then "1 0 0" once read as satisfiable; DIMACS reads the
+    bare 0 as an empty clause."""
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 1 1\n1 0 0\n")
+    code, out, err = run(capsys, "verify", "sat", "--cnf", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: ParseError: {path}: line 2: a 0 that ends no clause\n"
+
+
+def test_construction_failure_names_its_condition_once(capsys, tmp_path):
+    """The message once read "PORT_ALIGNMENT: PORT_ALIGNMENT: ..."."""
+    triple, omega = tmp_path / "triple.json", tmp_path / "omega.txt"
+    g1 = {"n": 3, "edges": [], "p1": [0, 1], "p2": [0, 2]}  # shared port at position 0
+    g2 = {"n": 3, "edges": [], "p1": [0, 1], "p2": [2, 1]}  # shared port at position 1
+    triple.write_text(json.dumps([g1, g2, g2]))
+    omega.write_text("graph 1\n")
+    code, out, err = run(capsys, "reduce", "build-quad", "--triple", str(triple),
+                         "--omega", str(omega))
+    assert code == 1 and out == ""
+    message = "PORT_ALIGNMENT: shared-port positions differ across gadgets"
+    assert err == f"error: ConstructionFailed: {message}\n"
+
+
+# Each fuzzed reader: a command that reads the file {f}, and its texts. The
+# commands can fail after reading only where the test says so.
+FAMILY_TEXT = st.one_of(gadget_json().map(lambda g: json.dumps({"1": g})), JSON.map(json.dumps),
+                        st.text(max_size=12))
+FUZZED_FILES = {
+    "graph": (("graph", "union", "--a", "{f}", "--b", "{f}"), GRAPH_TEXT),
+    "decomposition": (("td", "width", "--dec", "{f}"), DECOMPOSITION_TEXT),
+    "gadgets": (("graph", "delta", "--gadgets", "{f}", "--word", "1"), FAMILY_TEXT),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(FUZZED_FILES))
+def test_fuzzed_files_follow_the_error_contract(capsys, tmp_path_factory, reader):
+    """On any file the command succeeds, or fails with one stderr line that
+    names the error and then the file."""
+    argv, texts = FUZZED_FILES[reader]
+    path = tmp_path_factory.mktemp(reader) / "input"
+    named = re.compile(rf"error: \w+: {re.escape(str(path))}: [^\n]*\n")
+
+    @settings(derandomize=True, max_examples=12, deadline=None, database=None)
+    @given(texts)
+    def check(text):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *(arg.format(f=path) for arg in argv))
+        assert code in (0, 1)
+        if code == 0:
+            assert out and err == ""
+            return
+        assert out == ""
+        # a family without the letter "1" is read, then refused by delta
+        assert named.fullmatch(err) or err == "error: BadVertex: unknown gadget index '1'\n"
+
+    check()

@@ -5,7 +5,6 @@ import pytest
 from succmso.efgame import (
     FORBIDDEN,
     MIXED,
-    NOT_FOUND,
     SUFFICIENT,
     ef_equiv,
     q_bound,
@@ -253,7 +252,7 @@ def test_q_search_single_vertex():
 
 def test_q_search_not_found_and_empty():
     # two moves can count isolated vertices up to 3, so q=1 and q=2 fail
-    assert q_search(POINT, 2, q_max=1) is NOT_FOUND
+    assert q_search(POINT, 2, q_max=1) is None
     with pytest.raises(EmptyGraph):
         q_search(Digraph(0), 1, 4)
 

@@ -1,8 +1,18 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from succmso.errors import BadVertex, EmptyWord, ParseError, PortArityMismatch, TooLarge
+from succmso.errors import (
+    BadVertex,
+    EmptyWord,
+    ParseError,
+    PortArityMismatch,
+    SuccmsoError,
+    TooLarge,
+)
 from succmso.graph import (
     BiboundariedGraph,
     Digraph,
@@ -15,9 +25,12 @@ from succmso.graph import (
     glue,
     graph_equal,
     isomorphic_small,
+    json_value,
     parse_graph,
     power_union,
 )
+
+from test_circuit import JSON
 
 
 def edge_gadget():
@@ -202,3 +215,81 @@ def test_json_gadget_takes_only_integers(change):
     obj = {"n": 3, "edges": [[0, 2]], "p1": [0], "p2": [2], **change}
     with pytest.raises(ParseError):
         bib_from_json_obj(obj)
+
+
+# -- fuzz: graph text and gadget JSON near the valid ones, or any text -----
+
+# A header, then edge, port and comment lines, some of them malformed; or
+# any text
+VERTEX = st.integers(0, 3).map(str)
+GRAPH_LINE = st.one_of(
+    st.builds("e {} {}".format, VERTEX, VERTEX),
+    st.builds("p1 {}\np2 {}".format, VERTEX, VERTEX),
+    st.builds("e {} {}".format, VERTEX, st.sampled_from(("-1", "4", "x", "1_0", "+1", "2.0", ""))),
+    st.sampled_from(("", "# note", "e 1 # note", "p1", "p2 1 2", "graph 2", "p3 0", "e 0 1 2")),
+)
+GRAPH = st.builds(lambda n, body: "\n".join([f"graph {n}", *body]),
+                  st.integers(-1, 5), st.lists(GRAPH_LINE, max_size=4))
+GRAPH_TEXT = st.one_of(GRAPH, GRAPH, st.text(max_size=12))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(GRAPH_TEXT)
+def test_parse_graph_fuzz(text):
+    """Any text parses to a graph or raises a SuccmsoError, and a parsed
+    graph written back as text parses to itself."""
+    try:
+        g = parse_graph(text)
+    except SuccmsoError:
+        return
+    assert parse_graph(format_graph(g)) == g
+
+
+def test_empty_port_lines_give_a_plain_digraph():
+    """format_graph writes no port lines for a graph without ports, so
+    parse_graph reads empty ones as no ports: "graph 1" with "p1" once
+    parsed to a BiboundariedGraph that came back as a Digraph."""
+    for text in ("graph 1\np1\n", "graph 1\np1\np2\n", "graph 1\np2 \n"):
+        assert parse_graph(text) == Digraph(1)
+
+
+@st.composite
+def gadget_json(draw):
+    """A valid gadget's JSON object, or the same with one field replaced
+    by another JSON value."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=4))
+    obj = {"n": n, "edges": edges, "p1": draw(st.permutations(range(n)))[:k],
+           "p2": draw(st.permutations(range(n)))[:k]}
+    if draw(st.booleans()):
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(st.integers(-1, 5) | JSON)
+    return obj
+
+
+GADGET_TEXT = st.one_of(gadget_json().map(json.dumps), JSON.map(json.dumps), st.text(max_size=12))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(GADGET_TEXT)
+def test_gadget_json_fuzz(text):
+    """Any text reads as a gadget or raises a SuccmsoError, and a gadget
+    written back as JSON reads as itself."""
+    try:
+        b = bib_from_json_obj(json_value(text))
+    except SuccmsoError:
+        return
+    assert bib_from_json_obj(json_value(json.dumps(bib_to_json_obj(b)))) == b
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", r"^invalid JSON at line 1, column 2: Expecting property name"),
+    ("[1,\n 2", r"^invalid JSON at line 2, column 3: Expecting ',' delimiter$"),
+    ("[" * 100_000, r"^invalid JSON: "),
+    ("1" * 5000, r"^invalid JSON: "),
+])
+def test_json_value_refuses_with_a_parse_error(text, message):
+    """Deep nesting and long numbers once escaped every JSON reader as a
+    RecursionError or a ValueError traceback."""
+    with pytest.raises(ParseError, match=message):
+        json_value(text)

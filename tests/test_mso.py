@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from succmso.errors import ParseError, ScopeError, TooLargeForBruteForce
+from succmso.errors import ParseError, ScopeError, SuccmsoError, TooLargeForBruteForce
 from succmso.graph import Digraph
 from succmso.mso import (
     And,
@@ -297,3 +297,31 @@ def test_one_pass_matches_direct_interpreter(f, rng):
             for v in sorted(free)
         }
         assert compiled.eval(g, env) == interpret(g, f, env), (print_formula(f), g)
+
+
+# Formula text: a printed formula, maybe with one span replaced by a
+# token; a run of tokens; or any text
+MSO_TOKENS = ("ex", "all", "x", "y", "X", "E", "in", "(", ")", ",", ".", "~", "&", "|", "->", "=",
+              " ", "")
+
+
+@st.composite
+def formula_texts(draw):
+    text = print_formula(draw(formulas()))
+    if draw(st.booleans()):
+        i, j = sorted(draw(st.integers(0, len(text))) for _ in range(2))
+        text = text[:i] + draw(st.sampled_from(MSO_TOKENS)) + text[j:]
+    return text
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.one_of(formula_texts(), st.lists(st.sampled_from(MSO_TOKENS), max_size=10).map(" ".join),
+                 st.text(max_size=12)))
+def test_formula_text_fuzz(text):
+    """Any text parses to a formula or raises a SuccmsoError, and a parsed
+    formula printed back parses to itself."""
+    try:
+        f = parse(text, allow_free=True)
+    except SuccmsoError:
+        return
+    assert parse(print_formula(f), allow_free=True) == f

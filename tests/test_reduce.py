@@ -168,6 +168,15 @@ def test_parse_dimacs_counts_and_long_integers():
         parse_dimacs("p cnf 1 1\n" + "1" * 5000 + " 0\n")
 
 
+@pytest.mark.parametrize("text, line", [("p cnf 1 1\n1 0 0\n", 2), ("p cnf 1 1\n0\n1 0\n", 2),
+                                        ("p cnf 2 2\n1 0\n\n0 2 0\n", 4)])
+def test_parse_dimacs_refuses_a_zero_that_ends_no_clause(text, line):
+    """DIMACS reads such a 0 as an empty clause, an unsatisfiable formula;
+    "p cnf 1 1" then "1 0 0" once parsed to the satisfiable ((1,),)."""
+    with pytest.raises(ParseError, match=f"^line {line}: a 0 that ends no clause$"):
+        parse_dimacs(text)
+
+
 def test_sbar():
     S = CnfInstance(1, [(1,)])
     assert sbar_at(S, 0) == 1  # assignment v1=0 falsifies
@@ -387,6 +396,18 @@ def test_build_quadruple_failure():
     t = path_triple()
     with pytest.raises(ConstructionFailed):
         build_quadruple(t, Digraph(5), max_copies=2)
+
+
+def test_build_quadruple_failure_names_its_condition_once():
+    """The last ValidationError's bare message, not its text, once gave
+    "PORT_ALIGNMENT: PORT_ALIGNMENT: ..."."""
+    g1 = BiboundariedGraph(Digraph(3), (0, 1), (0, 2))  # shared port at position 0
+    g2 = BiboundariedGraph(Digraph(3), (0, 1), (2, 1))  # shared port at position 1
+    with pytest.raises(ConstructionFailed) as info:
+        build_quadruple(GadgetTriple(g1, g2, g2), Digraph(1))
+    assert info.value.condition == "PORT_ALIGNMENT"
+    assert info.value.message == "shared-port positions differ across gadgets"
+    assert str(info.value) == "PORT_ALIGNMENT: shared-port positions differ across gadgets"
 
 
 # -- pump checks ---------------------------------------------------------

@@ -4,6 +4,8 @@ import time
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from succmso.errors import (
     BadAnchorBags,
@@ -34,6 +36,7 @@ from succmso.treedec import (
 )
 
 from test_acceptance import _dec_family
+from test_circuit import JSON
 
 
 def path_dec(n):
@@ -524,3 +527,37 @@ def test_json_decomposition_takes_only_integers(change):
     obj = {"root": 0, "parents": [-1, 0], "bags": [[0], [1]], "pointed_leaf": 1, **change}
     with pytest.raises(ParseError):
         from_json_obj(obj)
+
+
+@st.composite
+def decomposition_json(draw):
+    """A valid decomposition's JSON object, or the same with one field
+    replaced by another JSON value."""
+    n = draw(st.integers(1, 4))
+    parents = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    leaves = [i for i in range(n) if i not in parents]
+    obj = {
+        "root": 0,
+        "parents": parents,
+        "bags": draw(st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=n, max_size=n)),
+        "pointed_leaf": draw(st.none() | st.sampled_from(leaves)),
+    }
+    if draw(st.booleans()):
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(st.integers(-1, 4) | JSON)
+    return obj
+
+
+DECOMPOSITION_TEXT = st.one_of(decomposition_json().map(json.dumps), JSON.map(json.dumps),
+                               st.text(max_size=12))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(DECOMPOSITION_TEXT)
+def test_decomposition_json_fuzz(text):
+    """Any text parses to a decomposition or raises a SuccmsoError, and a
+    parsed decomposition survives serialize and parse unchanged."""
+    try:
+        t = parse(text)
+    except SuccmsoError:
+        return
+    assert parse(serialize(t)) == t
