@@ -13,6 +13,7 @@ file is read through ``_read``, so a failure while reading one names it:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -349,7 +350,10 @@ def _leaf(group, name, run, *required, out=False):
     return p
 
 
+@functools.cache
 def _build_parser():
+    """The command tree, built once per process: parse_args leaves the
+    parser unchanged, so every main call can share it."""
     top = argparse.ArgumentParser(prog="succmso")
     top.add_argument("--json", action="store_true", help="machine-readable output")
     sub = top.add_subparsers(required=True)

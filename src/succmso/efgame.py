@@ -140,22 +140,32 @@ def q_search(g: Digraph, m: int, q_max: int):
 
 def q_bound(size_g: int, m1: int, m2: int) -> int:
     """Exact value of the recursive upper bound on the idempotence exponent
-    for a graph of the given size, split into point and set moves."""
+    for a graph of the given size, split into point and set moves:
+    q(m1, 0) = m1 and q(m1, m2) = 2^(size_g * (q(m1, m2 - 1) + m1 + m2)),
+    each exponent at most 10^6. For size 0 every exponent is 0, so the
+    bound is 1 once m2 > 0."""
     if size_g < 0 or m1 < 0 or m2 < 0:
         raise BoundTooLarge("arguments must be nonnegative")
-    if m2 == 0:
-        return m1
-    prev = q_bound(size_g, m1, m2 - 1)
-    exponent = size_g * (prev + m1 + m2)
-    if exponent > 10**6:
-        raise BoundTooLarge(f"exponent {exponent} exceeds the guard (10^6)")
-    return 1 << exponent
+    if size_g == 0:
+        return m1 if m2 == 0 else 1
+    q = m1
+    for j in range(1, m2 + 1):
+        exponent = size_g * (q + m1 + j)
+        if exponent > 10**6:
+            shown = exponent if exponent < 10**18 else f"of {exponent.bit_length()} bits"
+            raise BoundTooLarge(f"exponent {shown} exceeds the guard (10^6)")
+        q = 1 << exponent
+    return q
 
 
 def q_bound_total(size_g: int, m: int) -> int:
-    """Maximum of q_bound over all splits m1 + m2 = m."""
+    """Maximum of q_bound over all splits m1 + m2 = m. For size 0 that is
+    m (the split m1 = m); for size >= 1 the split m1 = 0 comes first and
+    trips the exponent guard within a few steps once m > 4."""
     if m < 0:
         raise BoundTooLarge("arguments must be nonnegative")
+    if size_g == 0:
+        return m
     return max(q_bound(size_g, m1, m - m1) for m1 in range(m + 1))
 
 

@@ -95,9 +95,12 @@ _MAX_FO_WORK = 10**8
 
 
 def _tokenize(text):
+    """(token, position) pairs; whitespace before, between and after the
+    tokens separates them and is otherwise ignored."""
     tokens = []
     pos = 0
-    while pos < len(text):
+    end = len(text.rstrip())
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise ParseError(f"cannot tokenize at position {pos}: {text[pos:pos + 10]!r}")

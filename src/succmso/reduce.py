@@ -14,7 +14,7 @@ g0/g1 selectors and the choice of the G3 suffix) before building.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .circuit import MAX_LABEL_BITS, CircuitBuilder
@@ -129,35 +129,6 @@ def sbar_at(S: CnfInstance, q: int) -> int:
 # -- gadget quadruples ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GadgetQuadruple:
-    """Four normalized gadgets plus the cached layout constants.
-
-    Produced by normalize_layout; the label arithmetic below assumes the
-    normalized positions.
-    """
-
-    g0: BiboundariedGraph
-    g1: BiboundariedGraph
-    g2: BiboundariedGraph
-    g3: BiboundariedGraph
-    k: int
-    k_prime: int
-    k_dprime: int
-    n1: int
-    n2: int
-    n3: int
-
-    def big_n(self, s: int) -> int:
-        return self.n2 + (1 << s) * self.n1 + self.n3
-
-    def gadget(self, j):
-        return (self.g0, self.g1, self.g2, self.g3)[j]
-
-    def to_json_obj(self):
-        return [bib_to_json_obj(g) for g in (self.g0, self.g1, self.g2, self.g3)]
-
-
 def _shared_positions(g: BiboundariedGraph):
     """Positions t where P1[t] is a shared port; requires P1[t] == P2[t] there."""
     set1, set2 = set(g.p1), set(g.p2)
@@ -173,72 +144,89 @@ def _shared_positions(g: BiboundariedGraph):
 
 
 def _normalize_one(g: BiboundariedGraph, shared_pos, is_g3: bool) -> BiboundariedGraph:
-    """Permute vertex labels into the layout positions."""
-    k = g.ell
-    kpp = len(shared_pos)
+    """Permute vertex labels into the layout slots. The non-shared P1 ports
+    take the first slots. In G3 the shared ports follow them and the
+    non-shared P2 ports take the last slots; in the other gadgets the
+    non-shared P2 ports, then the shared ports, take the last slots. The
+    other vertices fill the free slots in their order."""
+    k, kpp, n = g.ell, len(shared_pos), g.n
     kp = k - kpp
-    n = g.n
-    shared_set = set(shared_pos)
-    ns1 = [p for t, p in enumerate(g.p1) if t not in shared_set]
-    ns2 = [p for t, p in enumerate(g.p2) if t not in shared_set]
-    shared = [g.p1[t] for t in shared_pos]
-    pi = {}
     if is_g3:
-        slots1 = range(0, kp)
-        slots3 = range(kp, k)
-        slots2 = range(n - kp, n)
+        slots2, slots3 = range(n - kp, n), range(kp, k)
     else:
-        slots1 = range(0, kp)
-        slots2 = range(n - k, n - kpp)
-        slots3 = range(n - kpp, n)
-    for v, slot in zip(ns1, slots1):
-        pi[v] = slot
-    for v, slot in zip(ns2, slots2):
-        if v in pi:
-            raise ValidationError("PORT_ALIGNMENT", f"port {v} plays two roles")
-        pi[v] = slot
-    for v, slot in zip(shared, slots3):
-        pi[v] = slot
-    free_slots = sorted(set(range(n)) - set(pi.values()))
-    for v in range(n):
-        if v not in pi:
-            pi[v] = free_slots.pop(0)
+        slots2, slots3 = range(n - k, n - kpp), range(n - kpp, n)
+    pi = dict(zip((p for t, p in enumerate(g.p1) if t not in shared_pos), range(kp)))
+    pi.update(zip((p for t, p in enumerate(g.p2) if t not in shared_pos), slots2))
+    pi.update(zip((g.p1[t] for t in shared_pos), slots3))
+    rest = [v for v in range(n) if v not in pi]
+    pi.update(zip(rest, sorted(set(range(n)) - set(pi.values()))))
     graph = Digraph(n, ((pi[u], pi[v]) for u, v in g.graph.edges))
     return BiboundariedGraph(graph, (pi[v] for v in g.p1), (pi[v] for v in g.p2))
 
 
-def normalize_layout(g0, g1, g2, g3) -> GadgetQuadruple:
-    """Validate the compiler preconditions and permute each gadget into the
-    fixed layout. Raises ValidationError naming the violated condition."""
-    gs = (g0, g1, g2, g3)
-    k = g0.ell
-    if any(g.ell != k for g in gs):
-        raise ValidationError("PORT_ALIGNMENT", "gadget port counts differ")
-    positions = [_shared_positions(g) for g in gs]
-    if len(set(positions)) != 1:
-        raise ValidationError("PORT_ALIGNMENT", "shared-port positions differ across gadgets")
-    shared_pos = positions[0]
-    k_dprime = len(shared_pos)
-    k_prime = k - k_dprime
-    if g0.n != g1.n:
-        raise ValidationError("COND_I", f"|G0|={g0.n} != |G1|={g1.n}")
-    if set(g0.p1) & set(g0.p2) != set(g1.p1) & set(g1.p2):
-        raise ValidationError("COND_II", "shared port sets of G0 and G1 differ")
-    if set(g1.p1) & set(g1.p2) == set(range(g1.n)):
-        raise ValidationError("COND_II", "shared ports cover all of G1")
-    norm = [_normalize_one(g, shared_pos, is_g3=(i == 3)) for i, g in enumerate(gs)]
-    n0, n1g, n2g, n3g = norm
-    for p in range(g1.n - k_dprime, g1.n):
-        if n0.graph.successors(p) != n1g.graph.successors(p):
-            raise ValidationError("COND_III", f"G0({p}) != G1({p})")
-    n1 = g1.n - k
-    n2 = g2.n - k
-    n3 = g3.n
-    if n1 <= 0:
-        raise ValidationError("COND_II", "G1 has no vertices outside its ports")
-    if n2 < 0 or n3 < k:
-        raise ValidationError("PORT_ALIGNMENT", "gadget smaller than its port count")
-    return GadgetQuadruple(n0, n1g, n2g, n3g, k, k_prime, k_dprime, n1, n2, n3)
+@dataclass(frozen=True)
+class GadgetQuadruple:
+    """Four gadgets in the fixed layout that the label arithmetic below
+    assumes, and the layout constants derived from them.
+
+    Construction is the validation: GadgetQuadruple(g0, g1, g2, g3) checks
+    the compiler preconditions, raising ValidationError naming the violated
+    condition, and stores each gadget permuted into the layout. A
+    normalized quadruple normalizes to itself. normalize_layout is another
+    name for this constructor.
+    """
+
+    g0: BiboundariedGraph
+    g1: BiboundariedGraph
+    g2: BiboundariedGraph
+    g3: BiboundariedGraph
+    k: int = field(init=False)
+    k_prime: int = field(init=False)
+    k_dprime: int = field(init=False)
+    n1: int = field(init=False)
+    n2: int = field(init=False)
+    n3: int = field(init=False)
+
+    def __post_init__(self):
+        gs = g0, g1, g2, g3 = self.g0, self.g1, self.g2, self.g3
+        k = g0.ell
+        if any(g.ell != k for g in gs):
+            raise ValidationError("PORT_ALIGNMENT", "gadget port counts differ")
+        positions = [_shared_positions(g) for g in gs]
+        if len(set(positions)) != 1:
+            raise ValidationError("PORT_ALIGNMENT", "shared-port positions differ across gadgets")
+        shared_pos = positions[0]
+        k_dprime = len(shared_pos)
+        if g0.n != g1.n:
+            raise ValidationError("COND_I", f"|G0|={g0.n} != |G1|={g1.n}")
+        if set(g0.p1) & set(g0.p2) != set(g1.p1) & set(g1.p2):
+            raise ValidationError("COND_II", "shared port sets of G0 and G1 differ")
+        if set(g1.p1) & set(g1.p2) == set(range(g1.n)):
+            raise ValidationError("COND_II", "shared ports cover all of G1")
+        norm = [_normalize_one(g, shared_pos, is_g3=(i == 3)) for i, g in enumerate(gs)]
+        for p in range(g1.n - k_dprime, g1.n):
+            if norm[0].graph.successors(p) != norm[1].graph.successors(p):
+                raise ValidationError("COND_III", f"G0({p}) != G1({p})")
+        n1, n2, n3 = g1.n - k, g2.n - k, g3.n
+        if n1 <= 0:
+            raise ValidationError("COND_II", "G1 has no vertices outside its ports")
+        if n2 < 0 or n3 < k:
+            raise ValidationError("PORT_ALIGNMENT", "gadget smaller than its port count")
+        derived = (*norm, k, k - k_dprime, k_dprime, n1, n2, n3)
+        for f, value in zip(fields(self), derived):
+            object.__setattr__(self, f.name, value)
+
+    def big_n(self, s: int) -> int:
+        return self.n2 + (1 << s) * self.n1 + self.n3
+
+    def gadget(self, j):
+        return (self.g0, self.g1, self.g2, self.g3)[j]
+
+    def to_json_obj(self):
+        return [bib_to_json_obj(g) for g in (self.g0, self.g1, self.g2, self.g3)]
+
+
+normalize_layout = GadgetQuadruple
 
 
 # -- label maps and reference successor relation -------------------------
@@ -526,18 +514,22 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
 # -- quadruple construction from a triple --------------------------------
 
 
-def build_quadruple(triple: GadgetTriple, omega: Digraph, max_copies=50) -> GadgetQuadruple:
+_MAX_COPIES = 50
+
+
+def build_quadruple(triple: GadgetTriple, omega: Digraph) -> GadgetQuadruple:
     """Build the compiler's static input from a pump triple and a
     saturating graph.
 
     The model-forcing gadget is assembled from the n-fold gluing of the
-    pump gadget: the shared ports and their out-neighbors are kept at their
-    labels, the saturating graph is placed on free labels, and the rest
-    stays isolated. The result is re-validated mechanically.
+    pump gadget, for n up to _MAX_COPIES (50): the shared ports and their
+    out-neighbors are kept at their labels, the saturating graph is placed
+    on free labels, and the rest stays isolated. The quadruple's
+    constructor validates the result.
     """
     g1 = triple.g1
     last_error = None
-    for copies in range(1, max_copies + 1):
+    for copies in range(1, _MAX_COPIES + 1):
         chain = delta({"1": g1}, "1" * copies)
         shared = set(chain.p1) & set(chain.p2)
         hverts = set(shared)
@@ -553,13 +545,12 @@ def build_quadruple(triple: GadgetTriple, omega: Digraph, max_copies=50) -> Gadg
         edges |= {(placement[u], placement[v]) for u, v in omega.edges}
         g0 = BiboundariedGraph(Digraph(chain.n, edges), chain.p1, chain.p2)
         try:
-            return normalize_layout(g0, chain, triple.g2, triple.g3)
+            return GadgetQuadruple(g0, chain, triple.g2, triple.g3)
         except ValidationError as exc:
             last_error = exc
-            continue
     if last_error is not None:
         raise ConstructionFailed(last_error.condition, last_error.message)
-    raise ConstructionFailed("SIZE", f"no workable copy count up to {max_copies}")
+    raise ConstructionFailed("SIZE", f"no workable copy count up to {_MAX_COPIES}")
 
 
 # -- pump checks ---------------------------------------------------------
@@ -635,7 +626,7 @@ def _edge_gadget():
 def toy_quadruple() -> GadgetQuadruple:
     """The worked single-port quadruple used throughout the test battery."""
     g0 = BiboundariedGraph(Digraph(2, [(0, 0), (0, 1)]), (0,), (1,))
-    return normalize_layout(g0, _edge_gadget(), _edge_gadget(), _edge_gadget())
+    return GadgetQuadruple(g0, _edge_gadget(), _edge_gadget(), _edge_gadget())
 
 
 def path_triple() -> GadgetTriple:

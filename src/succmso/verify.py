@@ -74,7 +74,10 @@ def cnf_models(S: CnfInstance) -> int:
     return models
 
 
-def _dpll(clauses, assignment, s):
+def _propagate(clauses, assignment):
+    """Simplify clauses under assignment, extending it by unit clauses until
+    none is left. Returns (open clauses, assignment), or None when a clause
+    loses all its literals."""
     while True:
         unit = None
         simplified = []
@@ -91,25 +94,32 @@ def _dpll(clauses, assignment, s):
             if satisfied:
                 continue
             if not live:
-                return False, None
+                return None
             if len(live) == 1 and unit is None:
                 unit = live[0]
-            simplified.append(live)
+            simplified.append(clause if len(live) == len(clause) else live)
         clauses = simplified
         if unit is None:
-            break
+            return clauses, assignment
         assignment = dict(assignment)
         assignment[abs(unit)] = unit > 0
-    if not clauses:
-        model = {v: assignment.get(v, False) for v in range(1, s + 1)}
-        return True, model
-    branch = abs(clauses[0][0])
-    for value in (True, False):
-        trial = dict(assignment)
-        trial[branch] = value
-        ok, model = _dpll(clauses, trial, s)
-        if ok:
-            return True, model
+
+
+def _dpll(clauses, assignment, s):
+    """DPLL on an explicit stack, so its depth is not bounded by Python's
+    recursion limit. It branches on the first literal of the first open
+    clause, True before False, and returns the first model found."""
+    stack = [(clauses, assignment)]
+    while stack:
+        state = _propagate(*stack.pop())
+        if state is None:
+            continue
+        clauses, assignment = state
+        if not clauses:
+            return True, {v: assignment.get(v, False) for v in range(1, s + 1)}
+        branch = abs(clauses[0][0])
+        stack.append((clauses, {**assignment, branch: False}))
+        stack.append((clauses, {**assignment, branch: True}))
     return False, None
 
 

@@ -335,6 +335,40 @@ def test_ef_qbound_needs_m_or_both_splits(capsys, moves):
     assert err.strip().endswith("error: give --m, or both --m1 and --m2")
 
 
+@pytest.mark.parametrize("moves, bound", [
+    (("--m1", "0", "--m2", "5000"), "1"),
+    (("--m", "3000"), "3000"),
+])
+def test_ef_qbound_of_size_zero(capsys, moves, bound):
+    """Both once ended in a RecursionError traceback."""
+    code, out, err = run(capsys, "ef", "qbound", "--size", "0", *moves)
+    assert (code, out.strip(), err) == (0, bound, "")
+
+
+def test_ef_qbound_past_the_guard_is_one_error_line(capsys):
+    code, out, err = run(capsys, "ef", "qbound", "--size", "1", "--m", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: BoundTooLarge: exponent of 524293 bits exceeds the guard (10^6)\n"
+
+
+def test_formula_with_trailing_whitespace(capsys, loop_file):
+    code, out, err = run(capsys, "mso", "check", "--graph", loop_file, "--formula", "ex x. E(x,x) ")
+    assert (code, out, err) == (0, "true\n", "")
+
+
+def test_dpll_runs_past_the_recursion_limit(capsys, tmp_path):
+    """(x1 | x2) & (x3 | x4) & ... with 1,100 clauses: DPLL branches once
+    per clause, 1,100 deep, past Python's default recursion limit of 1,000,
+    where the recursive solver exited 1 with a RecursionError traceback."""
+    n = 1100
+    cnf = tmp_path / "deep.cnf"
+    cnf.write_text(f"p cnf {2 * n} {n}\n" + "".join(f"{2 * i + 1} {2 * i + 2} 0\n" for i in range(n)))
+    code, out, err = run(capsys, "--json", "verify", "sat", "--cnf", str(cnf))
+    assert (code, err) == (0, "")
+    model = {str(v): v % 2 == 1 for v in range(1, 2 * n + 1)}  # True branch first
+    assert json.loads(out) == {"satisfiable": True, "model": model}
+
+
 def test_no_threads_flag_or_env(capsys, monkeypatch):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "--threads" not in out

@@ -285,6 +285,28 @@ def test_q_bound_total_is_max_over_splits():
     assert q_bound_total(1, 2) == max(q_bound(1, m1, 2 - m1) for m1 in range(3))
 
 
+def test_q_bound_of_size_zero_is_closed_form():
+    """Size 0 makes every exponent 0, so no guard trips: the recursive
+    bound once raised RecursionError at m2 = 5,000, and q_bound_total took
+    O(m^2) steps before that."""
+    assert q_bound(0, 7, 0) == 7
+    assert q_bound(0, 0, 5000) == q_bound(0, 3, 1) == 1
+    for m in range(6):
+        assert q_bound_total(0, m) == max(q_bound(0, m1, m - m1) for m1 in range(m + 1)) == m
+    assert q_bound_total(0, 10**12) == 10**12
+
+
+def test_q_bound_guard_names_a_huge_exponent_by_its_size():
+    """An exponent past 4,300 digits once made the message itself fail
+    (int-to-str limit) with a ValueError."""
+    with pytest.raises(BoundTooLarge, match=r"exponent of 524293 bits exceeds the guard"):
+        q_bound(1, 0, 5)
+    with pytest.raises(BoundTooLarge, match=r"exponent 1000001 exceeds the guard"):
+        q_bound(1000001, 0, 1)
+    with pytest.raises(BoundTooLarge):
+        q_bound_total(1, 10**12)
+
+
 def test_negative_move_counts_fail_by_name():
     """A negative m once recursed until RecursionError (ef_equiv, q_search)
     or hit max() of an empty range (q_bound_total)."""

@@ -314,6 +314,18 @@ def formula_texts(draw):
     return text
 
 
+@pytest.mark.parametrize("text", ["ex x. x=x\n", "ex x. E(x,x) ", " all x. ~E(x,x)\t\r\n "])
+def test_trailing_whitespace_is_ignored_like_leading(text):
+    """The tokenizer once wanted a token after every run of whitespace."""
+    assert parse(text) == parse(text.strip())
+
+
+def test_blank_text_is_an_empty_formula():
+    for text in ("", "  \n"):
+        with pytest.raises(ParseError, match="unexpected end of formula"):
+            parse(text)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(st.one_of(formula_texts(), st.lists(st.sampled_from(MSO_TOKENS), max_size=10).map(" ".join),
                  st.text(max_size=12)))

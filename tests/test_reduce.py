@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +16,19 @@ from succmso.errors import (
     TooLargeToMaterialize,
     ValidationError,
 )
-from succmso.graph import BiboundariedGraph, Digraph, GadgetTriple, graph_equal
+from succmso.graph import (
+    BiboundariedGraph,
+    Digraph,
+    GadgetTriple,
+    bib_from_json_obj,
+    chain_maps,
+    delta,
+    graph_equal,
+)
 from succmso.mso import parse as mso_parse
 from succmso.reduce import (
     CnfInstance,
+    GadgetQuadruple,
     _reduction_template,
     build_quadruple,
     compile_reduction,
@@ -34,7 +45,7 @@ from succmso.reduce import (
     toy_quadruple,
 )
 from succmso.sgr import materialize
-from succmso.verify import sat_solve, seeded_cnf_battery, small_cnf_battery
+from succmso.verify import delta_layout, sat_solve, seeded_cnf_battery, small_cnf_battery
 
 LOOP = mso_parse("ex x. E(x,x)")
 
@@ -294,6 +305,108 @@ def test_succ_ref_graph_size_guard(monkeypatch):
         succ_ref_graph(None, S)
 
 
+# -- the layout is the chain Δ(2·s̄·3) -------------------------------------
+
+
+def chain_in_layout(quad, S):
+    """The paper's chain Δ(2·s̄·3), folded by graph.chain_maps and
+    graph.delta, with each chain vertex renamed to the label delta_map gives
+    it. Asserts that the renaming is a bijection onto [0, N): every letter
+    that holds a chain vertex gives it the same label, and every label is
+    used."""
+    s = S.s
+    word = ["2"] + [str(sbar_at(S, q)) for q in range(1 << s)] + ["3"]
+    gamma = {str(j): quad.gadget(j) for j in range(4)}
+    maps, total = chain_maps(gamma, word)
+    copies = [(2, 0)] + [(int(letter), q) for q, letter in enumerate(word[1:-1])] + [(3, 0)]
+    label = [None] * total
+    for (j, q), vmap in zip(copies, maps):
+        for r, c in enumerate(vmap):
+            y = delta_map(quad, s, j, q, r)
+            assert label[c] in (None, y), f"chain vertex {c} gets labels {label[c]} and {y}"
+            label[c] = y
+    assert sorted(label) == list(range(quad.big_n(s)))
+    chain = delta(gamma, word).graph
+    return Digraph(total, ((label[u], label[v]) for u, v in chain.edges))
+
+
+@pytest.mark.parametrize("name", sorted(QUADRUPLES))
+def test_layout_is_the_chain_label_for_label(name):
+    """The routes' one layout, delta_map, renames Δ(2·s̄·3) bijectively and
+    edge for edge onto succ_ref_graph's chain, up to s = 10 (N ≈ 2,000)."""
+    quad = QUADRUPLES[name]()
+    for s in (1, 2, 3, 6, 10):
+        for S in [CnfInstance(s, [])] + seeded_cnf_battery(s, 2, 300 + s):
+            assert graph_equal(chain_in_layout(quad, S), succ_ref_graph(quad, S)), (s, S.clauses)
+
+
+def random_gadget(rng, n, p1, p2):
+    edges = [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.25]
+    return BiboundariedGraph(Digraph(n, edges), p1, p2)
+
+
+def random_quadruples(seed, draws):
+    """Seeded quadruples with k <= 3 ports, 0 to k - 1 of them shared at
+    the same positions in every gadget, and up to two vertices beyond the
+    ports. G0 mostly takes G1's ports and G1's edges out of the shared
+    ports, as the preconditions ask. Returns the quadruples the
+    constructor accepts and the ValidationError conditions of the rest."""
+    rng = random.Random(seed)
+    kept, refused = [], []
+    for _ in range(draws):
+        k = rng.randint(1, 3)
+        shared = set(rng.sample(range(k), rng.randint(0, k - 1)))
+
+        def gadget(n=None, like=None):
+            n = n or 2 * k - len(shared) + rng.randint(0, 2)
+            if like is None:
+                verts = rng.sample(range(n), 2 * k - len(shared))
+                p1, rest = verts[:k], iter(verts[k:])
+                p2 = [p1[t] if t in shared else next(rest) for t in range(k)]
+                return random_gadget(rng, n, p1, p2)
+            g = random_gadget(rng, n, like.p1, like.p2)
+            ports = set(like.p1) & set(like.p2)
+            edges = {(u, v) for u, v in g.graph.edges if u not in ports}
+            edges |= {(u, v) for u, v in like.graph.edges if u in ports}
+            return BiboundariedGraph(Digraph(n, edges), like.p1, like.p2)
+
+        g1 = gadget()
+        g0 = gadget(g1.n, g1 if rng.random() < 0.8 else None)
+        try:
+            kept.append(GadgetQuadruple(g0, g1, gadget(), gadget()))
+        except ValidationError as exc:
+            refused.append(exc.condition)
+    return kept, refused
+
+
+def test_random_quadruples_agree_on_every_route():
+    """On quadruples the constructor accepts, the circuit, succ_ref_graph,
+    delta_layout and the renamed chain Δ(2·s̄·3) give one graph at s <= 3.
+    These gadgets are not model-forcing, so only the routes are compared,
+    never the loop verdict with SAT."""
+    kept, refused = random_quadruples(2718, 120)
+    assert len(kept) >= 60 and set(refused) <= {"COND_I", "COND_II", "COND_III"}
+    assert any(q.k_dprime >= 2 for q in kept)  # two shared ports can be swapped
+    for i, quad in enumerate(kept):
+        assert GadgetQuadruple(quad.g0, quad.g1, quad.g2, quad.g3) == quad
+        assert GadgetQuadruple(*map(bib_from_json_obj, quad.to_json_obj())) == quad
+        for s in (1, 2, 3):
+            S = seeded_cnf_battery(s, 1, 1000 * i + s)[0]
+            ref = succ_ref_graph(quad, S)
+            assert graph_equal(chain_in_layout(quad, S), ref), (i, s, S.clauses)
+            assert graph_equal(delta_layout(quad, S), ref), (i, s, S.clauses)
+            circuit = materialize(compile_reduction(quad, S), 10**5)
+            assert graph_equal(circuit, ref), (i, s, S.clauses)
+
+
+def test_quadruple_constants_are_derived_not_passed():
+    """Four gadgets are the whole input; the six constants come from them."""
+    quad = shared_port_quadruple()
+    with pytest.raises(TypeError):
+        GadgetQuadruple(quad.g0, quad.g1, quad.g2, quad.g3, 2, 1, 1, 2, 3, 3)
+    assert normalize_layout is GadgetQuadruple
+
+
 # -- compilation ---------------------------------------------------------
 
 def test_compile_worked_example():
@@ -395,7 +508,7 @@ def test_build_quadruple_pads_to_fit():
 def test_build_quadruple_failure():
     t = path_triple()
     with pytest.raises(ConstructionFailed):
-        build_quadruple(t, Digraph(5), max_copies=2)
+        build_quadruple(t, Digraph(60))
 
 
 def test_build_quadruple_failure_names_its_condition_once():
