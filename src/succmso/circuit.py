@@ -32,8 +32,10 @@ complementary operand, and ``not`` of a constant or of a ``not``, become an
 existing gate or a constant, and ``and``/``or`` operands are put in
 canonical order so commuted gates are shared. ``build(output)`` keeps only
 the gates in the output's cone, renumbered in order, so every gate of a
-built circuit but the output is read by a later gate. Circuits read by
-``parse`` are taken verbatim.
+built circuit but the output is read by a later gate. A builder extended
+many times from one base can save the base's part of a cone
+(``cone_prefix``) and pass it to ``build``, which then walks only the
+gates added since. Circuits read by ``parse`` are taken verbatim.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .errors import BadParam, InputOutOfRange, ParseError, TopologyError
 from .graph import json_value
@@ -83,24 +86,28 @@ class BoolCircuit:
             if not gate:
                 raise BadParam(f"gate {i} is malformed")
             kind = gate[0]
+            # unpacking checks the operand count: a len() call costs ~40 ns a gate
             if kind == "and" or kind == "or":
-                if len(gate) != 3:
-                    raise BadParam(f"gate {i}: {kind} takes 2 operand(s)")
-                _, a, b = gate
+                try:
+                    _, a, b = gate
+                except ValueError:
+                    raise BadParam(f"gate {i}: {kind} takes 2 operand(s)") from None
                 if not (type(a) is int and type(b) is int and 0 <= a < i and 0 <= b < i):
                     _check_refs(i, a, b)
             elif kind == "not":
-                if len(gate) != 2:
-                    raise BadParam(f"gate {i}: not takes 1 operand(s)")
-                a = gate[1]
+                try:
+                    _, a = gate
+                except ValueError:
+                    raise BadParam(f"gate {i}: not takes 1 operand(s)") from None
                 if not (type(a) is int and 0 <= a < i):
                     _check_refs(i, a)
             else:
                 if kind != "input" and kind != "const":
                     raise BadParam(f"gate {i}: unknown kind {kind!r}")
-                if len(gate) != 2:
-                    raise BadParam(f"gate {i}: {kind} takes 1 operand(s)")
-                a = gate[1]
+                try:
+                    _, a = gate
+                except ValueError:
+                    raise BadParam(f"gate {i}: {kind} takes 1 operand(s)") from None
                 if kind == "input":
                     if type(a) is not int or not 0 <= a < wires:
                         raise BadParam(f"gate {i}: input wire {a!r} out of range")
@@ -248,17 +255,40 @@ def _residual(gates, output, label_bits, x):
     out = place[output]
     if out < 0:
         return None, out == one
-    kept = _cone(kept, out)
+    kept, _ = _cone(kept, out)
     return kept, len(kept) - 1
 
 
-def _cone(gates, output):
-    """The gates the output reads, directly or not, renumbered in order:
-    one backward pass marks them and one forward pass renumbers them, so
-    the output is the last gate."""
+def _cone(gates, output, prefix=None):
+    """The gates the output reads, directly or not, renumbered in order, so
+    the output is the last gate, as (kept, index): index[i] is gate i's new
+    index, or -1. One backward pass marks the gates, one forward pass
+    renumbers them.
+
+    A prefix (head, placed, tops) from CircuitBuilder.cone_prefix spares
+    both passes over the first len(placed) gates. Head, renumbered, comes
+    first as it is; the passes walk only the later gates and the first
+    gates outside head that they read, which are numbered after head, so
+    an and/or whose operands that swaps gets them back in ascending order.
+    Unless the output reads every top of head, part of head is dead, and
+    the cone is taken without the prefix.
+    """
+    head, placed, tops = prefix if prefix and output >= len(prefix[1]) else ((), (), ())
+    start = len(placed)
     live = bytearray(output + 1)
     live[output] = 1
-    for i in range(output, -1, -1):
+    outside = []  # the first gates reached that head does not hold
+
+    def below_start():
+        """Those gates, descending; the walk marks more as it goes."""
+        i = live.rfind(1, 0, start)
+        while i >= 0:
+            if placed[i] < 0:
+                outside.append(i)
+                yield i
+            i = live.rfind(1, 0, i)
+
+    for i in chain(range(output, start - 1, -1), below_start()):
         if live[i]:
             gate = gates[i]
             kind = gate[0]
@@ -266,19 +296,22 @@ def _cone(gates, output):
                 live[gate[1]] = live[gate[2]] = 1
             elif kind == "not":
                 live[gate[1]] = 1
-    new_index = [0] * (output + 1)
-    kept = []
-    for i in range(output + 1):
+    if not all(live[t] for t in tops):
+        return _cone(gates, output)
+    index = [*placed] + [-1] * (output + 1 - start)
+    kept = [*head]
+    for i in chain(reversed(outside), range(start, output + 1)):
         if live[i]:
             gate = gates[i]
             kind = gate[0]
             if kind == "and" or kind == "or":
-                gate = (kind, new_index[gate[1]], new_index[gate[2]])
+                a, b = index[gate[1]], index[gate[2]]
+                gate = (kind, a, b) if a < b else (kind, b, a)
             elif kind == "not":
-                gate = (kind, new_index[gate[1]])
-            new_index[i] = len(kept)
+                gate = (kind, index[gate[1]])
+            index[i] = len(kept)
             kept.append(gate)
-    return tuple(kept)
+    return tuple(kept), index
 
 
 def _check_label_bits(label_bits):
@@ -361,7 +394,11 @@ def _x_lanes(label_bits: int, x0: int, k: int, count: int) -> list:
 
 
 def serialize(circuit: BoolCircuit) -> str:
-    return json.dumps(circuit.to_json_obj())
+    """The JSON circuit format. BoolCircuit's check leaves only gate tuples
+    of one str and some ints, which hold no container, so json.dumps's
+    cycle check (about half its time on a compiled circuit) is skipped;
+    the text is the same."""
+    return json.dumps(circuit.to_json_obj(), check_circular=False)
 
 
 def parse(text: str) -> BoolCircuit:
@@ -647,11 +684,33 @@ class CircuitBuilder:
     def gate_count(self) -> int:
         return len(self._gates)
 
-    def build(self, output: int) -> BoolCircuit:
-        """The circuit of the output's cone (``_cone``). The builder is left
+    def build(self, output: int, prefix=None) -> BoolCircuit:
+        """The circuit of the output's cone (``_cone``). A prefix from
+        cone_prefix on this builder's first gates, or on those of a builder
+        it was copied from, spares the walk over them. The builder is left
         as it was, so building mid-construction is fine."""
         gates = self._gates
         if not 0 <= output < len(gates):
             raise TopologyError(f"output index {output} out of range")
-        kept = _cone(gates, output)
+        kept, _ = _cone(gates, output, prefix)
         return BoolCircuit(self.label_bits, kept, len(kept) - 1)
+
+    def opaque(self) -> int:
+        """A fresh gate for a bit not known yet: no identity folds it and no
+        other gate equals it. It has no value, so a builder that holds one
+        serves cone_prefix only, never build."""
+        gates = self._gates
+        gates.append(("opaque", len(gates)))
+        return len(gates) - 1
+
+    def cone_prefix(self, output: int, size: int) -> tuple:
+        """The output's cone among the first size gates, as build and
+        ``_cone`` take a prefix: (head, placed, tops), where head is that
+        part renumbered in order, placed[i] is gate i's index in head or
+        -1, and tops are the gates of head that no gate of head reads."""
+        kept, index = _cone(self._gates, output)
+        placed = tuple(index[:size])
+        head = kept[: size - placed.count(-1)]
+        read = {j for gate in head if gate[0] in ("and", "or", "not") for j in gate[1:]}
+        tops = tuple(i for i, j in enumerate(placed) if j >= 0 and j not in read)
+        return head, placed, tops

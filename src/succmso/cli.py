@@ -220,11 +220,20 @@ def _ef_qsearch(args):
     return 1 if q is None else 0
 
 
+# A bound of more bits than this that is a power of two 2^e prints as the
+# text "2^e", under --json too: q_bound's guard lets e reach 10^6, far past
+# the 4,300 digits str() converts.
+_QBOUND_DECIMAL_BITS = 64
+
+
 def _ef_qbound(args):
     if args.m is None:
         q = efgame.q_bound(args.size, args.m1, args.m2)
     else:
         q = efgame.q_bound_total(args.size, args.m)
+    if q.bit_length() > _QBOUND_DECIMAL_BITS and q & (q - 1) == 0:
+        shown = f"2^{q.bit_length() - 1}"
+        return _emit(args, shown, {"bound": shown})
     return _emit(args, str(q), {"bound": q})
 
 

@@ -9,12 +9,16 @@ each copy q holds, by the bit s̄(q). Circuit synthesis is therefore split:
 ``_reduction_template(quad, s)`` emits every gate that does not depend on
 the CNF once per (quadruple, s) and caches it, and ``compile_reduction``
 extends a copy of it with the gates of one CNF (its two evaluators, the
-g0/g1 selectors and the choice of the G3 suffix) before building.
+g0/g1 selectors and the choice of the G3 suffix) before building. The
+template also keeps, per choice of G3 suffix, its part of the output's
+cone, renumbered, so a build walks only the CNF's gates: a compiled
+circuit holds that cached cone first, then any other template gate the
+CNF's gates read, then the CNF's gates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 from .circuit import MAX_LABEL_BITS, CircuitBuilder
@@ -347,7 +351,9 @@ class _Template:
     copy q, and prev is None or (from_g2, g0 cond, g1 cond) for the
     edges that reach row r < k' from the G2 prefix or from copy q - 1.
     tails[i] is the G3 suffix, ANDed with its region test, when the last
-    copy holds gadget i.
+    copy holds gadget i, and prefixes[i] is the template's part of the
+    cone of a build with that suffix in which s̄(q) and s̄(q - 1) are
+    opaque gates, as CircuitBuilder.cone_prefix gives it.
     """
 
     q_low: tuple
@@ -357,6 +363,7 @@ class _Template:
     mid_rows: tuple
     head: int
     tails: tuple
+    prefixes: tuple
 
 
 @lru_cache(maxsize=_TEMPLATE_CACHE)
@@ -475,29 +482,20 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
         tuple(mid_rows),
         b.and_(in2, case2),
         (case3(0), case3(1)),
+        (),
     )
-    return b, handles
+    prefixes = []
+    for tail in handles.tails:
+        probe = b.copy()
+        out = _select(probe, handles, probe.opaque(), probe.opaque(), tail)
+        prefixes.append(probe.cone_prefix(out, b.gate_count()))
+    return b, replace(handles, prefixes=tuple(prefixes))
 
 
-def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
-    """Compile the glued chain for S into an adjacency circuit.
-
-    The circuit decides y ∈ succ_ref(quad, S, x) for all x, y < N;
-    behavior on labels >= N is unconstrained. A copy of the cached
-    template for (quad, S.s) gets only the gates that depend on S: the
-    two CNF evaluators giving s̄(q) and s̄(q - 1), the selectors between
-    the g0 and g1 row conditions, and the final choice of the G3 suffix
-    by s̄(2^s - 1). Folding and structural hashing do not depend on
-    emission order, so the kept gates are those of a circuit built in
-    one pass; only their numbering differs.
-    """
-    if not isinstance(quad, GadgetQuadruple):
-        raise NotValidated("expected a normalized GadgetQuadruple")
-    s = S.s
-    template, h = _reduction_template(quad, s)
-    b = template.copy()
-    sbar_q = b.not_(b.cnf_eval(S.clauses, h.q_low))
-    sbar_qm1 = b.not_(b.cnf_eval(S.clauses, h.qm1_low))
+def _select(b: CircuitBuilder, h: _Template, sbar_q: int, sbar_qm1: int, tail: int) -> int:
+    """Emit the gates that pick the g0 or g1 row conditions by the bits
+    sbar_q = s̄(q) and sbar_qm1 = s̄(q - 1), and join them with the G2
+    prefix and the given G3 suffix; returns the output gate."""
     mid_rows = []
     for r_is, here, prev in h.mid_rows:
         parts = [b.mux_bit(sbar_q, *here)]
@@ -507,8 +505,36 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
             parts.append(b.mux_bit(h.q_is_zero, from_prev, from_g2))
         mid_rows.append(b.and_(r_is, b.or_many(parts)))
     mid = b.and_(h.in_mid, b.or_many(mid_rows))
-    out = b.or_many([h.head, mid, h.tails[sbar_at(S, (1 << s) - 1)]])
-    return Sgr(quad.big_n(s), b.build(out))
+    return b.or_many([h.head, mid, tail])
+
+
+def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
+    """Compile the glued chain for S into an adjacency circuit.
+
+    The circuit decides y ∈ succ_ref(quad, S, x) for all x, y < N;
+    behavior on labels >= N is unconstrained. A copy of the cached
+    template for (quad, S.s) gets only the gates that depend on S: the
+    two CNF evaluators giving s̄(q) and s̄(q - 1), the selectors between
+    the g0 and g1 row conditions, and the final choice t = s̄(2^s - 1) of
+    the G3 suffix. Folding and structural hashing do not depend on
+    emission order, so the kept gates are those of a circuit built in
+    one pass; only their numbering differs. The build starts from the
+    template's cone for suffix t, kept renumbered with the template: those
+    gates come first, then any other template gate that S's gates read,
+    then S's gates, each part in emission order. When s̄ folds to a
+    constant, part of that cone can be dead, and the build then takes the
+    plain cone, numbered in emission order.
+    """
+    if not isinstance(quad, GadgetQuadruple):
+        raise NotValidated("expected a normalized GadgetQuadruple")
+    s = S.s
+    template, h = _reduction_template(quad, s)
+    b = template.copy()
+    sbar_q = b.not_(b.cnf_eval(S.clauses, h.q_low))
+    sbar_qm1 = b.not_(b.cnf_eval(S.clauses, h.qm1_low))
+    t = sbar_at(S, (1 << s) - 1)
+    out = _select(b, h, sbar_q, sbar_qm1, h.tails[t])
+    return Sgr(quad.big_n(s), b.build(out, h.prefixes[t]))
 
 
 # -- quadruple construction from a triple --------------------------------

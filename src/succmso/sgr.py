@@ -82,7 +82,9 @@ def to_json_obj(s: Sgr):
 
 
 def serialize(s: Sgr) -> str:
-    return json.dumps(to_json_obj(s))
+    """The SGR JSON bundle. As in circuit.serialize, the checked gate
+    tuples hold no container, so json.dumps skips its cycle check."""
+    return json.dumps(to_json_obj(s), check_circular=False)
 
 
 def parse(text: str) -> Sgr:

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from succmso import sgr
 from succmso.circuit import MAX_LABEL_BITS, BoolCircuit, CircuitBuilder, parse, serialize
 from succmso.errors import BadParam, InputOutOfRange, ParseError, SuccmsoError, TopologyError
-from succmso.reduce import compile_reduction, reduce_clique, reduce_loop
+from succmso.graph import graph_equal
+from succmso.reduce import (
+    CnfInstance,
+    compile_reduction,
+    reduce_clique,
+    reduce_loop,
+    succ_ref_graph,
+)
+from succmso.sgr import materialize
 from succmso.verify import seeded_cnf_battery
 
 from test_reduce import QUADRUPLES
@@ -340,11 +349,55 @@ def test_parse_keeps_dead_and_constant_gates_verbatim():
 
 
 @pytest.mark.parametrize("name", sorted(QUADRUPLES))
-@pytest.mark.parametrize("s", [4, 6])
+@pytest.mark.parametrize("s", range(1, 9))
 def test_compiled_circuits_are_simplified(name, s):
+    """A compile numbers the template's cached cone first and the gates
+    after it, so an and/or may read a later-numbered gate first; its
+    operands must come back in ascending order."""
     quad = QUADRUPLES[name]()
-    for S in seeded_cnf_battery(s, 2, 70 + s):
+    for S in seeded_cnf_battery(s, 40, 100 + s):
         assert_simplified(compile_reduction(quad, S).circuit)
+
+
+# CNFs that fold to constants: (1)(-1) makes s̄ the constant 1 and (1 -1)
+# makes it 0; in (1 -1)(2) the tautology folds away and leaves s̄ = ~x2
+CONSTANT_SBAR = ([(1,), (-1,)], [(1, -1)], [(1, -1), (2,)])
+
+PINNED_CONSTANT_SBAR_GATES = {
+    ("toy", 2): [49, 67, 70], ("toy", 3): [75, 103, 106], ("toy", 6): [153, 211, 214],
+    ("shared", 2): [137, 153, 166], ("shared", 3): [184, 209, 223],
+    ("shared", 6): [322, 374, 391],
+    ("path", 2): [49, 55, 69], ("path", 3): [75, 81, 105], ("path", 6): [153, 159, 213],
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRUPLES))
+@pytest.mark.parametrize("s", [2, 3, 6])
+def test_compiles_where_the_cached_cone_is_partly_dead(name, s):
+    """When s̄ folds to a constant, one side of each g0/g1 selector dies,
+    and with it part of the template's cached cone: the build takes the
+    plain cone instead, with the gate counts of a one-pass build."""
+    quad = QUADRUPLES[name]()
+    counts = []
+    for clauses in CONSTANT_SBAR:
+        S = CnfInstance(s, clauses)
+        compiled = compile_reduction(quad, S)
+        assert_simplified(compiled.circuit)
+        assert graph_equal(materialize(compiled, 1 << 10), succ_ref_graph(quad, S))
+        counts.append(compiled.circuit.gate_count())
+    assert counts == PINNED_CONSTANT_SBAR_GATES[name, s]
+
+
+@pytest.mark.parametrize("name", sorted(QUADRUPLES))
+@pytest.mark.parametrize("s", [6, 12, 20])
+def test_serialize_writes_the_text_of_plain_json_dumps(name, s):
+    """serialize skips json.dumps's cycle check; the text must not change."""
+    quad = QUADRUPLES[name]()
+    for S in seeded_cnf_battery(s, 2, 40 + s):
+        compiled = compile_reduction(quad, S)
+        c = compiled.circuit
+        assert serialize(c) == json.dumps(c.to_json_obj())
+        assert sgr.serialize(compiled) == json.dumps(sgr.to_json_obj(compiled))
 
 
 def test_auxiliary_reductions_are_simplified():

@@ -345,6 +345,23 @@ def test_ef_qbound_of_size_zero(capsys, moves, bound):
     assert (code, out.strip(), err) == (0, bound, "")
 
 
+@pytest.mark.parametrize("moves", [("--m", "4"), ("--m1", "0", "--m2", "4")])
+def test_ef_qbound_past_the_digit_limit_prints_a_power_of_two(capsys, moves):
+    """2^524292 has 157,832 digits; printing it once ended in a ValueError
+    traceback (int-to-str limit), in text and under --json."""
+    code, out, err = run(capsys, "ef", "qbound", "--size", "1", *moves)
+    assert (code, out, err) == (0, "2^524292\n", "")
+    code, out, err = run(capsys, "--json", "ef", "qbound", "--size", "1", *moves)
+    assert (code, json.loads(out), err) == (0, {"bound": "2^524292"}, "")
+
+
+def test_ef_qbound_in_decimal_up_to_64_bits_or_when_not_a_power_of_two(capsys):
+    code, out, _ = run(capsys, "ef", "qbound", "--size", "1", "--m", "3")
+    assert (code, out) == (0, f"{2 ** 19}\n")  # the split m1 = 0: 2^(2^4 + 3)
+    code, out, _ = run(capsys, "--json", "ef", "qbound", "--size", "0", "--m", str(2 ** 70 + 1))
+    assert (code, json.loads(out)) == (0, {"bound": 2 ** 70 + 1})
+
+
 def test_ef_qbound_past_the_guard_is_one_error_line(capsys):
     code, out, err = run(capsys, "ef", "qbound", "--size", "1", "--m", "5")
     assert (code, out) == (1, "")
