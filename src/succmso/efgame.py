@@ -14,6 +14,15 @@ _MAX_VERTICES = 5
 _MAX_MOVES = 3
 
 
+def _check_moves(m):
+    """A move count is a nonnegative int. A float would recurse without
+    end, and a bool is refused too, since True would play one move."""
+    if type(m) is not int:
+        raise BadParam(f"move count must be an int, not {m!r}")
+    if m < 0:
+        raise BadParam(f"move count must be nonnegative, not {m}")
+
+
 def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
     """Duplicator wins the m-move game where Spoiler freely mixes point and
     set moves; equivalent to agreement on all MSO sentences of quantifier
@@ -44,8 +53,7 @@ def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
     Duplicator's replies t to s (those that agree with s on the pebbles)
     one to one onto the replies to ~s, and a winning line after (s, t)
     onto one after (~s, ~t). So Duplicator survives s iff it survives ~s."""
-    if m < 0:
-        raise BadParam(f"move count must be nonnegative, not {m}")
+    _check_moves(m)
     if g.n > _MAX_VERTICES or h.n > _MAX_VERTICES or m > _MAX_MOVES:
         raise TooLarge(
             f"ef_equiv guard: |g|,|h| <= {_MAX_VERTICES} and m <= {_MAX_MOVES}"
@@ -130,12 +138,20 @@ def q_search(g: Digraph, m: int, q_max: int):
     None if there is none."""
     if g.n == 0:
         raise EmptyGraph("q_search needs a nonempty graph")
-    if m < 0:
-        raise BadParam(f"move count must be nonnegative, not {m}")
+    _check_moves(m)
+    if type(q_max) is not int:
+        raise BadParam(f"q_max must be an int, not {q_max!r}")
     for q in range(1, q_max + 1):
         if ef_equiv(power_union(g, q), power_union(g, q + 1), m):
             return q
     return None
+
+
+def _check_bound_args(*args):
+    if any(type(a) is not int for a in args):
+        raise BoundTooLarge(f"arguments must be ints, not {args!r}")
+    if min(args) < 0:
+        raise BoundTooLarge("arguments must be nonnegative")
 
 
 def q_bound(size_g: int, m1: int, m2: int) -> int:
@@ -144,8 +160,7 @@ def q_bound(size_g: int, m1: int, m2: int) -> int:
     q(m1, 0) = m1 and q(m1, m2) = 2^(size_g * (q(m1, m2 - 1) + m1 + m2)),
     each exponent at most 10^6. For size 0 every exponent is 0, so the
     bound is 1 once m2 > 0."""
-    if size_g < 0 or m1 < 0 or m2 < 0:
-        raise BoundTooLarge("arguments must be nonnegative")
+    _check_bound_args(size_g, m1, m2)
     if size_g == 0:
         return m1 if m2 == 0 else 1
     q = m1
@@ -162,8 +177,7 @@ def q_bound_total(size_g: int, m: int) -> int:
     """Maximum of q_bound over all splits m1 + m2 = m. For size 0 that is
     m (the split m1 = m); for size >= 1 the split m1 = 0 comes first and
     trips the exponent guard within a few steps once m > 4."""
-    if m < 0:
-        raise BoundTooLarge("arguments must be nonnegative")
+    _check_bound_args(size_g, m)
     if size_g == 0:
         return m
     return max(q_bound(size_g, m1, m - m1) for m1 in range(m + 1))

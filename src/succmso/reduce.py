@@ -7,18 +7,19 @@ pump checks, and the two single-circuit auxiliary reductions.
 A quadruple fixes the gadgets, and the CNF only chooses which of g0 and g1
 each copy q holds, by the bit s̄(q). Circuit synthesis is therefore split:
 ``_reduction_template(quad, s)`` emits every gate that does not depend on
-the CNF once per (quadruple, s) and caches it, and ``compile_reduction``
-extends a copy of it with the gates of one CNF (its two evaluators, the
-g0/g1 selectors and the choice of the G3 suffix) before building. The
-template also keeps, per choice of G3 suffix, its part of the output's
-cone, renumbered, so a build walks only the CNF's gates: a compiled
-circuit holds that cached cone first, then any other template gate the
-CNF's gates read, then the CNF's gates.
+the CNF once per (quadruple, s) and caches it with its own extend step,
+which ``compile_reduction`` calls: extend(S) adds to a copy of the
+template the gates of one CNF (its two evaluators, the g0/g1 selectors
+and the choice of the G3 suffix) and builds. The template also keeps,
+per choice of G3 suffix, its part of the output's cone, renumbered, so a
+build walks only the CNF's gates: a compiled circuit holds that cached
+cone first, then any other template gate the CNF's gates read, then the
+CNF's gates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .circuit import MAX_LABEL_BITS, CircuitBuilder
@@ -125,6 +126,8 @@ def parse_dimacs(text: str) -> CnfInstance:
 
 def sbar_at(S: CnfInstance, q: int) -> int:
     """Bit q of the implicit word: 1 iff assignment q falsifies S."""
+    if type(q) is not int:
+        raise IndexOutOfRange(f"index {q!r} is not an int")
     if not 0 <= q < (1 << S.s):
         raise IndexOutOfRange(f"index {q} not in [0, 2^{S.s})")
     return 0 if S.value(q) else 1
@@ -266,6 +269,8 @@ def succ_ref(quad: GadgetQuadruple, S: CnfInstance, x: int):
     arithmetic (no circuits); s̄ is worked out bit by bit with sbar_at."""
     if not isinstance(quad, GadgetQuadruple):
         raise NotValidated("expected a normalized GadgetQuadruple")
+    if type(x) is not int:
+        raise IndexOutOfRange(f"label {x!r} is not an int")
     big_n = quad.big_n(S.s)
     if not 0 <= x < big_n:
         raise IndexOutOfRange(f"label {x} not in [0, {big_n})")
@@ -342,37 +347,14 @@ def _succ_ref(quad: GadgetQuadruple, s: int, word, x: int):
 _TEMPLATE_CACHE = 8
 
 
-@dataclass(frozen=True)
-class _Template:
-    """Gate handles of the S-independent part of the reduction circuit.
-
-    mid_rows holds, per copy-local row r, (r_is, here, prev): r_is tests
-    the remainder against r, here is the pair of g0/g1 row conditions in
-    copy q, and prev is None or (from_g2, g0 cond, g1 cond) for the
-    edges that reach row r < k' from the G2 prefix or from copy q - 1.
-    tails[i] is the G3 suffix, ANDed with its region test, when the last
-    copy holds gadget i, and prefixes[i] is the template's part of the
-    cone of a build with that suffix in which s̄(q) and s̄(q - 1) are
-    opaque gates, as CircuitBuilder.cone_prefix gives it.
-    """
-
-    q_low: tuple
-    qm1_low: tuple
-    q_is_zero: int
-    in_mid: int
-    mid_rows: tuple
-    head: int
-    tails: tuple
-    prefixes: tuple
-
-
 @lru_cache(maxsize=_TEMPLATE_CACHE)
 def _reduction_template(quad: GadgetQuadruple, s: int):
     """Emit every gate of the reduction circuit that does not depend on the
     CNF: region tests, the G2 prefix, the division of x - n2 into (q, r),
     the row conditions of both gadgets in copies q and q - 1, and the G3
-    suffix for either gadget in the last copy. Returns (builder, handles);
-    callers extend a copy of the builder and never the cached one."""
+    suffix for either gadget in the last copy. Returns (builder, extend):
+    extend(S) adds the gates of a CNF S with s variables to a copy of the
+    builder, never to the cached one, and returns the built circuit."""
     big_n = quad.big_n(s)
     ell_hat = (1 << s) - 1
     nb = max((big_n - 1).bit_length(), 1)
@@ -418,6 +400,10 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
                 conds.append(b.eq_const(y_in, quad.n2 + ell_hat * quad.n1 + v))
         return b.or_many(conds)
 
+    # per copy-local row r: r_is tests the remainder against r, here is the
+    # pair of g0/g1 row conditions in copy q, and prev is None or (from_g2,
+    # g0 cond, g1 cond) for the edges that reach row r < k' from the G2
+    # prefix or from copy q - 1
     q_is_zero = b.eq_const(qb, 0)
     mid_rows = []
     for r in range(quad.n1):
@@ -474,38 +460,40 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
             )
         return b.and_(in3, b.or_many(rows3))
 
-    handles = _Template(
-        q_low,
-        qm1_low,
-        q_is_zero,
-        in_mid,
-        tuple(mid_rows),
-        b.and_(in2, case2),
-        (case3(0), case3(1)),
-        (),
-    )
+    head = b.and_(in2, case2)
+    tails = (case3(0), case3(1))  # by the gadget the last copy holds
+
+    def select(c, sbar_q, sbar_qm1, tail):
+        """Emit on c the gates that pick the g0 or g1 row conditions by the
+        bits sbar_q = s̄(q) and sbar_qm1 = s̄(q - 1), and join them with the
+        G2 prefix and the given G3 suffix; returns the output gate."""
+        rows = []
+        for r_is, here, prev in mid_rows:
+            parts = [c.mux_bit(sbar_q, *here)]
+            if prev is not None:
+                from_g2, g0_cond, g1_cond = prev
+                from_prev = c.mux_bit(sbar_qm1, g0_cond, g1_cond)
+                parts.append(c.mux_bit(q_is_zero, from_prev, from_g2))
+            rows.append(c.and_(r_is, c.or_many(parts)))
+        mid = c.and_(in_mid, c.or_many(rows))
+        return c.or_many([head, mid, tail])
+
+    # prefixes[i]: the template's part of the cone of a build with suffix
+    # tails[i] in which s̄(q) and s̄(q - 1) are opaque gates
     prefixes = []
-    for tail in handles.tails:
+    for tail in tails:
         probe = b.copy()
-        out = _select(probe, handles, probe.opaque(), probe.opaque(), tail)
+        out = select(probe, probe.opaque(), probe.opaque(), tail)
         prefixes.append(probe.cone_prefix(out, b.gate_count()))
-    return b, replace(handles, prefixes=tuple(prefixes))
 
+    def extend(S):
+        c = b.copy()
+        sbar_q = c.not_(c.cnf_eval(S.clauses, q_low))
+        sbar_qm1 = c.not_(c.cnf_eval(S.clauses, qm1_low))
+        t = sbar_at(S, ell_hat)
+        return c.build(select(c, sbar_q, sbar_qm1, tails[t]), prefixes[t])
 
-def _select(b: CircuitBuilder, h: _Template, sbar_q: int, sbar_qm1: int, tail: int) -> int:
-    """Emit the gates that pick the g0 or g1 row conditions by the bits
-    sbar_q = s̄(q) and sbar_qm1 = s̄(q - 1), and join them with the G2
-    prefix and the given G3 suffix; returns the output gate."""
-    mid_rows = []
-    for r_is, here, prev in h.mid_rows:
-        parts = [b.mux_bit(sbar_q, *here)]
-        if prev is not None:
-            from_g2, g0_cond, g1_cond = prev
-            from_prev = b.mux_bit(sbar_qm1, g0_cond, g1_cond)
-            parts.append(b.mux_bit(h.q_is_zero, from_prev, from_g2))
-        mid_rows.append(b.and_(r_is, b.or_many(parts)))
-    mid = b.and_(h.in_mid, b.or_many(mid_rows))
-    return b.or_many([h.head, mid, tail])
+    return b, extend
 
 
 def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
@@ -527,14 +515,8 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
     """
     if not isinstance(quad, GadgetQuadruple):
         raise NotValidated("expected a normalized GadgetQuadruple")
-    s = S.s
-    template, h = _reduction_template(quad, s)
-    b = template.copy()
-    sbar_q = b.not_(b.cnf_eval(S.clauses, h.q_low))
-    sbar_qm1 = b.not_(b.cnf_eval(S.clauses, h.qm1_low))
-    t = sbar_at(S, (1 << s) - 1)
-    out = _select(b, h, sbar_q, sbar_qm1, h.tails[t])
-    return Sgr(quad.big_n(s), b.build(out, h.prefixes[t]))
+    _, extend = _reduction_template(quad, S.s)
+    return Sgr(quad.big_n(S.s), extend(S))
 
 
 # -- quadruple construction from a triple --------------------------------

@@ -52,7 +52,12 @@ def cnf_models(S: CnfInstance) -> int:
     Bitsliced over 2^s lanes, lane q holding assignment q: variable j+1 is
     the mask with bit q set iff bit j of q is 1, a clause ORs its literals'
     masks (complemented for negative literals), and the clauses are ANDed.
+    The s masks take 2^s bits each, so it refuses s > _ENUM_LIMIT (20).
     """
+    if S.s > _ENUM_LIMIT:
+        raise TooLargeToMaterialize(
+            f"cnf_models builds 2^{S.s}-bit masks; s must be <= {_ENUM_LIMIT}"
+        )
     lanes = 1 << S.s
     full = (1 << lanes) - 1
     masks = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import product
 
@@ -386,6 +387,27 @@ def test_compiles_where_the_cached_cone_is_partly_dead(name, s):
         assert graph_equal(materialize(compiled, 1 << 10), succ_ref_graph(quad, S))
         counts.append(compiled.circuit.gate_count())
     assert counts == PINNED_CONSTANT_SBAR_GATES[name, s]
+
+
+# sha256 over the sgr.serialize text of every circuit compiled below, one
+# text a line. Taken from the compiler whose template returned a record of
+# gate handles, before the template returned its own extend step.
+COMPILED_TEXT_SHA256 = "ad2fa3037650cbca4cbb682d24729c3c4194ef4a33f8fcf454816af666b8612b"
+
+
+def test_compiled_circuit_text_is_pinned():
+    """Pins each compiled circuit's gate numbering, which `succmso reduce
+    sat2sgr` prints; the gate-count pins above do not see a renumbering."""
+    digest = hashlib.sha256()
+    for name in sorted(QUADRUPLES):
+        quad = QUADRUPLES[name]()
+        for s in (1, 2, 3, 5, 8, 12, 16, 20):
+            cnfs = seeded_cnf_battery(s, 6, 4000 + s)
+            # the last of CONSTANT_SBAR names variable 2, which s = 1 lacks
+            cnfs += [CnfInstance(s, c) for c in CONSTANT_SBAR[: 3 if s > 1 else 2]]
+            for S in cnfs:
+                digest.update(sgr.serialize(compile_reduction(quad, S)).encode() + b"\n")
+    assert digest.hexdigest() == COMPILED_TEXT_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(QUADRUPLES))

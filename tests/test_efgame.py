@@ -309,7 +309,8 @@ def test_q_bound_guard_names_a_huge_exponent_by_its_size():
 
 def test_negative_move_counts_fail_by_name():
     """A negative m once recursed until RecursionError (ef_equiv, q_search)
-    or hit max() of an empty range (q_bound_total)."""
+    or hit max() of an empty range (q_bound_total). A float count did the
+    same or ended in a bare TypeError, and m = True played one move."""
     with pytest.raises(BadParam):
         ef_equiv(POINT, LOOP, -1)
     with pytest.raises(BadParam):
@@ -318,6 +319,18 @@ def test_negative_move_counts_fail_by_name():
         q_search(POINT, -1, 0)
     with pytest.raises(BoundTooLarge):
         q_bound_total(1, -1)
+    for m in (2.5, True):
+        with pytest.raises(BadParam):
+            ef_equiv(POINT, POINT, m)
+    for m, q_max in ((1.5, 2), (1, 2.5), (True, 2), (1, True)):
+        with pytest.raises(BadParam):
+            q_search(POINT, m, q_max)
+    for args in ((1.5, 1, 1), (1, 1.0, 1), (1, 1, True)):
+        with pytest.raises(BoundTooLarge):
+            q_bound(*args)
+    for args in ((1, 2.5), (True, 1), (0, 2.0)):
+        with pytest.raises(BoundTooLarge):
+            q_bound_total(*args)
 
 
 def test_saturating_scan():

@@ -280,6 +280,19 @@ def test_succ_ref_worked_example():
         succ_ref(q, S, 5)
 
 
+def test_labels_must_be_ints():
+    """A float label or copy index once ended in a bare TypeError inside
+    CnfInstance.value, and label True was answered as label 1."""
+    q = toy_quadruple()
+    S = CnfInstance(1, [(1,)])
+    for x in (2.0, True):
+        with pytest.raises(IndexOutOfRange):
+            succ_ref(q, S, x)
+    for i in (1.0, True):
+        with pytest.raises(IndexOutOfRange):
+            sbar_at(S, i)
+
+
 @pytest.mark.parametrize("name", sorted(QUADRUPLES))
 def test_succ_ref_graph_matches_per_label_route(name):
     """The whole-graph entry point and the per-label one share one case

@@ -75,6 +75,12 @@ def test_cnf_models_match_value(s):
         assert [models >> q & 1 for q in range(1 << s)] == values
 
 
+def test_cnf_models_size_guard():
+    """s = 21 once built 21 masks of 2^21 bits; s = 30 would ask for 4 GB."""
+    with pytest.raises(TooLargeToMaterialize):
+        cnf_models(CnfInstance(21, [(1, -21)]))
+
+
 def test_sat_solve_takes_the_first_model():
     batteries = small_cnf_battery() + seeded_cnf_battery(3, 10, 99) + seeded_cnf_battery(3, 20, 3)
     batteries += seeded_cnf_battery(3, 10, DEFAULT_SEED)
