@@ -84,7 +84,11 @@ def _load_gadgets(spec, count):
 
 
 def _parse_battery(text):
-    return [reduce_mod.parse_dimacs(chunk) for chunk in text.split("\n%\n") if chunk.strip()]
+    """DIMACS CNFs separated by lines holding only %; at least one."""
+    battery = [reduce_mod.parse_dimacs(chunk) for chunk in text.split("\n%\n") if chunk.strip()]
+    if not battery:
+        raise ParseError("no CNF in the battery")
+    return battery
 
 
 def _battery(spec, seed):
@@ -172,9 +176,8 @@ def _mso_rank(args):
 
 
 def _mso_parse(args):
-    formula = mso.parse(args.formula, allow_free=args.allow_free)
-    printed = mso.print_formula(formula)
-    return _emit(args, printed, {"formula": printed, "rank": mso.rank(formula)})
+    compiled = mso.CompiledFormula(mso.parse(args.formula, allow_free=args.allow_free))
+    return _emit(args, compiled.text, {"formula": compiled.text, "rank": compiled.rank})
 
 
 def _td_validate(args):

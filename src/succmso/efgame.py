@@ -192,7 +192,12 @@ MIXED = "Mixed"
 
 def saturating_scan(omega: Digraph, formula, battery) -> str:
     """Empirically classify omega against the battery: Sufficient if every
-    omega ⊔ G models the sentence, Forbidden if none does, Mixed otherwise."""
+    omega ⊔ G models the sentence, Forbidden if none does, Mixed otherwise.
+    An empty battery would be Sufficient without a check, so it is refused
+    with BadParam."""
+    battery = tuple(battery)
+    if not battery:
+        raise BadParam("saturating_scan needs at least one graph in the battery")
     compiled = CompiledFormula(formula)
     verdicts = {compiled.eval(disjoint_union(omega, g)) for g in battery}
     if verdicts <= {True}:

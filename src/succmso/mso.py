@@ -4,8 +4,9 @@ Lowercase identifiers are point variables, uppercase identifiers are set
 variables. Vertex sets are enumerated as bitmasks in increasing binary
 order (bit i = vertex i). The quantifier rank of a formula is its maximal
 quantifier nesting depth. One recursive pass (``_compile``) checks scopes,
-assigns env slots, finds the free variables and the rank, and builds the
-evaluation closures.
+assigns env slots, finds the free variables and the rank, builds the
+evaluation closures and prints the formula; besides the parser, it is the
+only walk over the AST.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ def is_set_var(name: str) -> bool:
 _TOKEN_RE = re.compile(r"\s*(->|[()=,.~&|]|[A-Za-z][a-z0-9]*)")
 
 # Nesting cap of the recursive parser (each ~, quantifier or parenthesis is
-# one level), well below Python's recursion limit. _compile and
-# print_formula apply the same cap to formulas built from the AST classes,
-# where each Not, Quant, And, Or or Implies node is one level.
+# one level), well below Python's recursion limit. _compile applies the same
+# cap to formulas built from the AST classes, where each Not, Quant, And, Or
+# or Implies node is one level; print_formula, rank and eval_formula get it
+# from there.
 _MAX_NESTING = 256
 
 # Cap on n ** rank, the number of innermost evaluations of a first-order
@@ -194,32 +196,11 @@ def parse(text: str, allow_free=False):
 
 
 def print_formula(formula) -> str:
-    """Inverse of parse (round-trip stable). Raises ParseError on a formula
-    nested deeper than parse accepts."""
-    return _print(formula, 0)
-
-
-def _print(node, depth):
-    if depth > _MAX_NESTING:
-        raise ParseError(f"formula nested deeper than {_MAX_NESTING} levels")
-    depth += 1
-    if isinstance(node, Edge):
-        return f"E({node.x},{node.y})"
-    if isinstance(node, Eq):
-        return f"{node.x}={node.y}"
-    if isinstance(node, Member):
-        return f"{node.x} in {node.xs}"
-    if isinstance(node, Not):
-        return f"~{_print(node.sub, depth)}"
-    if isinstance(node, And):
-        return f"({_print(node.left, depth)} & {_print(node.right, depth)})"
-    if isinstance(node, Or):
-        return f"({_print(node.left, depth)} | {_print(node.right, depth)})"
-    if isinstance(node, Implies):
-        return f"({_print(node.left, depth)} -> {_print(node.right, depth)})"
-    if isinstance(node, Quant):
-        return f"{node.kind} {node.var}. {_print(node.sub, depth)}"
-    raise TypeError(f"not an MSO formula node: {node!r}")
+    """Inverse of parse (round-trip stable): the text CompiledFormula keeps.
+    Raises ParseError on a formula nested deeper than parse accepts, and
+    ScopeError on an AST that parse would refuse (a shadowed quantifier, a
+    set variable used as a point, a point used as a set)."""
+    return CompiledFormula(formula).text
 
 
 # -- the one pass: analysis and evaluation -------------------------------
@@ -237,15 +218,16 @@ def _slot(name, scope, slots):
 
 def _compile(node, scope, slots, depth=0):
     """One descent: reject nesting past parse's cap, shadowing and ill-typed
-    atoms, assign env slots, and compile to a closure fn(n, edges, env) for
-    repeated evaluation. depth is the number of nodes above node.
+    atoms, assign env slots, print the node, and compile it to a closure
+    fn(n, edges, env) for repeated evaluation. depth is the number of nodes
+    above node.
 
     scope maps each variable bound above node to its slot. slots has one
     entry per env slot: a free variable's name, or None for the slot of a
     quantifier (each quantifier has its own). env holds vertex numbers for
     point variables and bitmasks for set variables.
 
-    Returns (fn, quantifier rank, whether a set quantifier occurs).
+    Returns (fn, text, quantifier rank, whether a set quantifier occurs).
     """
     if depth > _MAX_NESTING:
         raise ParseError(f"formula nested deeper than {_MAX_NESTING} levels")
@@ -256,32 +238,33 @@ def _compile(node, scope, slots, depth=0):
                 raise ScopeError(f"{v!r} is a set variable used as a point")
         i, j = _slot(node.x, scope, slots), _slot(node.y, scope, slots)
         if isinstance(node, Edge):
-            return (lambda n, E, env: (env[i], env[j]) in E), 0, False
-        return (lambda n, E, env: env[i] == env[j]), 0, False
+            return (lambda n, E, env: (env[i], env[j]) in E), f"E({node.x},{node.y})", 0, False
+        return (lambda n, E, env: env[i] == env[j]), f"{node.x}={node.y}", 0, False
     if isinstance(node, Member):
         if is_set_var(node.x) or not is_set_var(node.xs):
             raise ScopeError("membership needs a point on the left, a set on the right")
         i, j = _slot(node.x, scope, slots), _slot(node.xs, scope, slots)
-        return (lambda n, E, env: (env[j] >> env[i]) & 1 == 1), 0, False
+        fn = lambda n, E, env: (env[j] >> env[i]) & 1 == 1
+        return fn, f"{node.x} in {node.xs}", 0, False
     if isinstance(node, Not):
-        sub, qrank, set_quant = _compile(node.sub, scope, slots, depth)
-        return (lambda n, E, env: not sub(n, E, env)), qrank, set_quant
+        sub, text, qrank, set_quant = _compile(node.sub, scope, slots, depth)
+        return (lambda n, E, env: not sub(n, E, env)), f"~{text}", qrank, set_quant
     if isinstance(node, (And, Or, Implies)):
-        left, lrank, lset = _compile(node.left, scope, slots, depth)
-        right, rrank, rset = _compile(node.right, scope, slots, depth)
+        left, ltext, lrank, lset = _compile(node.left, scope, slots, depth)
+        right, rtext, rrank, rset = _compile(node.right, scope, slots, depth)
         if isinstance(node, And):
-            fn = lambda n, E, env: left(n, E, env) and right(n, E, env)
+            op, fn = "&", lambda n, E, env: left(n, E, env) and right(n, E, env)
         elif isinstance(node, Or):
-            fn = lambda n, E, env: left(n, E, env) or right(n, E, env)
+            op, fn = "|", lambda n, E, env: left(n, E, env) or right(n, E, env)
         else:
-            fn = lambda n, E, env: (not left(n, E, env)) or right(n, E, env)
-        return fn, max(lrank, rrank), lset or rset
+            op, fn = "->", lambda n, E, env: (not left(n, E, env)) or right(n, E, env)
+        return fn, f"({ltext} {op} {rtext})", max(lrank, rrank), lset or rset
     if isinstance(node, Quant):
         if node.var in scope:
             raise ScopeError(f"variable {node.var!r} is shadowed")
         idx = len(slots)
         slots.append(None)
-        sub, qrank, set_quant = _compile(node.sub, {**scope, node.var: idx}, slots, depth)
+        sub, text, qrank, set_quant = _compile(node.sub, {**scope, node.var: idx}, slots, depth)
         over_sets = is_set_var(node.var)
         exists = node.kind == "ex"
 
@@ -293,26 +276,41 @@ def _compile(node, scope, slots, depth=0):
                     return exists
             return not exists
 
-        return fn, qrank + 1, set_quant or over_sets
+        return fn, f"{node.kind} {node.var}. {text}", qrank + 1, set_quant or over_sets
     raise TypeError(f"not an MSO formula node: {node!r}")
+
+
+def _vertex(name, v, n):
+    """v, checked as a vertex in the valuation of name: an exact int (not a
+    bool, a float or a string) in range(n)."""
+    if type(v) is not int:
+        raise ScopeError(f"valuation of {name!r}: {v!r:.40} is not an int vertex")
+    if not 0 <= v < n:
+        raise ScopeError(f"valuation of {name!r}: vertex {v} out of range")
+    return v
 
 
 class CompiledFormula:
     """A formula compiled once, evaluable against many graphs.
 
-    .free is the set of free variables, .rank the quantifier rank. A formula
-    nested deeper than parse accepts raises ParseError.
+    .free is the set of free variables, .rank the quantifier rank, .text
+    the concrete syntax that parse reads back. A formula nested deeper than
+    parse accepts raises ParseError.
     """
 
     def __init__(self, formula):
         self.formula = formula
         slots = []
-        self._fn, self.rank, self._set_quant = _compile(formula, {}, slots)
+        self._fn, self.text, self.rank, self._set_quant = _compile(formula, {}, slots)
         self._width = len(slots)
         self._free_slots = {name: i for i, name in enumerate(slots) if name is not None}
         self.free = frozenset(self._free_slots)
 
     def eval(self, g: Digraph, valuation=None) -> bool:
+        """Whether g models the formula. valuation maps each free point
+        variable to a vertex and each free set variable to an iterable of
+        vertices, each vertex an exact int in range(g.n); ScopeError names
+        the variable otherwise."""
         valuation = valuation or {}
         missing = self.free - set(valuation)
         if missing:
@@ -331,16 +329,18 @@ class CompiledFormula:
             if name not in self._free_slots:
                 continue
             if is_set_var(name):
+                try:
+                    members = iter(value)
+                except TypeError:
+                    raise ScopeError(
+                        f"valuation of {name!r}: {value!r:.40} is not an iterable of vertices"
+                    ) from None
                 mask = 0
-                for v in value:
-                    if not 0 <= v < g.n:
-                        raise ScopeError(f"valuation vertex {v} out of range")
-                    mask |= 1 << v
+                for v in members:
+                    mask |= 1 << _vertex(name, v, g.n)
                 env[self._free_slots[name]] = mask
             else:
-                if not 0 <= value < g.n:
-                    raise ScopeError(f"valuation vertex {value} out of range")
-                env[self._free_slots[name]] = value
+                env[self._free_slots[name]] = _vertex(name, value, g.n)
         return bool(self._fn(g.n, g.edges, env))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import NotValidated, TooLargeToMaterialize
+from .errors import BadParam, NotValidated, TooLargeToMaterialize
 from .graph import Digraph, graph_equal
 from .mso import CompiledFormula, parse
 from .reduce import (
@@ -250,9 +250,11 @@ def check_instance(S: CnfInstance, quad=None, sentence=LOOP_SENTENCE, limit=1000
 
 
 def end_to_end(quad=None, sentence=LOOP_SENTENCE, instances=None) -> EndToEndReport:
-    """Run check_instance across a battery (the built-in one by default)."""
-    if instances is None:
-        instances = builtin_battery()
+    """Run check_instance across a battery (the built-in one by default).
+    An empty battery checks nothing, so it is refused with BadParam."""
+    instances = builtin_battery() if instances is None else tuple(instances)
+    if not instances:
+        raise BadParam("end_to_end needs at least one instance")
     return EndToEndReport(
         tuple(check_instance(S, quad, sentence) for S in instances)
     )

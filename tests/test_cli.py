@@ -619,9 +619,15 @@ def test_cnf_past_the_variable_cap_is_refused(capsys, tmp_path, argv):
          {"a": CNF + "%\np cnf 1000000000000000 1\n1 0\n"}, "BadLiteral"),
         (("verify", "sat", "--cnf", "{a}"), {"a": b"p cnf 1 1\n\xff 0\n"}, "ParseError"),
         (("sgr", "materialize", "--sgr", "{a}"), {"a": "[" * 100_000}, "ParseError"),
+        # a battery without a CNF once printed "overall: pass" and exited 0
+        (("verify", "end2end", "--gadgets", "toy", "--battery", "{a}"), {"a": ""}, "ParseError"),
+        (("--json", "verify", "end2end", "--gadgets", "toy", "--battery", "{a}"),
+         {"a": "\n \n\n"}, "ParseError"),
+        (("verify", "end2end", "--gadgets", "toy", "--battery", "{a}"), {"a": "\n%\n\n%\n"},
+         "ParseError"),
     ],
     ids=["graph-text", "dimacs", "sgr", "decomposition", "gadgets", "battery", "not-utf8",
-         "json-nested-too-deep"],
+         "json-nested-too-deep", "empty-battery", "blank-battery", "separators-battery"],
 )
 def test_a_file_that_fails_to_read_is_named(capsys, tmp_path, argv, files, error):
     """The message names the file, so with two graphs (ef equiv) the user

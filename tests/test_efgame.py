@@ -340,3 +340,7 @@ def test_saturating_scan():
     assert saturating_scan(POINT, loop_sentence, battery) == FORBIDDEN
     mixed_battery = battery + [LOOP]
     assert saturating_scan(POINT, loop_sentence, mixed_battery) == MIXED
+    # an empty battery was once Sufficient without a single check
+    for battery in ([], iter([])):
+        with pytest.raises(BadParam):
+            saturating_scan(LOOP, loop_sentence, battery)

@@ -155,12 +155,26 @@ def test_valuation():
         f.eval(PATH3, {"x": 0})
     with pytest.raises(ScopeError):
         f.eval(PATH3, {"x": 0, "y": 9})
+    # a point value is an exact int: 1.0 and True once read as vertex 1,
+    # 1.5 as no vertex, and "1" ended in a bare TypeError
+    g = Digraph(3, [(0, 1), (1, 1)])
+    loop = CompiledFormula(parse("E(x,x)", allow_free=True))
+    assert loop.eval(g, {"x": 1})
+    for value in (1.0, True, 1.5, "1", None):
+        with pytest.raises(ScopeError, match="'x'"):
+            loop.eval(g, {"x": value})
 
 
 def test_set_valuation():
     f = CompiledFormula(parse("x in X", allow_free=True))
     assert f.eval(PATH3, {"x": 1, "X": {0, 1}})
     assert not f.eval(PATH3, {"x": 2, "X": {0, 1}})
+    assert f.eval(PATH3, {"x": 1, "X": (v for v in (2, 1))})
+    # a set value is an iterable of exact ints; 5 and [1.0] once ended in a
+    # bare TypeError
+    for value in (5, [1.0], [True], [1, "2"], None):
+        with pytest.raises(ScopeError, match="'X'"):
+            f.eval(PATH3, {"x": 1, "X": value})
 
 
 def test_brute_force_guard():
@@ -195,6 +209,21 @@ def test_ast_constructors_direct():
     f = Quant("ex", "x", Edge("x", "x"))
     assert eval_formula(LOOP, f)
     assert print_formula(f) == "ex x. E(x,x)"
+
+
+@pytest.mark.parametrize("f", [
+    Quant("ex", "x", Quant("all", "x", Edge("x", "x"))),
+    Quant("ex", "X", Eq("X", "X")),
+    Quant("ex", "x", Member("x", "x")),
+], ids=["shadowed", "set-as-point", "point-as-set"])
+def test_ill_scoped_ast_is_not_printed(f):
+    """print_formula once printed these, and parse refuses the text; it
+    fails as CompiledFormula does."""
+    with pytest.raises(ScopeError) as compiled:
+        CompiledFormula(f)
+    with pytest.raises(ScopeError) as printed:
+        print_formula(f)
+    assert str(printed.value) == str(compiled.value)
 
 
 # -- the one pass against a direct interpreter ---------------------------

@@ -1,8 +1,8 @@
 import pytest
 
-from succmso.errors import NotValidated, ParseError, TooLargeToMaterialize
+from succmso.errors import BadParam, NotValidated, ParseError, TooLargeToMaterialize
 from succmso.graph import BiboundariedGraph, Digraph, delta, graph_equal, isomorphic_small
-from succmso.reduce import CnfInstance, normalize_layout, succ_ref, toy_quadruple
+from succmso.reduce import CnfInstance, normalize_layout, sbar_at, succ_ref, toy_quadruple
 from succmso.verify import (
     DEFAULT_SEED,
     check_instance,
@@ -205,6 +205,38 @@ def test_end_to_end_builtin_battery():
     assert len(report.records) == len(small_cnf_battery()) + 10
     obj = report.to_json_obj()
     assert obj["ok"] is True
+
+
+def test_end_to_end_refuses_an_empty_battery(monkeypatch):
+    """An empty battery once reported ok without checking anything; it is
+    refused before any instance is checked."""
+    monkeypatch.setattr("succmso.verify.check_instance", lambda *a: pytest.fail("checked"))
+    for instances in ([], iter([])):
+        with pytest.raises(BadParam):
+            end_to_end(instances=instances)
+
+
+def canonical_cnf(s, word):
+    """The CNF whose s̄ is word: one clause per assignment q with bit q of
+    word set, falsified by q alone (variable j + 1 takes bit j of q)."""
+    clauses = [tuple(-v if q >> (v - 1) & 1 else v for v in range(1, s + 1))
+               for q in range(1 << s) if word >> q & 1]
+    return CnfInstance(s, clauses)
+
+
+@pytest.mark.parametrize("name", sorted(QUADRUPLES))
+def test_every_sbar_word_up_to_three_variables(name):
+    """Every truth-table word at s <= 3 (4 + 16 + 256 of them), through its
+    canonical CNF: loop iff SAT, the three routes agree label for label,
+    and SAT holds iff the word is not all ones."""
+    quad = QUADRUPLES[name]()
+    for s in (1, 2, 3):
+        for word in range(1 << (1 << s)):
+            S = canonical_cnf(s, word)
+            assert [sbar_at(S, q) for q in range(1 << s)] == [word >> q & 1 for q in range(1 << s)]
+            rec = check_instance(S, quad)
+            assert rec.ok, (s, word)
+            assert rec.satisfiable == (word != (1 << (1 << s)) - 1), (s, word)
 
 
 def test_end_to_end_negative_control():
