@@ -35,7 +35,13 @@ the gates in the output's cone, renumbered in order, so every gate of a
 built circuit but the output is read by a later gate. A builder extended
 many times from one base can save the base's part of a cone
 (``cone_prefix``) and pass it to ``build``, which then walks only the
-gates added since. Circuits read by ``parse`` are taken verbatim.
+gates added since.
+
+One routine checks gates, ``_check_gates``. ``BoolCircuit`` runs it on
+every gate, so a parsed circuit, or one made directly, is checked whole,
+and is otherwise taken verbatim. ``cone_prefix`` runs it once on the head
+it saves, and ``build`` runs it only on the gates after the head it took,
+or on all of them when it took none.
 """
 
 from __future__ import annotations
@@ -63,14 +69,13 @@ class BoolCircuit:
     output: int
 
     def __post_init__(self):
-        """Check every gate in one pass: the only check of a gate list. A
-        tuple of tuples is kept as given; gates in any other iterable, or
-        given as lists, are stored as one. Gates that are not iterable, and
-        a gate that is not a non-empty tuple or list, are a BadParam."""
+        """Check the label width, the output and every gate (_check_gates).
+        A tuple of tuples is kept as given; gates in any other iterable, or
+        given as lists, are stored as one. Gates that are not iterable are a
+        BadParam."""
         _check_label_bits(self.label_bits)
         if type(self.output) is not int:
             raise BadParam(f"output must be a gate index, not {self.output!r:.40}")
-        wires = 2 * self.label_bits
         gates = self.gates
         loose = type(gates) is not tuple
         if loose:
@@ -78,41 +83,8 @@ class BoolCircuit:
                 gates = tuple(gates)
             except TypeError:
                 raise BadParam(f"gates must be an iterable, not {gates!r:.40}") from None
-        for i, gate in enumerate(gates):
-            if type(gate) is not tuple:
-                if type(gate) is not list:  # exact types: isinstance cost ~80 ns a gate
-                    raise BadParam(f"gate {i} is malformed")
-                loose = True
-            if not gate:
-                raise BadParam(f"gate {i} is malformed")
-            kind = gate[0]
-            # unpacking checks the operand count: a len() call costs ~40 ns a gate
-            if kind == "and" or kind == "or":
-                try:
-                    _, a, b = gate
-                except ValueError:
-                    raise BadParam(f"gate {i}: {kind} takes 2 operand(s)") from None
-                if not (type(a) is int and type(b) is int and 0 <= a < i and 0 <= b < i):
-                    _check_refs(i, a, b)
-            elif kind == "not":
-                try:
-                    _, a = gate
-                except ValueError:
-                    raise BadParam(f"gate {i}: not takes 1 operand(s)") from None
-                if not (type(a) is int and 0 <= a < i):
-                    _check_refs(i, a)
-            else:
-                if kind != "input" and kind != "const":
-                    raise BadParam(f"gate {i}: unknown kind {kind!r}")
-                try:
-                    _, a = gate
-                except ValueError:
-                    raise BadParam(f"gate {i}: {kind} takes 1 operand(s)") from None
-                if kind == "input":
-                    if type(a) is not int or not 0 <= a < wires:
-                        raise BadParam(f"gate {i}: input wire {a!r} out of range")
-                elif type(a) is not int or a not in (0, 1):
-                    raise BadParam(f"gate {i}: const must be 0 or 1")
+        if _check_gates(gates, 2 * self.label_bits, 0):
+            loose = True
         if not 0 <= self.output < len(gates):
             raise TopologyError(f"output index {self.output} out of range")
         if loose:
@@ -255,40 +227,49 @@ def _residual(gates, output, label_bits, x):
     out = place[output]
     if out < 0:
         return None, out == one
-    kept, _ = _cone(kept, out)
+    kept, _, _ = _cone(kept, out)
     return kept, len(kept) - 1
 
 
 def _cone(gates, output, prefix=None):
     """The gates the output reads, directly or not, renumbered in order, so
-    the output is the last gate, as (kept, index): index[i] is gate i's new
-    index, or -1. One backward pass marks the gates, one forward pass
-    renumbers them.
+    the output is the last gate, as (kept, index, taken): index[i] is gate
+    i's new index, or -1, and the first taken gates of kept are a prefix's
+    head. One backward pass marks the gates, one forward pass renumbers
+    them. Renumbering in order keeps each and/or's operands in the order
+    they had.
 
     A prefix (head, placed, tops) from CircuitBuilder.cone_prefix spares
     both passes over the first len(placed) gates. Head, renumbered, comes
     first as it is; the passes walk only the later gates and the first
     gates outside head that they read, which are numbered after head, so
-    an and/or whose operands that swaps gets them back in ascending order.
-    Unless the output reads every top of head, part of head is dead, and
-    the cone is taken without the prefix.
+    an and/or that reads one of those and a gate of head gets its operands
+    swapped back into ascending order. Unless the output reads every top
+    of head, part of head is dead, and the cone is taken without the
+    prefix, with taken 0.
     """
-    head, placed, tops = prefix if prefix and output >= len(prefix[1]) else ((), (), ())
+    if prefix and output >= len(prefix[1]):
+        head, placed, tops = prefix
+    else:
+        head = placed = tops = ()
     start = len(placed)
     live = bytearray(output + 1)
     live[output] = 1
     outside = []  # the first gates reached that head does not hold
+    walk = range(output, start - 1, -1)
+    if start:
 
-    def below_start():
-        """Those gates, descending; the walk marks more as it goes."""
-        i = live.rfind(1, 0, start)
-        while i >= 0:
-            if placed[i] < 0:
-                outside.append(i)
-                yield i
-            i = live.rfind(1, 0, i)
+        def below_start():
+            """Those gates, descending; the walk marks more as it goes."""
+            i = live.rfind(1, 0, start)
+            while i >= 0:
+                if placed[i] < 0:
+                    outside.append(i)
+                    yield i
+                i = live.rfind(1, 0, i)
 
-    for i in chain(range(output, start - 1, -1), below_start()):
+        walk = chain(walk, below_start())
+    for i in walk:
         if live[i]:
             gate = gates[i]
             kind = gate[0]
@@ -300,18 +281,71 @@ def _cone(gates, output, prefix=None):
         return _cone(gates, output)
     index = [*placed] + [-1] * (output + 1 - start)
     kept = [*head]
-    for i in chain(reversed(outside), range(start, output + 1)):
+    walk = range(start, output + 1)
+    if outside:
+        walk = chain(reversed(outside), walk)
+    for i in walk:
         if live[i]:
             gate = gates[i]
             kind = gate[0]
             if kind == "and" or kind == "or":
-                a, b = index[gate[1]], index[gate[2]]
-                gate = (kind, a, b) if a < b else (kind, b, a)
+                gate = (kind, index[gate[1]], index[gate[2]])
             elif kind == "not":
                 gate = (kind, index[gate[1]])
             index[i] = len(kept)
             kept.append(gate)
-    return tuple(kept), index
+    if outside:
+        for i in range(len(head), len(kept)):
+            gate = kept[i]
+            if len(gate) == 3 and gate[1] > gate[2]:  # an and/or
+                kept[i] = (gate[0], gate[2], gate[1])
+    return tuple(kept), index, len(head)
+
+
+def _check_gates(gates, wires, start):
+    """Check gates[start:], the gates before start being checked already,
+    in one pass: the only check of a gate list. Returns whether some gate is
+    a list, not a tuple; a gate that is neither, or is empty, is a BadParam.
+    BoolCircuit runs it from gate 0; CircuitBuilder.cone_prefix runs it on
+    the head it caches, and build only on the gates after that head."""
+    loose = False
+    for i in range(start, len(gates)):
+        gate = gates[i]
+        if type(gate) is not tuple:
+            if type(gate) is not list:  # exact types: isinstance cost ~80 ns a gate
+                raise BadParam(f"gate {i} is malformed")
+            loose = True
+        if not gate:
+            raise BadParam(f"gate {i} is malformed")
+        kind = gate[0]
+        # unpacking checks the operand count: a len() call costs ~40 ns a gate
+        if kind == "and" or kind == "or":
+            try:
+                _, a, b = gate
+            except ValueError:
+                raise BadParam(f"gate {i}: {kind} takes 2 operand(s)") from None
+            if not (type(a) is int and type(b) is int and 0 <= a < i and 0 <= b < i):
+                _check_refs(i, a, b)
+        elif kind == "not":
+            try:
+                _, a = gate
+            except ValueError:
+                raise BadParam(f"gate {i}: not takes 1 operand(s)") from None
+            if not (type(a) is int and 0 <= a < i):
+                _check_refs(i, a)
+        else:
+            if kind != "input" and kind != "const":
+                raise BadParam(f"gate {i}: unknown kind {kind!r}")
+            try:
+                _, a = gate
+            except ValueError:
+                raise BadParam(f"gate {i}: {kind} takes 1 operand(s)") from None
+            if kind == "input":
+                if type(a) is not int or not 0 <= a < wires:
+                    raise BadParam(f"gate {i}: input wire {a!r} out of range")
+            elif type(a) is not int or a not in (0, 1):
+                raise BadParam(f"gate {i}: const must be 0 or 1")
+    return loose
 
 
 def _check_label_bits(label_bits):
@@ -324,8 +358,8 @@ def _check_label_bits(label_bits):
 
 def _check_refs(i, *refs):
     """Raise for the first operand of gate i that is not an earlier gate; a
-    bool is not a gate index. The validation loop calls it only when its
-    inlined test fails."""
+    bool is not a gate index. _check_gates calls it only when its inlined
+    test fails."""
     for j in refs:
         if type(j) is not int or not 0 <= j < i:
             raise TopologyError(f"gate {i} references gate {j}")
@@ -687,13 +721,18 @@ class CircuitBuilder:
     def build(self, output: int, prefix=None) -> BoolCircuit:
         """The circuit of the output's cone (``_cone``). A prefix from
         cone_prefix on this builder's first gates, or on those of a builder
-        it was copied from, spares the walk over them. The builder is left
+        it was copied from, spares the walk over them and their check:
+        _check_gates runs only on the gates after the prefix's head, or on
+        all of them when the cone is taken without it. The builder is left
         as it was, so building mid-construction is fine."""
         gates = self._gates
         if not 0 <= output < len(gates):
             raise TopologyError(f"output index {output} out of range")
-        kept, _ = _cone(gates, output, prefix)
-        return BoolCircuit(self.label_bits, kept, len(kept) - 1)
+        kept, _, checked = _cone(gates, output, prefix)
+        _check_gates(kept, 2 * self.label_bits, checked)
+        circuit = object.__new__(BoolCircuit)  # all checked: no __post_init__
+        vars(circuit).update(label_bits=self.label_bits, gates=kept, output=len(kept) - 1)
+        return circuit
 
     def opaque(self) -> int:
         """A fresh gate for a bit not known yet: no identity folds it and no
@@ -707,10 +746,14 @@ class CircuitBuilder:
         """The output's cone among the first size gates, as build and
         ``_cone`` take a prefix: (head, placed, tops), where head is that
         part renumbered in order, placed[i] is gate i's index in head or
-        -1, and tops are the gates of head that no gate of head reads."""
-        kept, index = _cone(self._gates, output)
+        -1, and tops are the gates of head that no gate of head reads.
+        Head is checked here, once (_check_gates), so a build with the prefix
+        checks only the gates after it; a head holding an opaque gate is
+        refused with BadParam."""
+        kept, index, _ = _cone(self._gates, output)
         placed = tuple(index[:size])
         head = kept[: size - placed.count(-1)]
+        _check_gates(head, 2 * self.label_bits, 0)
         read = {j for gate in head if gate[0] in ("and", "or", "not") for j in gate[1:]}
         tops = tuple(i for i, j in enumerate(placed) if j >= 0 and j not in read)
         return head, placed, tops

@@ -84,8 +84,25 @@ def _load_gadgets(spec, count):
 
 
 def _parse_battery(text):
-    """DIMACS CNFs separated by lines holding only %; at least one."""
-    battery = [reduce_mod.parse_dimacs(chunk) for chunk in text.split("\n%\n") if chunk.strip()]
+    """DIMACS CNFs separated by lines holding only % once stripped, so a
+    CRLF line end or a separator on the first line is one too; at least one
+    CNF. A CNF's error keeps its class and gets the CNF's number and its
+    first line in the file put before its message."""
+    lines = text.splitlines()
+    battery = []
+    first = 0  # the chunk's first line, counted from 0
+    for i, line in enumerate([*lines, "%"]):
+        if line.strip() != "%":
+            continue
+        chunk = "\n".join(lines[first:i])
+        if chunk.strip():
+            try:
+                battery.append(reduce_mod.parse_dimacs(chunk))
+            except SuccmsoError as exc:
+                where = f"CNF {len(battery) + 1} (its line 1 is file line {first + 1})"
+                exc.args = (f"{where}: {exc}",)
+                raise
+        first = i + 1
     if not battery:
         raise ParseError("no CNF in the battery")
     return battery

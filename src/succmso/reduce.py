@@ -15,6 +15,13 @@ per choice of G3 suffix, its part of the output's cone, renumbered, so a
 build walks only the CNF's gates: a compiled circuit holds that cached
 cone first, then any other template gate the CNF's gates read, then the
 CNF's gates.
+
+The circuit-free route, ``succ_ref`` and ``succ_ref_graph``, splits the
+same way: ``_label_table(quad, s)`` works out every successor label
+through ``delta_map`` once per (quadruple, s), as offsets from a copy's
+base where a copy moves them, and ``_succ_ref``, the route's one case
+analysis, reads it with the word s̄. The route reads no circuit and
+nothing of ``verify``, and the two caches are kept apart.
 """
 
 from __future__ import annotations
@@ -274,7 +281,7 @@ def succ_ref(quad: GadgetQuadruple, S: CnfInstance, x: int):
     big_n = quad.big_n(S.s)
     if not 0 <= x < big_n:
         raise IndexOutOfRange(f"label {x} not in [0, {big_n})")
-    return _succ_ref(quad, S.s, lambda q: sbar_at(S, q), x)
+    return _succ_ref(_label_table(quad, S.s), lambda q: sbar_at(S, q), x)
 
 
 _GRAPH_MAX_S = 20
@@ -292,60 +299,116 @@ def succ_ref_graph(quad: GadgetQuadruple, S: CnfInstance) -> Digraph:
             f"succ_ref_graph visits 2^{s} copies; s must be <= {_GRAPH_MAX_S}"
         )
     word = [0 if S.value(q) else 1 for q in range(1 << s)].__getitem__
+    table = _label_table(quad, s)
     big_n = quad.big_n(s)
-    return Digraph(big_n, ((x, y) for x in range(big_n) for y in _succ_ref(quad, s, word, x)))
+    return Digraph(big_n, ((x, y) for x in range(big_n) for y in _succ_ref(table, word, x)))
 
 
-def _succ_ref(quad: GadgetQuadruple, s: int, word, x: int):
-    """The case analysis behind succ_ref and succ_ref_graph: out-neighbors
-    of label x < N, where word(q) is the bit s̄(q)."""
+# Templates and label tables kept, one per (quadruple, s): each bench
+# workload cycles through three pairs, and `--workload all` through six. A
+# template is small (the shared-port quadruple at s = 20 has 1,405 gates in
+# about 0.2 MB), and a label table smaller still, so eight cost at most a
+# few MB.
+_TEMPLATE_CACHE = 8
+
+
+@lru_cache(maxsize=_TEMPLATE_CACHE)
+def _label_table(quad: GadgetQuadruple, s: int) -> tuple:
+    """succ_ref's labels for (quad, s), worked out through delta_map once,
+    as the tuple (n2, n1, k', ell_hat, mid_end, g2, copy, from_g2, g3),
+    mid_end being the first G3 label. A copy row's labels are offsets from
+    its copy's base n2 + q·n1 plus the shared-port labels, which no copy
+    moves.
+
+    g2[x]: the successors of G2 row x < n2. copy[j][r]: (offsets, fixed)
+    of gadget j's row r < n1 + k', the rows of a copy and of the non-shared
+    P2 ports that the next copy's rows r - n1 < k' are glued to.
+    from_g2[r]: the successors of G2's P2 port glued to copy 0's row r < k'.
+    g3[r]: (labels, last, ranges) of G3 row r. For r < k', last[i] is its
+    labels joined with the successors of the last copy's P2 port glued to
+    it, when that copy holds gadget i; else last is None. A shared port's
+    labels take in G2's successors too, and ranges holds one range per
+    successor v of G1's port, v's label in every copy, so a table never
+    holds 2^s labels.
+    """
     ell_hat = (1 << s) - 1
-    dm = delta_map
-    if x < quad.n2:
-        return {dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(x)}
-    t = x - quad.n2
-    if t < (1 << s) * quad.n1:
-        q, r = divmod(t, quad.n1)
-        j = word(q)
-        out = {dm(quad, s, j, q, v) for v in quad.gadget(j).graph.successors(r)}
-        if r < quad.k_prime:
-            if q == 0:
-                out |= {
-                    dm(quad, s, 2, 0, v)
-                    for v in quad.g2.graph.successors(r + quad.n2)
-                }
+    n2, n1, kp = quad.n2, quad.n1, quad.k_prime
+
+    def labels(j, q, succs):
+        return frozenset(delta_map(quad, s, j, q, v) for v in succs)
+
+    def copy_row(j, r):
+        offsets, fixed = [], set()
+        for v in quad.gadget(j).graph.successors(r):
+            y = delta_map(quad, s, j, 0, v)
+            if y == delta_map(quad, s, j, ell_hat, v):  # a shared port: one label
+                fixed.add(y)
             else:
-                i = word(q - 1)
-                out |= {
-                    dm(quad, s, i, q - 1, v)
-                    for v in quad.gadget(i).graph.successors(r + quad.n1)
-                }
+                offsets.append(y - n2)
+        return tuple(offsets), frozenset(fixed)
+
+    def g3_row(r):
+        own = labels(3, 0, quad.g3.graph.successors(r))
+        if r < kp:
+            last = tuple(
+                own | labels(i, ell_hat, quad.gadget(i).graph.successors(r + n1)) for i in (0, 1)
+            )
+            return own, last, ()
+        if r < quad.k:
+            own |= labels(2, 0, quad.g2.graph.successors(r + n2))
+            # G1's v in every copy q is label dm(1, 0, v) + q * n1; a shared
+            # port has one label for all copies, so both ends agree and the
+            # range has one
+            ranges = tuple(
+                range(delta_map(quad, s, 1, 0, v), delta_map(quad, s, 1, ell_hat, v) + 1, n1)
+                for v in quad.g1.graph.successors(r + n1)
+            )
+            return own, None, ranges
+        return own, None, ()
+
+    return (
+        n2,
+        n1,
+        kp,
+        ell_hat,
+        n2 + (1 << s) * n1,
+        tuple(labels(2, 0, quad.g2.graph.successors(x)) for x in range(n2)),
+        tuple(tuple(copy_row(j, r) for r in range(n1 + kp)) for j in (0, 1)),
+        tuple(labels(2, 0, quad.g2.graph.successors(r + n2)) for r in range(kp)),
+        tuple(g3_row(r) for r in range(quad.n3)),
+    )
+
+
+def _succ_ref(table, word, x: int):
+    """The case analysis behind succ_ref and succ_ref_graph: out-neighbors
+    of label x < N, where word(q) is the bit s̄(q), read from the label
+    table of (quad, s) as a new set."""
+    n2, n1, k_prime, ell_hat, mid_end, g2, copy, from_g2, g3 = table
+    if x < n2:
+        return set(g2[x])
+    if x < mid_end:
+        q, r = divmod(x - n2, n1)
+        base = n2 + q * n1
+        offsets, fixed = copy[word(q)][r]
+        out = {base + o for o in offsets}
+        out |= fixed
+        if r < k_prime:
+            if q == 0:
+                out |= from_g2[r]
+            else:
+                base -= n1
+                offsets, fixed = copy[word(q - 1)][r + n1]
+                out.update([base + o for o in offsets])
+                out |= fixed
         return out
-    r = x - (quad.n2 + (1 << s) * quad.n1)
-    out = {dm(quad, s, 3, 0, v) for v in quad.g3.graph.successors(r)}
-    if r < quad.k_prime:
-        i = word(ell_hat)
-        out |= {
-            dm(quad, s, i, ell_hat, v)
-            for v in quad.gadget(i).graph.successors(r + quad.n1)
-        }
-    elif r < quad.k:
-        out |= {dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(r + quad.n2)}
-        # G1's v in every copy q is label dm(1, 0, v) + q * n1; a shared port
-        # has one label for all copies, so both ends agree and the range has one
-        for v in quad.g1.graph.successors(r + quad.n1):
-            out.update(range(dm(quad, s, 1, 0, v), dm(quad, s, 1, ell_hat, v) + 1, quad.n1))
+    own, last, ranges = g3[x - mid_end]
+    out = set(own if last is None else last[word(ell_hat)])
+    for labels in ranges:
+        out.update(labels)
     return out
 
 
 # -- circuit compilation -------------------------------------------------
-
-# Templates kept, one per (quadruple, s): each bench workload cycles through
-# three pairs, and `--workload all` through six. A template is small (the
-# shared-port quadruple at s = 20 has 1,405 gates in about 0.2 MB), so eight
-# cost at most a few MB.
-_TEMPLATE_CACHE = 8
-
 
 @lru_cache(maxsize=_TEMPLATE_CACHE)
 def _reduction_template(quad: GadgetQuadruple, s: int):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from succmso import sgr
+from succmso import circuit, sgr
 from succmso.circuit import MAX_LABEL_BITS, BoolCircuit, CircuitBuilder, parse, serialize
 from succmso.errors import BadParam, InputOutOfRange, ParseError, SuccmsoError, TopologyError
 from succmso.graph import graph_equal
@@ -387,6 +387,59 @@ def test_compiles_where_the_cached_cone_is_partly_dead(name, s):
         assert graph_equal(materialize(compiled, 1 << 10), succ_ref_graph(quad, S))
         counts.append(compiled.circuit.gate_count())
     assert counts == PINNED_CONSTANT_SBAR_GATES[name, s]
+
+
+@pytest.mark.parametrize("name", sorted(QUADRUPLES))
+def test_compiled_circuits_pass_the_full_check(name, monkeypatch):
+    """build checks only the gates after the template's cached head, which
+    cone_prefix checked once; every compiled circuit must still pass the
+    check of all its gates. Both build paths run: with the head taken
+    (seeded CNFs) and without it (s̄ constant, part of the head dead)."""
+    cone, taken = circuit._cone, []
+
+    def spy(gates, output, prefix=None):
+        kept, index, head = cone(gates, output, prefix)
+        if prefix is not None:
+            taken.append(head)
+        return kept, index, head
+
+    monkeypatch.setattr(circuit, "_cone", spy)
+    quad = QUADRUPLES[name]()
+    for s in range(1, 7):
+        cnfs = seeded_cnf_battery(s, 8, 500 + s)
+        cnfs += [CnfInstance(s, c) for c in CONSTANT_SBAR[: 3 if s > 1 else 2]]
+        for S in cnfs:
+            c = compile_reduction(quad, S).circuit
+            assert BoolCircuit(c.label_bits, c.gates, c.output) == c, (s, S.clauses)
+    assert 0 in taken and max(taken) > 0
+
+
+def test_cone_prefix_refuses_an_opaque_head():
+    """A prefix's head is checked once, when it is made; an opaque gate
+    has no value, so a head holding one is refused."""
+    b = CircuitBuilder(1)
+    out = b.and_(b.opaque(), b.input(0))
+    with pytest.raises(BadParam, match="unknown kind 'opaque'"):
+        b.cone_prefix(out, b.gate_count())
+
+
+def test_build_checks_the_gates_after_the_prefix():
+    """A build with a live prefix takes its head as it is and checks the
+    gates after it: an opaque gate added after the prefix is refused."""
+    b = CircuitBuilder(2)
+    x, y = b.x_bundle(), b.y_bundle()
+    base = b.eq(x, y)
+    probe = b.copy()
+    prefix = probe.cone_prefix(probe.or_(base, probe.opaque()), b.gate_count())
+    head = prefix[0]
+    c = b.copy()
+    out = c.or_(base, c.and_(x[0], c.not_(y[1])))
+    built = c.build(out, prefix)
+    assert built.gates[: len(head)] == head
+    assert built == BoolCircuit(built.label_bits, built.gates, built.output) == c.build(out)
+    bad = b.copy()
+    with pytest.raises(BadParam, match="unknown kind 'opaque'"):
+        bad.build(bad.or_(base, bad.opaque()), prefix)
 
 
 # sha256 over the sgr.serialize text of every circuit compiled below, one

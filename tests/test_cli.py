@@ -557,6 +557,63 @@ def test_seed_applies_only_to_the_builtin_battery(capsys, tmp_path):
     assert default == explicit != seeded
 
 
+BATTERY_END = "%\np cnf 1 2\n1 0\n-1 0\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "%\n" + CNF + BATTERY_END,
+        (CNF + BATTERY_END).replace("\n", "\r\n"),
+        CNF + " % \n" + BATTERY_END[2:] + "%\n\n",
+    ],
+    ids=["separator-on-line-1", "crlf", "padded-and-trailing-separators"],
+)
+def test_battery_separators_are_lines_holding_only_a_percent(capsys, tmp_path, text):
+    """A separator on line 1, or padded with blanks, once failed with a
+    message about something else: a clause before the header, or a literal
+    '%'. The CLI reads a CRLF file with universal newlines; the parser's
+    own CRLF case is the test below."""
+    battery = tmp_path / "battery.cnf"
+    battery.write_bytes(text.encode())
+    argv = ("verify", "end2end", "--gadgets", "toy", "--battery", str(battery))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.count("pass s=1") == 2
+
+
+def test_battery_parser_reads_crlf_separators():
+    """The CLI reads files with universal newlines, so only a caller of
+    _parse_battery with CR line ends saw '%\\r' read as a literal."""
+    text = (CNF + BATTERY_END).replace("\n", "\r\n")
+    assert [S.clauses for S in cli._parse_battery(text)] == [((1,),), ((1,), (-1,))]
+
+
+@pytest.mark.parametrize(
+    "text, error, where",
+    [
+        (CNF + "%\np cnf 1 1\n1 x 0\n", "ParseError",
+         "CNF 2 (its line 1 is file line 4): line 2: a literal is 'x'"),
+        ("%\r\np cnf 1 1\r\n1 x 0\r\n", "ParseError",
+         "CNF 1 (its line 1 is file line 2): line 2: a literal is 'x'"),
+        (CNF + "%\n" + CNF + "%\nc note\np cnf 1 2\n1 0\n", "ParseError",
+         "CNF 3 (its line 1 is file line 7): the header says 2 clauses"),
+        (CNF + "%\np cnf 1 1\n2 0\n", "BadLiteral",
+         "CNF 2 (its line 1 is file line 4): literal 2 out of range"),
+    ],
+    ids=["second-cnf", "crlf", "third-cnf-count", "bad-literal-keeps-its-class"],
+)
+def test_a_battery_error_names_its_cnf_and_first_line(capsys, tmp_path, text, error, where):
+    """A bad literal on file line 5, in the second CNF, was reported as
+    line 2 with nothing to say which CNF it was in."""
+    battery = tmp_path / "battery.cnf"
+    battery.write_bytes(text.encode())
+    argv = ("verify", "end2end", "--gadgets", "toy", "--battery", str(battery))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: {error}: {battery}: {where}")
+    assert err.count("\n") == 1
+
+
 def test_json_applies_to_graph_and_sgr_writers(capsys, tmp_path, cnf_file):
     a = tmp_path / "a.txt"
     a.write_text(EDGE_GADGET)

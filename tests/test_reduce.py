@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from succmso.mso import parse as mso_parse
 from succmso.reduce import (
     CnfInstance,
     GadgetQuadruple,
+    _label_table,
     _reduction_template,
     build_quadruple,
     compile_reduction,
@@ -410,6 +412,43 @@ def test_random_quadruples_agree_on_every_route():
             assert graph_equal(delta_layout(quad, S), ref), (i, s, S.clauses)
             circuit = materialize(compile_reduction(quad, S), 10**5)
             assert graph_equal(circuit, ref), (i, s, S.clauses)
+
+
+@pytest.mark.parametrize("name", sorted(QUADRUPLES))
+def test_label_tables_give_the_layout(name):
+    """succ_ref_graph reads a label table per (quadruple, s); the chain it
+    gives is delta_layout's at every s <= 10, with the last copy holding
+    g0 (a valid CNF), g1 (an unsatisfiable one) or either (seeded)."""
+    quad = QUADRUPLES[name]()
+    for s in range(1, 11):
+        cnfs = [CnfInstance(s, []), CnfInstance(s, [(1,), (-1,)])]
+        for S in cnfs + seeded_cnf_battery(s, 2, 600 + s):
+            assert graph_equal(succ_ref_graph(quad, S), delta_layout(quad, S)), (s, S.clauses)
+
+
+def test_label_tables_give_the_layout_on_random_quadruples():
+    kept, _ = random_quadruples(2718, 120)
+    for i, quad in enumerate(kept[:24]):
+        for s in (4, 7, 10):
+            S = seeded_cnf_battery(s, 1, 700 * i + s)[0]
+            assert graph_equal(succ_ref_graph(quad, S), delta_layout(quad, S)), (i, s, S.clauses)
+
+
+@pytest.mark.parametrize("name", ["toy", "shared"])
+def test_label_table_stays_small_at_s_20(name):
+    """A shared port's successors in every copy stay a range, so the table
+    for s = 20 never holds the 2^20 labels a G3 row can point to."""
+    quad = QUADRUPLES[name]()
+    tracemalloc.start()
+    try:
+        table = _label_table.__wrapped__(quad, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    g3 = table[-1]
+    longest = max((len(labels) for _, _, ranges in g3 for labels in ranges), default=0)
+    assert longest == (1 << 20 if quad.k_dprime else 0)
 
 
 def test_quadruple_constants_are_derived_not_passed():
