@@ -10,9 +10,9 @@ one bit per lane, every wire gets one lane int, ``not`` is ``~v``
 (all-ones ^ v), and the output is cut to the lanes in use.
 ``BoolCircuit.rows(x0, k, count)`` lays the lanes out in two dimensions:
 lane ``i * count + y`` holds C(x0 + i, y) for the k rows x0 .. x0+k-1 and
-every y in ``[0, count)``. A y-wire's lane is its ``_lane_masks`` mask
-repeated once per row; an x-wire's lane sets all count bits of row i iff
-the wire's bit of x0 + i is 1.
+every y in ``[0, count)``. An x-wire's lane sets all count bits of row i
+iff the wire's bit of x0 + i is 1; a y-wire's lane is the x-wire lane of
+rows ``[0, count)`` with one lane per row, repeated once per row.
 
 ``BoolCircuit.eval`` is the one-lane case of the same interpreter, ``_run``,
 on a residual circuit for its row. Once x is fixed, one pass over the gates
@@ -366,34 +366,13 @@ def _check_refs(i, *refs):
 
 
 @lru_cache(maxsize=4)
-def _lane_masks(label_bits: int, count: int) -> tuple:
-    """Mask j has bit y set iff bit j of y is 1, for every lane y < count.
-
-    Each mask is its period-2^(j+1) pattern (2^j zeros, then 2^j ones)
-    doubled until it covers count lanes. Bit j of every y < count is 0
-    once 2^j >= count, so the loop stops there and the rest are 0: building
-    all of them costs O(log(count) * count / 64) word operations plus
-    label_bits to pad.
-    """
-    masks = []
-    for j in range(label_bits):
-        half = 1 << j
-        if half >= count:
-            break
-        mask, width = ((1 << half) - 1) << half, 2 * half
-        while width < count:
-            mask |= mask << width
-            width *= 2
-        masks.append(mask & ((1 << count) - 1))
-    return tuple(masks) + (0,) * (label_bits - len(masks))
-
-
-@lru_cache(maxsize=4)
 def _y_lanes(label_bits: int, k: int, count: int) -> tuple:
-    """The y-wire lanes of a k-row block: each lane mask repeated at every
-    multiple of count. No carries occur, as each mask is below 2^count."""
+    """The y-wire lanes of a k-row block: the x-lanes of rows [0, count)
+    with one lane per row (mask j has bit y set iff bit j of y is 1), each
+    repeated at every multiple of count. No carries occur, as each mask is
+    below 2^count."""
     repeater = ((1 << (k * count)) - 1) // ((1 << count) - 1)  # sum of 2^(i*count), i < k
-    return tuple(mask * repeater for mask in _lane_masks(label_bits, count))
+    return tuple(mask * repeater for mask in _x_lanes(label_bits, 0, count, 1))
 
 
 def _x_lanes(label_bits: int, x0: int, k: int, count: int) -> list:
@@ -404,7 +383,7 @@ def _x_lanes(label_bits: int, x0: int, k: int, count: int) -> list:
     are the same in every row, so their lanes are -1 or 0, which stay
     small ints through the gate pass. Below it, bit j of x0 + i has period
     2^(j+1) in i: while 2^j < k, one period is doubled until it covers the
-    block, as in _lane_masks; otherwise the bit flips once within the block.
+    block; otherwise the bit flips once within the block.
     """
     top = (x0 ^ (x0 + k - 1)).bit_length()
     block = (1 << (k * count)) - 1

@@ -183,17 +183,17 @@ def _sgr_check_size(args):
 
 
 def _mso_check(args):
-    formula = mso.parse(args.formula)
-    return _verdict(args, mso.eval_formula(_load_graph(args.graph), formula))
+    sentence = mso.CompiledFormula.parse(args.formula)
+    return _verdict(args, sentence.eval(_load_graph(args.graph)))
 
 
 def _mso_rank(args):
-    rank = mso.rank(mso.parse(args.formula, allow_free=True))
+    rank = mso.CompiledFormula.parse(args.formula, allow_free=True).rank
     return _emit(args, str(rank), {"rank": rank})
 
 
 def _mso_parse(args):
-    compiled = mso.CompiledFormula(mso.parse(args.formula, allow_free=args.allow_free))
+    compiled = mso.CompiledFormula.parse(args.formula, allow_free=args.allow_free)
     return _emit(args, compiled.text, {"formula": compiled.text, "rank": compiled.rank})
 
 
@@ -258,8 +258,8 @@ def _ef_qbound(args):
 
 
 def _ef_saturate(args):
-    omega, formula = _load_graph(args.omega), mso.parse(args.formula)
-    verdict = efgame.saturating_scan(omega, formula, _graph_battery(args.battery))
+    omega, sentence = _load_graph(args.omega), mso.CompiledFormula.parse(args.formula)
+    verdict = efgame.saturating_scan(omega, sentence, _graph_battery(args.battery))
     _emit(args, verdict, {"verdict": verdict})
     return 1 if verdict == efgame.MIXED else 0
 
@@ -306,8 +306,8 @@ def _reduce_validate_quad(args):
 
 
 def _reduce_pump_check(args):
-    triple, formula = _load_gadgets(args.triple, 3), mso.parse(args.formula)
-    rep = reduce_mod.pump_check(triple, formula, args.expected == "true", args.nmax)
+    triple, sentence = _load_gadgets(args.triple, 3), mso.CompiledFormula.parse(args.formula)
+    rep = reduce_mod.pump_check(triple, sentence, args.expected == "true", args.nmax)
     payload = {
         "ok": rep.ok,
         "results": [[n, v] for n, v in rep.results],

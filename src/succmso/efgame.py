@@ -1,14 +1,14 @@
 """MSO Ehrenfeucht-Fraïssé games on tiny graphs, the idempotence search
 q(G, m), the explicit recursion bounding it, and saturating-graph scans.
 
-"Rank" is quantifier rank, the maximal quantifier nesting depth (mso.rank):
-an m-move game decides agreement on all MSO sentences of rank <= m."""
+"Rank" is quantifier rank, the maximal quantifier nesting depth
+(mso.CompiledFormula.rank): an m-move game decides agreement on all MSO
+sentences of rank <= m."""
 
 from __future__ import annotations
 
 from .errors import BadParam, BoundTooLarge, EmptyGraph, TooLarge
 from .graph import Digraph, disjoint_union, power_union
-from .mso import CompiledFormula
 
 _MAX_VERTICES = 5
 _MAX_MOVES = 3
@@ -190,16 +190,15 @@ FORBIDDEN = "Forbidden"
 MIXED = "Mixed"
 
 
-def saturating_scan(omega: Digraph, formula, battery) -> str:
+def saturating_scan(omega: Digraph, sentence, battery) -> str:
     """Empirically classify omega against the battery: Sufficient if every
-    omega ⊔ G models the sentence, Forbidden if none does, Mixed otherwise.
-    An empty battery would be Sufficient without a check, so it is refused
-    with BadParam."""
+    omega ⊔ G models the sentence (an mso.CompiledFormula), Forbidden if
+    none does, Mixed otherwise. An empty battery would be Sufficient without
+    a check, so it is refused with BadParam."""
     battery = tuple(battery)
     if not battery:
         raise BadParam("saturating_scan needs at least one graph in the battery")
-    compiled = CompiledFormula(formula)
-    verdicts = {compiled.eval(disjoint_union(omega, g)) for g in battery}
+    verdicts = {sentence.eval(disjoint_union(omega, g)) for g in battery}
     if verdicts <= {True}:
         return SUFFICIENT
     if verdicts <= {False}:

@@ -32,25 +32,23 @@ class Digraph:
         object.__setattr__(self, "edges", frozenset(edges))
 
     def successors(self, u):
-        """Out-neighborhood G(u) as a sorted list."""
+        """Out-neighborhood G(u) as a sorted list: the set bits of
+        successor_masks[u], lowest first."""
         if not 0 <= u < self.n:
             raise BadVertex(f"vertex {u} out of range")
-        return list(self._successor_index[u])
-
-    @cached_property
-    def _successor_index(self):
-        """Sorted out-neighbours of every vertex, built on the first
-        successors call, so graphs that are never queried pay nothing."""
-        index = [[] for _ in range(self.n)]
-        for u, v in sorted(self.edges):
-            index[u].append(v)
-        return index
+        mask, out = self.successor_masks[u], []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
 
     @cached_property
     def successor_masks(self):
         """Out-neighbourhood of every vertex as a bitmask (bit v of entry u
-        is set iff (u, v) is an edge), built on first use like the sorted
-        index; the exact searches of efgame and treedec read it."""
+        is set iff (u, v) is an edge), built on first use, so graphs that
+        never read it pay nothing; successors and the exact searches of
+        efgame and treedec read it."""
         masks = [0] * self.n
         for u, v in self.edges:
             masks[u] |= 1 << v

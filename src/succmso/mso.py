@@ -3,10 +3,11 @@
 Lowercase identifiers are point variables, uppercase identifiers are set
 variables. Vertex sets are enumerated as bitmasks in increasing binary
 order (bit i = vertex i). The quantifier rank of a formula is its maximal
-quantifier nesting depth. One recursive pass (``_compile``) checks scopes,
-assigns env slots, finds the free variables and the rank, builds the
-evaluation closures and prints the formula; besides the parser, it is the
-only walk over the AST.
+quantifier nesting depth. One recursive pass (``_compile``) checks names
+and scopes, assigns env slots, finds the free variables and the rank,
+builds the evaluation closures and prints the formula; besides the parser,
+it is the only walk over the AST. ``CompiledFormula.parse`` is the text
+entry point: it parses and makes that one pass once.
 """
 
 from __future__ import annotations
@@ -71,22 +72,20 @@ class Quant:
     sub: object
 
 
-MsoFormula = object  # any of the node types above
-
-
 def is_set_var(name: str) -> bool:
     return name[0].isupper()
 
 
 # -- concrete syntax -----------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(->|[()=,.~&|]|[A-Za-z][a-z0-9]*)")
+_NAME_RE = re.compile(r"[A-Za-z][a-z0-9]*")
+_TOKEN_RE = re.compile(rf"\s*(->|[()=,.~&|]|{_NAME_RE.pattern})")
+_KEYWORDS = frozenset(("ex", "all", "in", "E"))
 
 # Nesting cap of the recursive parser (each ~, quantifier or parenthesis is
 # one level), well below Python's recursion limit. _compile applies the same
 # cap to formulas built from the AST classes, where each Not, Quant, And, Or
-# or Implies node is one level; print_formula, rank and eval_formula get it
-# from there.
+# or Implies node is one level.
 _MAX_NESTING = 256
 
 # Cap on n ** rank, the number of innermost evaluations of a first-order
@@ -94,6 +93,12 @@ _MAX_NESTING = 256
 # is a lower bound with set quantifiers too). Each costs about 0.6 us on a
 # 2-core x86 host under Python 3.11, so the cap is about a minute of work.
 _MAX_FO_WORK = 10**8
+
+
+def _is_name(name) -> bool:
+    """Whether name is a variable the parser reads: an identifier that is
+    not a keyword."""
+    return type(name) is str and _NAME_RE.fullmatch(name) is not None and name not in _KEYWORDS
 
 
 def _tokenize(text):
@@ -134,7 +139,7 @@ class _Parser:
 
     def ident(self):
         tok, pos = self.next()
-        if not re.fullmatch(r"[A-Za-z][a-z0-9]*", tok) or tok in ("ex", "all", "in", "E"):
+        if not _is_name(tok):
             raise ParseError(f"expected an identifier at position {pos}, got {tok!r}")
         return tok
 
@@ -182,27 +187,6 @@ class _Parser:
         raise ParseError(f"expected '=' or 'in' at position {pos}, got {op!r}")
 
 
-def parse(text: str, allow_free=False):
-    """Parse a formula; sentences only unless allow_free is set."""
-    p = _Parser(text)
-    formula = p.formula()
-    if p.i != len(p.tokens):
-        tok, pos = p.tokens[p.i]
-        raise ParseError(f"trailing input at position {pos}: {tok!r}")
-    free = CompiledFormula(formula).free
-    if free and not allow_free:
-        raise ScopeError(f"free variables in sentence: {sorted(free)}")
-    return formula
-
-
-def print_formula(formula) -> str:
-    """Inverse of parse (round-trip stable): the text CompiledFormula keeps.
-    Raises ParseError on a formula nested deeper than parse accepts, and
-    ScopeError on an AST that parse would refuse (a shadowed quantifier, a
-    set variable used as a point, a point used as a set)."""
-    return CompiledFormula(formula).text
-
-
 # -- the one pass: analysis and evaluation -------------------------------
 
 
@@ -216,9 +200,19 @@ def _slot(name, scope, slots):
     return slots.index(name)
 
 
+def _check_names(*names):
+    """ParseError for the first of names that parse would not read as a
+    variable (_is_name), so that every compiled formula prints as text
+    that parse reads back."""
+    for name in names:
+        if not _is_name(name):
+            raise ParseError(f"not a variable name: {name!r:.40}")
+
+
 def _compile(node, scope, slots, depth=0):
-    """One descent: reject nesting past parse's cap, shadowing and ill-typed
-    atoms, assign env slots, print the node, and compile it to a closure
+    """One descent: reject nesting past parse's cap, names and quantifier
+    kinds that parse never produces, shadowing and ill-typed atoms, assign
+    env slots, print the node, and compile it to a closure
     fn(n, edges, env) for repeated evaluation. depth is the number of nodes
     above node.
 
@@ -233,6 +227,7 @@ def _compile(node, scope, slots, depth=0):
         raise ParseError(f"formula nested deeper than {_MAX_NESTING} levels")
     depth += 1
     if isinstance(node, (Edge, Eq)):
+        _check_names(node.x, node.y)
         for v in (node.x, node.y):
             if is_set_var(v):
                 raise ScopeError(f"{v!r} is a set variable used as a point")
@@ -241,6 +236,7 @@ def _compile(node, scope, slots, depth=0):
             return (lambda n, E, env: (env[i], env[j]) in E), f"E({node.x},{node.y})", 0, False
         return (lambda n, E, env: env[i] == env[j]), f"{node.x}={node.y}", 0, False
     if isinstance(node, Member):
+        _check_names(node.x, node.xs)
         if is_set_var(node.x) or not is_set_var(node.xs):
             raise ScopeError("membership needs a point on the left, a set on the right")
         i, j = _slot(node.x, scope, slots), _slot(node.xs, scope, slots)
@@ -260,6 +256,9 @@ def _compile(node, scope, slots, depth=0):
             op, fn = "->", lambda n, E, env: (not left(n, E, env)) or right(n, E, env)
         return fn, f"({ltext} {op} {rtext})", max(lrank, rrank), lset or rset
     if isinstance(node, Quant):
+        if node.kind not in ("ex", "all"):
+            raise ParseError(f"not a quantifier kind: {node.kind!r:.40}")
+        _check_names(node.var)
         if node.var in scope:
             raise ScopeError(f"variable {node.var!r} is shadowed")
         idx = len(slots)
@@ -293,9 +292,11 @@ def _vertex(name, v, n):
 class CompiledFormula:
     """A formula compiled once, evaluable against many graphs.
 
-    .free is the set of free variables, .rank the quantifier rank, .text
-    the concrete syntax that parse reads back. A formula nested deeper than
-    parse accepts raises ParseError.
+    .formula is the AST, .free the set of free variables, .rank the
+    quantifier rank, .text the concrete syntax that parse reads back. An
+    AST that parse could not produce (nested deeper than parse accepts, a
+    name that is not an identifier, a quantifier kind other than ex or
+    all) raises ParseError.
     """
 
     def __init__(self, formula):
@@ -305,6 +306,20 @@ class CompiledFormula:
         self._width = len(slots)
         self._free_slots = {name: i for i, name in enumerate(slots) if name is not None}
         self.free = frozenset(self._free_slots)
+
+    @classmethod
+    def parse(cls, text: str, allow_free=False) -> CompiledFormula:
+        """The formula in text, parsed, then compiled by the one pass;
+        sentences only unless allow_free is set."""
+        p = _Parser(text)
+        formula = p.formula()
+        if p.i != len(p.tokens):
+            tok, pos = p.tokens[p.i]
+            raise ParseError(f"trailing input at position {pos}: {tok!r}")
+        compiled = cls(formula)
+        if compiled.free and not allow_free:
+            raise ScopeError(f"free variables in sentence: {sorted(compiled.free)}")
+        return compiled
 
     def eval(self, g: Digraph, valuation=None) -> bool:
         """Whether g models the formula. valuation maps each free point
@@ -344,11 +359,7 @@ class CompiledFormula:
         return bool(self._fn(g.n, g.edges, env))
 
 
-def eval_formula(g: Digraph, formula, valuation=None) -> bool:
-    """One-shot MSO satisfaction check; standard semantics."""
-    return CompiledFormula(formula).eval(g, valuation)
-
-
-def rank(formula) -> int:
-    """Quantifier rank: the maximal nesting depth of quantifiers."""
-    return CompiledFormula(formula).rank
+def parse(text: str, allow_free=False):
+    """The AST of CompiledFormula.parse(text, allow_free), for callers that
+    compile it themselves, such as perfbench."""
+    return CompiledFormula.parse(text, allow_free).formula

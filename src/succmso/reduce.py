@@ -41,7 +41,6 @@ from .errors import (
     ValidationError,
 )
 from .graph import BiboundariedGraph, Digraph, GadgetTriple, bib_to_json_obj, delta, text_int
-from .mso import CompiledFormula
 from .sgr import Sgr
 
 # -- CNF instances -------------------------------------------------------
@@ -641,8 +640,9 @@ class PumpReport:
 _MAX_PUMP = 256
 
 
-def pump_check(triple: GadgetTriple, formula, expected: bool, n_max: int) -> PumpReport:
-    """Evaluate the sentence on the glued chain for 0..n_max middle copies.
+def pump_check(triple: GadgetTriple, sentence, expected: bool, n_max: int) -> PumpReport:
+    """Evaluate the sentence, an mso.CompiledFormula, on the glued chain
+    for 0..n_max middle copies.
 
     Each chain is folded and evaluated anew, so the work grows at least
     quadratically in n_max; n_max must lie in [0, _MAX_PUMP] (256), else
@@ -651,13 +651,12 @@ def pump_check(triple: GadgetTriple, formula, expected: bool, n_max: int) -> Pum
     if not 0 <= n_max <= _MAX_PUMP:
         raise BadParam(f"pump_check needs 0 <= n_max <= {_MAX_PUMP}, not {n_max}")
     family = {"1": triple.g1, "2": triple.g2, "3": triple.g3}
-    compiled = CompiledFormula(formula)
     results = []
     first_bad = None
     for n in range(n_max + 1):
         word = "2" + "1" * n + "3"
         g = delta(family, word).graph
-        observed = compiled.eval(g)
+        observed = sentence.eval(g)
         results.append((n, observed))
         if observed != expected and first_bad is None:
             first_bad = n

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import BadParam, NotValidated, TooLargeToMaterialize
 from .graph import Digraph, graph_equal
-from .mso import CompiledFormula, parse
+from .mso import CompiledFormula
 from .reduce import (
     CnfInstance,
     GadgetQuadruple,
@@ -186,7 +186,7 @@ DEFAULT_SEED = 2024
 def _compiled_sentence(text: str) -> CompiledFormula:
     """check_instance's sentence, parsed and compiled once per text; a
     ParseError is raised again on every call, as failures are not cached."""
-    return CompiledFormula(parse(text))
+    return CompiledFormula.parse(text)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from succmso.graph import (
     graph_equal,
     power_union,
 )
-from succmso.mso import CompiledFormula, parse
+from succmso.mso import CompiledFormula
 from succmso.reduce import (
     CnfInstance,
     build_quadruple,
@@ -44,8 +44,7 @@ from succmso.verify import (
 
 from test_efgame import sentence_battery
 
-LOOP = parse("ex x. E(x,x)")
-LOOP_C = CompiledFormula(LOOP)
+LOOP_C = CompiledFormula.parse("ex x. E(x,x)")
 
 
 def battery():
@@ -99,7 +98,7 @@ def test_criterion_3_polynomial_compilation():
 
 def test_criterion_4_auxiliary_reductions():
     start = time.monotonic()
-    clique = CompiledFormula(parse("all x. all y. E(x,y)"))
+    clique = CompiledFormula.parse("all x. all y. E(x,y)")
     for S in battery():
         sat = sat_solve(S)[0]
         assert LOOP_C.eval(materialize(reduce_loop(S), 100)) == sat
@@ -110,7 +109,7 @@ def test_criterion_4_auxiliary_reductions():
 def test_criterion_5_pump_property():
     start = time.monotonic()
     triple = path_triple()
-    assert pump_check(triple, LOOP, expected=False, n_max=6).ok
+    assert pump_check(triple, LOOP_C, expected=False, n_max=6).ok
     quad = build_quadruple(triple, Digraph(1, [(0, 0)]))
     fam = {"0": quad.g0, "1": quad.g1, "2": quad.g2, "3": quad.g3}
     words = 0
@@ -136,7 +135,7 @@ def test_criterion_6_ef_eval_coherence():
             gs.append(Digraph(n, edges))
         pairs.append(tuple(gs))
     for m in (1, 2):
-        probes = [CompiledFormula(f) for f in sentence_battery(max_rank=m)]
+        probes = sentence_battery(max_rank=m)
         for g, h in pairs:
             if ef_equiv(g, h, m):
                 for probe in probes:
@@ -246,15 +245,15 @@ def _has_nontrivial_cycle(g):
 def test_criterion_9_evaluator_oracle_equivalence():
     start = time.monotonic()
     loop = LOOP_C
-    total_out = CompiledFormula(parse("all x. ex y. E(x,y)"))
-    reach = CompiledFormula(parse(
+    total_out = CompiledFormula.parse("all x. ex y. E(x,y)")
+    reach = CompiledFormula.parse(
         "ex x. ex y. (~x=y & all R. ((x in R"
         " & all u. all v. ((u in R & E(u,v)) -> v in R)) -> y in R))"
-    ))
-    cycle = CompiledFormula(parse(
+    )
+    cycle = CompiledFormula.parse(
         "ex X. (ex x. x in X"
         " & all u. (u in X -> ex v. ((v in X & ~u=v) & E(u,v))))"
-    ))
+    )
     checked = 0
     for n in range(5):
         for g in _all_digraphs(n):

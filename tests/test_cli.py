@@ -1,12 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from succmso import cli, sgr
+from succmso import cli, sgr, verify
 from succmso.circuit import MAX_LABEL_BITS
 
 from test_circuit import JSON
@@ -15,6 +19,7 @@ from test_kernel import scalar_materialize
 from test_sgr import BAD_N, wide_sgr_text, with_n
 from test_treedec import DECOMPOSITION_TEXT
 from succmso.graph import Digraph, graph_equal, parse_graph
+from succmso.mso import CompiledFormula
 from succmso.verify import seeded_cnf_battery
 
 LOOP_GRAPH = "graph 2\ne 0 0\n"
@@ -120,6 +125,68 @@ def test_operation_error_exit_1(capsys, loop_file):
     code, _, err = run(capsys, "mso", "check", "--graph", loop_file, "--formula", "ex x. (")
     assert code == 1
     assert "ParseError" in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (("mso", "check", "--graph", "{loop}", "--formula", "ex x. E(x,x)"), 0, "true\n", ""),
+    (("mso", "check", "--graph", "{loop}", "--formula", "all x. E(x,x)"), 1, "false\n", ""),
+    (("mso", "check", "--graph", "{loop}", "--formula", "ex x. ("), 1, "",
+     r"error: ParseError: [^\n]*\n"),
+    (("mso", "check", "--no-such-flag"), 2, "",
+     r"usage: succmso mso check .*\nsuccmso mso check: error: [^\n]*\n"),
+], ids=["true", "false", "operation-error", "usage-error"])
+def test_python_m_exit_codes(loop_file, argv, code, out, err):
+    """The exit-code contract holds for the process too, through
+    python -m succmso.cli and its __main__ block."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "succmso.cli", *(a.format(loop=loop_file) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert re.fullmatch(err, proc.stderr, re.DOTALL), proc.stderr
+
+
+def spy_compiles(monkeypatch):
+    """The formulas given to CompiledFormula.__init__ from now on, one
+    entry per compile."""
+    compiles, init = [], CompiledFormula.__init__
+
+    def spy(self, formula):
+        compiles.append(formula)
+        init(self, formula)
+
+    monkeypatch.setattr(CompiledFormula, "__init__", spy)
+    return compiles
+
+
+@pytest.mark.parametrize("argv", [
+    ("mso", "check", "--graph", "{loop}", "--formula", "ex x. E(x,x)"),
+    ("mso", "rank", "--formula", "ex x. E(x,y)"),
+    ("mso", "parse", "--formula", "ex x. E(x,x)"),
+    ("mso", "parse", "--allow-free", "--formula", "E(x,y)"),
+    ("ef", "saturate", "--omega", "{loop}", "--formula", "ex x. E(x,x)"),
+    ("reduce", "pump-check", "--triple", "path", "--formula", "ex x. E(x,x)",
+     "--expected", "false", "--nmax", "2"),
+], ids=["mso-check", "mso-rank", "mso-parse", "mso-parse-free", "ef-saturate", "pump-check"])
+def test_one_compile_per_formula_text(capsys, monkeypatch, loop_file, argv):
+    """A command that reads a formula text parses and compiles it once."""
+    compiles = spy_compiles(monkeypatch)
+    code, _, err = run(capsys, *(a.format(loop=loop_file) for a in argv))
+    assert code in (0, 1) and err == ""
+    assert len(compiles) == 1
+
+
+def test_one_compile_per_check_instance_sentence(monkeypatch):
+    compiles = spy_compiles(monkeypatch)
+    verify._compiled_sentence.cache_clear()
+    for S in seeded_cnf_battery(2, 2, 11):
+        verify.check_instance(S, sentence="ex z. (E(z,z) & z=z)")
+    assert len(compiles) == 1
 
 
 def test_reduce_sat2sgr_and_sgr_commands(capsys, tmp_path, cnf_file):

@@ -14,7 +14,7 @@ from succmso.efgame import (
 )
 from succmso.errors import BadParam, BoundTooLarge, EmptyGraph, TooLarge
 from succmso.graph import Digraph, power_union
-from succmso.mso import CompiledFormula, parse, rank
+from succmso.mso import CompiledFormula
 
 POINT = Digraph(1)
 LOOP = Digraph(1, [(0, 0)])
@@ -47,12 +47,12 @@ _SENTENCE_TEXTS = (
 
 def sentence_battery(max_rank=None):
     """Fixed 20-sentence probe set of quantifier rank (nesting depth) <= 2,
-    optionally filtered down to a rank cap: four sentences of rank 1, then
-    sixteen of rank 2."""
-    sentences = [parse(text) for text in _SENTENCE_TEXTS]
+    compiled, optionally filtered down to a rank cap: four sentences of
+    rank 1, then sixteen of rank 2."""
+    sentences = [CompiledFormula.parse(text) for text in _SENTENCE_TEXTS]
     if max_rank is None:
         return sentences
-    return [f for f in sentences if rank(f) <= max_rank]
+    return [f for f in sentences if f.rank <= max_rank]
 
 
 # -- the all-pairs game, as an oracle for the incremental one ------------
@@ -230,7 +230,7 @@ def test_ef_equiv_implies_sentence_agreement():
             gs.append(Digraph(n, edges))
         pairs.append(tuple(gs))
     for m in (1, 2):
-        probes = [CompiledFormula(f) for f in sentence_battery(max_rank=m)]
+        probes = sentence_battery(max_rank=m)
         for g, h in pairs:
             if ef_equiv(g, h, m):
                 for probe in probes:
@@ -240,9 +240,10 @@ def test_ef_equiv_implies_sentence_agreement():
 def test_sentence_battery_shape():
     full = sentence_battery()
     assert len(full) == 20
-    assert [rank(f) for f in full] == [1] * 4 + [2] * 16
-    assert sentence_battery(max_rank=1) == full[:4]
-    assert sentence_battery(max_rank=2) == full
+    assert [f.rank for f in full] == [1] * 4 + [2] * 16
+    texts = [f.text for f in full]
+    assert [f.text for f in sentence_battery(max_rank=1)] == texts[:4]
+    assert [f.text for f in sentence_battery(max_rank=2)] == texts
 
 
 def test_q_search_single_vertex():
@@ -335,7 +336,7 @@ def test_negative_move_counts_fail_by_name():
 
 def test_saturating_scan():
     battery = [Digraph(n) for n in (1, 2, 3)]
-    loop_sentence = parse("ex x. E(x,x)")
+    loop_sentence = CompiledFormula.parse("ex x. E(x,x)")
     assert saturating_scan(LOOP, loop_sentence, battery) == SUFFICIENT
     assert saturating_scan(POINT, loop_sentence, battery) == FORBIDDEN
     mixed_battery = battery + [LOOP]

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -17,11 +18,8 @@ from succmso.mso import (
     Not,
     Or,
     Quant,
-    eval_formula,
     is_set_var,
     parse,
-    print_formula,
-    rank,
 )
 
 LOOP = Digraph(2, [(0, 0)])
@@ -38,16 +36,19 @@ def test_parse_and_print_round_trip():
         "ex x. ex y. (~x=y & E(x,y))",
     ]
     for text in texts:
-        f = parse(text)
-        assert parse(print_formula(f)) == f
+        f = CompiledFormula.parse(text)
+        assert parse(f.text) == f.formula
 
 
 def test_rank_counts_quantifiers():
-    assert rank(parse("ex x. E(x,x)")) == 1
-    assert rank(parse("ex x. ex y. (E(x,y) & E(y,x))")) == 2
-    assert rank(parse("ex X. all x. x in X")) == 2
+    def rank(text):
+        return CompiledFormula.parse(text).rank
+
+    assert rank("ex x. E(x,x)") == 1
+    assert rank("ex x. ex y. (E(x,y) & E(y,x))") == 2
+    assert rank("ex X. all x. x in X") == 2
     # rank is nesting depth: a connective takes the larger side
-    assert rank(parse("ex x. (ex y. E(x,y) & ex z. E(z,x))")) == 2
+    assert rank("ex x. (ex y. E(x,y) & ex z. E(z,x))") == 2
 
 
 def test_parse_errors():
@@ -76,8 +77,8 @@ def test_free_variables_allowed_when_asked():
 
 
 def test_free_variable_not_clobbered_by_same_named_quantifier():
-    f = parse("(all x. x=x & E(x,x))", allow_free=True)
-    assert eval_formula(Digraph(2, [(0, 0)]), f, {"x": 0})
+    f = CompiledFormula.parse("(all x. x=x & E(x,x))", allow_free=True)
+    assert f.eval(Digraph(2, [(0, 0)]), {"x": 0})
 
 
 def test_deep_nesting_is_a_parse_error():
@@ -90,8 +91,8 @@ def test_deep_nesting_is_a_parse_error():
 
 
 def test_nesting_cap_is_256_levels():
-    f = parse("~" * 256 + "x=x", allow_free=True)
-    assert eval_formula(LOOP, f, {"x": 0})
+    f = CompiledFormula.parse("~" * 256 + "x=x", allow_free=True)
+    assert f.eval(LOOP, {"x": 0})
     with pytest.raises(ParseError):
         parse("~" * 257 + "x=x", allow_free=True)
 
@@ -106,45 +107,38 @@ def nested_not(levels):
 
 
 def test_deep_ast_is_a_parse_error():
-    deep = nested_not(2000)
     with pytest.raises(ParseError):
-        CompiledFormula(deep)
-    with pytest.raises(ParseError):
-        eval_formula(LOOP, deep)
-    with pytest.raises(ParseError):
-        rank(deep)
-    with pytest.raises(ParseError):
-        print_formula(deep)
+        CompiledFormula(nested_not(2000))
 
 
 def test_ast_nesting_cap_matches_the_parser():
     # the Quant and 255 Nots are the 256 levels above the atom
-    f = nested_not(255)
-    assert not eval_formula(LOOP, f) and rank(f) == 1
-    assert parse(print_formula(f)) == f
-    for fn in (CompiledFormula, print_formula):
-        with pytest.raises(ParseError):
-            fn(nested_not(256))
+    f = CompiledFormula(nested_not(255))
+    assert not f.eval(LOOP) and f.rank == 1
+    assert parse(f.text) == f.formula
+    with pytest.raises(ParseError):
+        CompiledFormula(nested_not(256))
     with pytest.raises(ParseError):
         parse("ex x. " + "~" * 256 + "x=x")
 
 
 def test_basic_evaluation():
-    loop = parse("ex x. E(x,x)")
-    assert eval_formula(LOOP, loop)
-    assert not eval_formula(PATH3, loop)
-    assert eval_formula(PATH3, parse("ex x. all y. ~E(y,x)"))  # a source exists
-    assert not eval_formula(CYCLE3, parse("ex x. all y. ~E(y,x)"))
+    loop = CompiledFormula.parse("ex x. E(x,x)")
+    assert loop.eval(LOOP)
+    assert not loop.eval(PATH3)
+    source = CompiledFormula.parse("ex x. all y. ~E(y,x)")
+    assert source.eval(PATH3)  # a source exists
+    assert not source.eval(CYCLE3)
 
 
 def test_set_quantifier_semantics():
     # no proper nonempty subset of a cycle is closed under E
-    closed = parse(
+    closed = CompiledFormula.parse(
         "ex X. ((ex x. x in X & ex y. ~y in X)"
         " & all u. all v. ((u in X & E(u,v)) -> v in X))"
     )
-    assert not eval_formula(CYCLE3, closed)
-    assert eval_formula(PATH3, closed)
+    assert not closed.eval(CYCLE3)
+    assert closed.eval(PATH3)
 
 
 def test_valuation():
@@ -182,7 +176,7 @@ def test_brute_force_guard():
     with pytest.raises(TooLargeForBruteForce):
         f.eval(Digraph(25))
     # first-order formulas are exempt from the guard
-    assert eval_formula(Digraph(30, [(0, 0)]), parse("ex x. E(x,x)"))
+    assert CompiledFormula.parse("ex x. E(x,x)").eval(Digraph(30, [(0, 0)]))
 
 
 def reach_macro(x: str, y: str, set_var: str = "R"):
@@ -202,13 +196,13 @@ def test_reach_macro():
     assert compiled.eval(PATH3, {"x": 0, "y": 2})
     assert not compiled.eval(PATH3, {"x": 2, "y": 0})
     assert compiled.eval(CYCLE3, {"x": 2, "y": 0})
-    assert eval_formula(PATH3, f)
+    assert CompiledFormula(f).eval(PATH3)
 
 
 def test_ast_constructors_direct():
-    f = Quant("ex", "x", Edge("x", "x"))
-    assert eval_formula(LOOP, f)
-    assert print_formula(f) == "ex x. E(x,x)"
+    f = CompiledFormula(Quant("ex", "x", Edge("x", "x")))
+    assert f.eval(LOOP)
+    assert f.text == "ex x. E(x,x)"
 
 
 @pytest.mark.parametrize("f", [
@@ -217,13 +211,38 @@ def test_ast_constructors_direct():
     Quant("ex", "x", Member("x", "x")),
 ], ids=["shadowed", "set-as-point", "point-as-set"])
 def test_ill_scoped_ast_is_not_printed(f):
-    """print_formula once printed these, and parse refuses the text; it
-    fails as CompiledFormula does."""
-    with pytest.raises(ScopeError) as compiled:
+    """These were once printed, and parse refuses the text; compiling,
+    which also prints, refuses them."""
+    with pytest.raises(ScopeError):
         CompiledFormula(f)
-    with pytest.raises(ScopeError) as printed:
-        print_formula(f)
-    assert str(printed.value) == str(compiled.value)
+
+
+@pytest.mark.parametrize("f, named", [
+    (Quant("some", "x", Edge("x", "x")), "'some'"),
+    (Quant("ex", "x", Edge("", "x")), "''"),
+    (Quant("ex", 5, Eq(5, 5)), "5"),
+    (Quant("ex", "x y", Eq("x y", "x y")), "'x y'"),
+    (Quant("ex", "ex", Eq("ex", "ex")), "'ex'"),
+    (Quant("ex", "x", Member("x", "X1Y")), "'X1Y'"),
+], ids=["kind-some", "empty-name", "int-name", "name-with-space", "keyword-name", "capital-inside"])
+def test_ast_that_parse_cannot_produce_is_a_parse_error(f, named):
+    """Each was once compiled: "some" was evaluated as "all", "" and 5
+    ended in a bare IndexError or TypeError, and the other names printed
+    text that parse refuses."""
+    with pytest.raises(ParseError, match=re.escape(named)):
+        CompiledFormula(f)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.one_of(st.text(max_size=4), st.sampled_from(("ex", "all", "in", "E", "x1", "Xs"))))
+def test_compiled_names_print_text_that_parse_reads_back(name):
+    body = Quant("ex", "v", Member("v", name)) if name[:1].isupper() else Eq(name, name)
+    f = Quant("ex", name, body)
+    try:
+        compiled = CompiledFormula(f)
+    except ParseError:
+        return
+    assert parse(compiled.text) == f
 
 
 # -- the one pass against a direct interpreter ---------------------------
@@ -315,7 +334,7 @@ def test_one_pass_matches_direct_interpreter(f, rng):
     compiled = CompiledFormula(f)
     free = free_of(f)
     assert compiled.free == free
-    assert compiled.rank == rank(f) == depth_of(f)
+    assert compiled.rank == depth_of(f)
     for g in GRAPHS:
         if g.n == 0 and any(not is_set_var(v) for v in free):
             continue  # no vertex to give a free point variable
@@ -325,7 +344,7 @@ def test_one_pass_matches_direct_interpreter(f, rng):
             else rng.randrange(g.n)
             for v in sorted(free)
         }
-        assert compiled.eval(g, env) == interpret(g, f, env), (print_formula(f), g)
+        assert compiled.eval(g, env) == interpret(g, f, env), (compiled.text, g)
 
 
 # Formula text: a printed formula, maybe with one span replaced by a
@@ -336,7 +355,7 @@ MSO_TOKENS = ("ex", "all", "x", "y", "X", "E", "in", "(", ")", ",", ".", "~", "&
 
 @st.composite
 def formula_texts(draw):
-    text = print_formula(draw(formulas()))
+    text = CompiledFormula(draw(formulas())).text
     if draw(st.booleans()):
         i, j = sorted(draw(st.integers(0, len(text))) for _ in range(2))
         text = text[:i] + draw(st.sampled_from(MSO_TOKENS)) + text[j:]
@@ -362,7 +381,7 @@ def test_formula_text_fuzz(text):
     """Any text parses to a formula or raises a SuccmsoError, and a parsed
     formula printed back parses to itself."""
     try:
-        f = parse(text, allow_free=True)
+        f = CompiledFormula.parse(text, allow_free=True)
     except SuccmsoError:
         return
-    assert parse(print_formula(f), allow_free=True) == f
+    assert parse(f.text, allow_free=True) == f.formula

@@ -26,7 +26,7 @@ from succmso.graph import (
     delta,
     graph_equal,
 )
-from succmso.mso import parse as mso_parse
+from succmso.mso import CompiledFormula
 from succmso.reduce import (
     CnfInstance,
     GadgetQuadruple,
@@ -49,7 +49,7 @@ from succmso.reduce import (
 from succmso.sgr import materialize
 from succmso.verify import delta_layout, sat_solve, seeded_cnf_battery, small_cnf_battery
 
-LOOP = mso_parse("ex x. E(x,x)")
+LOOP = CompiledFormula.parse("ex x. E(x,x)")
 
 
 def shared_port_quadruple():
@@ -626,11 +626,8 @@ def test_reduce_clique_worked_examples():
 
 
 def test_auxiliary_reductions_track_sat():
-    clique_sentence = mso_parse("all x. all y. E(x,y)")
-    from succmso.mso import CompiledFormula
-
-    loop_c, clique_c = CompiledFormula(LOOP), CompiledFormula(clique_sentence)
+    clique = CompiledFormula.parse("all x. all y. E(x,y)")
     for S in small_cnf_battery():
         sat, _ = sat_solve(S)
-        assert loop_c.eval(materialize(reduce_loop(S), 100)) == sat
-        assert clique_c.eval(materialize(reduce_clique(S), 100)) == (not sat)
+        assert LOOP.eval(materialize(reduce_loop(S), 100)) == sat
+        assert clique.eval(materialize(reduce_clique(S), 100)) == (not sat)
