@@ -649,12 +649,18 @@ class CircuitBuilder:
         """Restoring long division by a positive constant.
 
         Returns (quotient, remainder): quotient has the input width,
-        remainder has bit_length(d) bits.
+        remainder has bit_length(d) bits. A power of two 2^k is wiring:
+        the quotient is the bundle above bit k and the remainder its low
+        k bits, each padded with the zero constant, and no other gate is
+        emitted.
         """
         if d <= 0:
             raise BadParam("divisor must be positive")
         w = len(bundle)
         rb = max(d.bit_length(), 1)
+        if d & (d - 1) == 0:
+            k = rb - 1
+            return self.pad(bundle[k:], w), self.pad(bundle[:k], rb)
         rem = self.const_bundle(0, rb)
         q_bits = [None] * w
         for i in reversed(range(w)):

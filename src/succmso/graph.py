@@ -33,7 +33,10 @@ class Digraph:
 
     def successors(self, u):
         """Out-neighborhood G(u) as a sorted list: the set bits of
-        successor_masks[u], lowest first."""
+        successor_masks[u], lowest first. u must be an exact int (not a
+        bool or a float) in range(n)."""
+        if type(u) is not int:
+            raise BadVertex(f"vertex {u!r:.40} is not an int")
         if not 0 <= u < self.n:
             raise BadVertex(f"vertex {u} out of range")
         mask, out = self.successor_masks[u], []

@@ -276,7 +276,7 @@ def _compile(node, scope, slots, depth=0):
             return not exists
 
         return fn, f"{node.kind} {node.var}. {text}", qrank + 1, set_quant or over_sets
-    raise TypeError(f"not an MSO formula node: {node!r}")
+    raise ParseError(f"not an MSO formula node: {node!r:.40}")
 
 
 def _vertex(name, v, n):
@@ -296,7 +296,7 @@ class CompiledFormula:
     quantifier rank, .text the concrete syntax that parse reads back. An
     AST that parse could not produce (nested deeper than parse accepts, a
     name that is not an identifier, a quantifier kind other than ex or
-    all) raises ParseError.
+    all, a child that is not an AST node) raises ParseError.
     """
 
     def __init__(self, formula):

@@ -186,7 +186,8 @@ class GadgetQuadruple:
     the compiler preconditions, raising ValidationError naming the violated
     condition, and stores each gadget permuted into the layout. A
     normalized quadruple normalizes to itself. normalize_layout is another
-    name for this constructor.
+    name for this constructor. The hash, which every template and label
+    table lookup takes, is computed once, at construction.
     """
 
     g0: BiboundariedGraph
@@ -228,6 +229,12 @@ class GadgetQuadruple:
         derived = (*norm, k, k - k_dprime, k_dprime, n1, n2, n3)
         for f, value in zip(fields(self), derived):
             object.__setattr__(self, f.name, value)
+        # the six constants follow from the gadgets, so equal quadruples
+        # have equal gadgets and hash alike
+        object.__setattr__(self, "_hash", hash(tuple(norm)))
+
+    def __hash__(self):
+        return self._hash
 
     def big_n(self, s: int) -> int:
         return self.n2 + (1 << s) * self.n1 + self.n3
@@ -305,8 +312,8 @@ def succ_ref_graph(quad: GadgetQuadruple, S: CnfInstance) -> Digraph:
 
 # Templates and label tables kept, one per (quadruple, s): each bench
 # workload cycles through three pairs, and `--workload all` through six. A
-# template is small (the shared-port quadruple at s = 20 has 1,405 gates in
-# about 0.2 MB), and a label table smaller still, so eight cost at most a
+# template is small (the shared-port quadruple at s = 20 has 965 gates in
+# under 0.2 MB), and a label table smaller still, so eight cost at most a
 # few MB.
 _TEMPLATE_CACHE = 8
 
@@ -434,10 +441,12 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
     def y_eq_consts(labels):
         return b.or_many(b.eq_const(y_in, yv) for yv in sorted(labels))
 
-    # region x < n2: the G2 prefix, fully constant
+    # region x < n2: the G2 prefix, fully constant. Under in2 only x's low
+    # (n2 - 1).bit_length() bits can be nonzero, so a row test reads only those
+    x_low2 = x_in[: (quad.n2 - 1).bit_length()]
     case2 = b.or_many(
         b.and_(
-            b.eq_const(x_in, xv),
+            b.eq_const(x_low2, xv),
             y_eq_consts(dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(xv)),
         )
         for xv in range(quad.n2)
@@ -453,10 +462,14 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
     qm1_n1 = b.pad(b.mul_const(qm1_low, quad.n1), nb)
 
     def gadget_row_cond(gadget, local, offset_bundle):
-        """y ∈ δ^q_j(G_j(local)) with q carried by offset_bundle * n1."""
+        """y ∈ δ^q_j(G_j(local)) with q carried by offset_bundle * n1.
+        A loop v == local has label x itself, in copy q as in the row
+        of copy q - 1 glued to it, so it compares y with x."""
         conds = []
         for v in gadget.graph.successors(local):
-            if v < quad.g1.n - quad.k_dprime:
+            if v == local:
+                conds.append(b.eq(y_in, x_in))
+            elif v < quad.g1.n - quad.k_dprime:
                 conds.append(b.eq(y_in, b.add_const(offset_bundle, quad.n2 + v)))
             else:
                 conds.append(b.eq_const(y_in, quad.n2 + ell_hat * quad.n1 + v))
@@ -482,7 +495,13 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
             )
         mid_rows.append((r_is, here, prev))
 
-    # region x >= n2 + 2^s*n1: the G3 suffix; x is in a constant range
+    # region x >= n2 + 2^s*n1: the G3 suffix. A label below N there is
+    # mid_end + r with r < n3, and n3 consecutive labels differ in their
+    # low (n3 - 1).bit_length() bits, so a row test reads only those;
+    # labels >= N stay unconstrained
+    low3 = (quad.n3 - 1).bit_length()
+    x_low3 = x_in[:low3]
+
     def case3(i_last):
         rows3 = []
         for r in range(quad.n3):
@@ -518,7 +537,10 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
                     else:
                         labels.add(quad.n2 + ell_hat * quad.n1 + v)
             rows3.append(
-                b.and_(b.eq_const(x_in, xv), b.or_many([y_eq_consts(labels)] + extra))
+                b.and_(
+                    b.eq_const(x_low3, xv & ((1 << low3) - 1)),
+                    b.or_many([y_eq_consts(labels)] + extra),
+                )
             )
         return b.and_(in3, b.or_many(rows3))
 
@@ -562,7 +584,10 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
     """Compile the glued chain for S into an adjacency circuit.
 
     The circuit decides y ∈ succ_ref(quad, S, x) for all x, y < N;
-    behavior on labels >= N is unconstrained. A copy of the cached
+    behavior on labels >= N is unconstrained. The G3 row tests rely on
+    that: a label x >= mid_end below N is mid_end + r with r < n3, so a
+    row test compares only the low (n3 - 1).bit_length() bits of x, and a
+    label >= N may pass the test of some row. A copy of the cached
     template for (quad, S.s) gets only the gates that depend on S: the
     two CNF evaluators giving s̄(q) and s̄(q - 1), the selectors between
     the g0 and g1 row conditions, and the final choice t = s̄(2^s - 1) of

@@ -227,11 +227,19 @@ def test_mul_const_oracle():
             assert bundle_value(b, prod, v, 0) == v * c
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 16])
 def test_divmod_const_oracle(d):
+    """16 exceeds the 4-bit input: the quotient is 0, the remainder the
+    input. A power-of-two divisor is wiring: it reads the input bits and
+    the zero constant, which pads both bundles, and adds no gate."""
     b = CircuitBuilder(4)
     x = b.x_bundle()
+    b.const(0)
+    before = b.gate_count()
     q, r = b.divmod_const(x, d)
+    assert (len(q), len(r)) == (4, d.bit_length())
+    if d & (d - 1) == 0:
+        assert b.gate_count() == before
     for v in range(16):
         assert bundle_value(b, q, v, 0) == v // d
         assert bundle_value(b, r, v, 0) == v % d
@@ -365,10 +373,10 @@ def test_compiled_circuits_are_simplified(name, s):
 CONSTANT_SBAR = ([(1,), (-1,)], [(1, -1)], [(1, -1), (2,)])
 
 PINNED_CONSTANT_SBAR_GATES = {
-    ("toy", 2): [49, 67, 70], ("toy", 3): [75, 103, 106], ("toy", 6): [153, 211, 214],
-    ("shared", 2): [137, 153, 166], ("shared", 3): [184, 209, 223],
-    ("shared", 6): [322, 374, 391],
-    ("path", 2): [49, 55, 69], ("path", 3): [75, 81, 105], ("path", 6): [153, 159, 213],
+    ("toy", 2): [45, 57, 60], ("toy", 3): [69, 85, 88], ("toy", 6): [141, 169, 172],
+    ("shared", 2): [107, 120, 134], ("shared", 3): [140, 156, 171],
+    ("shared", 6): [233, 258, 276],
+    ("path", 2): [45, 41, 59], ("path", 3): [69, 53, 87], ("path", 6): [141, 89, 171],
 }
 
 
@@ -443,9 +451,10 @@ def test_build_checks_the_gates_after_the_prefix():
 
 
 # sha256 over the sgr.serialize text of every circuit compiled below, one
-# text a line. Taken from the compiler whose template returned a record of
-# gate handles, before the template returned its own extend step.
-COMPILED_TEXT_SHA256 = "ad2fa3037650cbca4cbb682d24729c3c4194ef4a33f8fcf454816af666b8612b"
+# text a line. Taken from the compiler whose loop edges compare y with x,
+# whose power-of-two divisions are wiring and whose G2 and G3 row tests read
+# only x's low bits.
+COMPILED_TEXT_SHA256 = "ef8ca07b162ef08009073693efddfaa8eeea0d0c7e94e54f9a12cd701bf88f17"
 
 
 def test_compiled_circuit_text_is_pinned():

@@ -48,6 +48,15 @@ def test_digraph_basics():
         Digraph(2, [(0, 5)])
 
 
+@pytest.mark.parametrize("u", [True, 1.0, -1, 3], ids=["bool", "float", "negative", "n"])
+def test_successors_takes_only_an_exact_int_vertex(u):
+    """successors(True) once returned vertex 1's successors and
+    successors(1.0) ended in a bare TypeError."""
+    g = Digraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(BadVertex):
+        g.successors(u)
+
+
 def test_predecessor_masks_transpose_the_edges():
     rng = random.Random(7)
     for _ in range(40):

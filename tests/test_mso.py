@@ -224,11 +224,15 @@ def test_ill_scoped_ast_is_not_printed(f):
     (Quant("ex", "x y", Eq("x y", "x y")), "'x y'"),
     (Quant("ex", "ex", Eq("ex", "ex")), "'ex'"),
     (Quant("ex", "x", Member("x", "X1Y")), "'X1Y'"),
-], ids=["kind-some", "empty-name", "int-name", "name-with-space", "keyword-name", "capital-inside"])
+    (Not(5), "node: 5"),
+    (Quant("ex", "x", None), "node: None"),
+], ids=["kind-some", "empty-name", "int-name", "name-with-space", "keyword-name", "capital-inside",
+        "int-child", "none-child"])
 def test_ast_that_parse_cannot_produce_is_a_parse_error(f, named):
     """Each was once compiled: "some" was evaluated as "all", "" and 5
-    ended in a bare IndexError or TypeError, and the other names printed
-    text that parse refuses."""
+    ended in a bare IndexError or TypeError, the other names printed
+    text that parse refuses, and a child that is no AST node ended in a
+    bare TypeError."""
     with pytest.raises(ParseError, match=re.escape(named)):
         CompiledFormula(f)
 

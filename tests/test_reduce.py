@@ -451,6 +451,22 @@ def test_label_table_stays_small_at_s_20(name):
     assert longest == (1 << 20 if quad.k_dprime else 0)
 
 
+def test_equal_quadruples_built_apart_share_their_hash_and_template(monkeypatch):
+    """The hash is taken once, at construction; two equal quadruples built
+    apart hash alike and hit the same cached template and label table."""
+    a, b = shared_port_quadruple(), shared_port_quadruple()
+    assert a is not b and a == b
+
+    def refuse(self):
+        raise AssertionError("a gadget was hashed again")
+
+    with monkeypatch.context() as m:
+        m.setattr(BiboundariedGraph, "__hash__", refuse)
+        assert hash(a) == hash(b)
+    assert _reduction_template(a, 5) is _reduction_template(b, 5)
+    assert _label_table(a, 5) is _label_table(b, 5)
+
+
 def test_quadruple_constants_are_derived_not_passed():
     """Four gadgets are the whole input; the six constants come from them."""
     quad = shared_port_quadruple()
@@ -502,12 +518,13 @@ def test_compile_scales_without_materializing():
 
 
 # Gate counts of the circuits compiled for seeded_cnf_battery(s, 2, 9000 + s),
-# computed with the one-pass compiler that preceded the per-(quadruple, s)
-# template; the template must keep exactly these gates.
+# computed with the compiler whose loop edges compare y with x, whose
+# power-of-two divisions are wiring and whose G2 and G3 row tests read only
+# x's low bits; a compile must keep exactly these gates.
 PINNED_GATE_COUNTS = {
-    ("path", 4): [157, 151], ("path", 8): [314, 294], ("path", 12): [452, 446],
-    ("shared", 4): [323, 311], ("shared", 8): [595, 537], ("shared", 12): [822, 811],
-    ("toy", 4): [158, 152], ("toy", 8): [315, 295], ("toy", 12): [453, 447],
+    ("path", 4): [131, 125], ("path", 8): [256, 236], ("path", 12): [362, 356],
+    ("shared", 4): [250, 238], ("shared", 8): [438, 380], ("shared", 12): [581, 569],
+    ("toy", 4): [132, 126], ("toy", 8): [257, 237], ("toy", 12): [363, 357],
 }
 
 
