@@ -367,6 +367,25 @@ def _check_seed(parser, args):
         parser.error("--seed applies only to the built-in battery")
 
 
+def _int_option(token):
+    """An integer option's value, under the library's integer rule
+    (graph.text_int): ASCII digits with an optional leading "-". Anything
+    else is a usage error."""
+    try:
+        return graph.text_int(token, "the value")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _count_option(token):
+    """A nonnegative integer option's value (_int_option); a negative one
+    is a usage error."""
+    value = _int_option(token)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"the value is {value}, not a count")
+    return value
+
+
 def _leaf(group, name, run, *required, out=False):
     """Add leaf command name, run by run, with required string flags and,
     if out, an optional --out file."""
@@ -392,10 +411,10 @@ def _build_parser():
 
     g = group("sgr")
     q = _leaf(g, "materialize", _sgr_materialize, "--sgr", out=True)
-    q.add_argument("--limit", type=int, default=4096)
+    q.add_argument("--limit", type=_count_option, default=4096)
     q = _leaf(g, "edge", _sgr_edge, "--sgr")
-    q.add_argument("--x", type=int, required=True)
-    q.add_argument("--y", type=int, required=True)
+    q.add_argument("--x", type=_int_option, required=True)
+    q.add_argument("--y", type=_int_option, required=True)
     _leaf(g, "check-size", _sgr_check_size, "--sgr")
 
     g = group("mso")
@@ -413,14 +432,14 @@ def _build_parser():
 
     g = group("ef")
     q = _leaf(g, "equiv", _ef_equiv, "--g", "--h")
-    q.add_argument("--m", type=int, required=True)
+    q.add_argument("--m", type=_int_option, required=True)
     q = _leaf(g, "qsearch", _ef_qsearch, "--graph")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--qmax", type=int, default=4)
+    q.add_argument("--m", type=_int_option, required=True)
+    q.add_argument("--qmax", type=_int_option, default=4)
     q = _leaf(g, "qbound", _ef_qbound)
-    q.add_argument("--size", type=int, required=True)
+    q.add_argument("--size", type=_int_option, required=True)
     for flag in ("--m", "--m1", "--m2"):
-        q.add_argument(flag, type=int, default=None)
+        q.add_argument(flag, type=_int_option, default=None)
     q.set_defaults(check_usage=lambda a, q=q: _check_qbound(q, a))
     q = _leaf(g, "saturate", _ef_saturate, "--omega", "--formula")
     q.add_argument("--battery", default="builtin")
@@ -439,9 +458,9 @@ def _build_parser():
     _leaf(g, "validate-quad", _reduce_validate_quad, "--gadgets")
     q = _leaf(g, "pump-check", _reduce_pump_check, "--triple", "--formula")
     q.add_argument("--expected", choices=("true", "false"), required=True)
-    q.add_argument("--nmax", type=int, default=6)
+    q.add_argument("--nmax", type=_int_option, default=6)
     q = _leaf(g, "succ-ref", _reduce_succ_ref, "--gadgets", "--cnf")
-    q.add_argument("--x", type=int, required=True)
+    q.add_argument("--x", type=_int_option, required=True)
 
     g = group("verify")
     _leaf(g, "sat", _verify_sat, "--cnf")
@@ -450,7 +469,7 @@ def _build_parser():
     q.add_argument("--formula", default=verify.LOOP_SENTENCE)
     q.add_argument("--battery", default="builtin")
     seed_help = f"seeds the built-in battery only (default {verify.DEFAULT_SEED})"
-    q.add_argument("--seed", type=int, help=seed_help)
+    q.add_argument("--seed", type=_int_option, help=seed_help)
     q.set_defaults(check_usage=lambda a, q=q: _check_seed(q, a))
     return top
 

@@ -597,6 +597,59 @@ def test_input_failures_follow_the_error_contract(capsys, tmp_path, argv, files,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+SGR_2 = json.dumps(_sgr_with_gate(["not", 0]))  # N = 2, C(x, y) = not x0
+
+# Every integer option, its value given as {v}, in a call that is
+# otherwise well formed.
+INT_OPTIONS = {
+    "sgr-edge-x": ("sgr", "edge", "--sgr", "{a}", "--x", "{v}", "--y", "0"),
+    "sgr-edge-y": ("sgr", "edge", "--sgr", "{a}", "--x", "0", "--y", "{v}"),
+    "sgr-materialize-limit": ("sgr", "materialize", "--sgr", "{a}", "--limit", "{v}"),
+    "ef-equiv-m": ("ef", "equiv", "--g", "{ok}", "--h", "{ok}", "--m", "{v}"),
+    "ef-qsearch-m": ("ef", "qsearch", "--graph", "{ok}", "--m", "{v}"),
+    "ef-qsearch-qmax": ("ef", "qsearch", "--graph", "{ok}", "--m", "1", "--qmax", "{v}"),
+    "ef-qbound-size": ("ef", "qbound", "--size", "{v}", "--m", "1"),
+    "ef-qbound-m": ("ef", "qbound", "--size", "1", "--m", "{v}"),
+    "ef-qbound-m1": ("ef", "qbound", "--size", "1", "--m1", "{v}", "--m2", "1"),
+    "ef-qbound-m2": ("ef", "qbound", "--size", "1", "--m1", "1", "--m2", "{v}"),
+    "pump-check-nmax": PUMP + ("--triple", "path", "--nmax", "{v}"),
+    "succ-ref-x": ("reduce", "succ-ref", "--gadgets", "toy", "--cnf", "{cnf}", "--x", "{v}"),
+    "end2end-seed": ("verify", "end2end", "--gadgets", "toy", "--seed", "{v}"),
+}
+
+
+def run_int_option(capsys, tmp_path, option, value):
+    argv = [arg.replace("{v}", value) for arg in INT_OPTIONS[option]]
+    code, out, err, _ = run_with_files(capsys, tmp_path, argv, {"a": SGR_2})
+    return code, out, err
+
+
+@pytest.mark.parametrize("value", ["+4", " 4", "٣", "4_0", "1"],
+                         ids=["plus", "space", "arabic-indic", "underscore", "plain"])
+@pytest.mark.parametrize("option", sorted(INT_OPTIONS))
+def test_integer_options_follow_the_integer_rule(capsys, tmp_path, option, value):
+    """Integer options read the library's integer rule (graph.text_int):
+    argparse's int() took +4, " 4" and Arabic-Indic 3 as integers and 4_0
+    as 40. Only the plain value runs."""
+    code, out, err = run_int_option(capsys, tmp_path, option, value)
+    if value == "1":
+        assert code in (0, 1) and "usage:" not in err
+        return
+    assert code == 2 and out == ""
+    assert err.startswith("usage: succmso ") and "Traceback" not in err
+    flag = INT_OPTIONS[option][INT_OPTIONS[option].index("{v}") - 1]
+    assert f"error: argument {flag}: the value is {value!r}, not an integer" in err
+
+
+def test_negative_limit_is_a_usage_error(capsys, tmp_path):
+    """sgr materialize --limit -5 once ran and reported N exceeding the limit."""
+    code, out, err = run_int_option(capsys, tmp_path, "sgr-materialize-limit", "-5")
+    assert code == 2 and out == ""
+    assert "error: argument --limit: the value is -5, not a count" in err
+    code, out, err = run_int_option(capsys, tmp_path, "sgr-materialize-limit", "0")
+    assert code == 1 and err.startswith("error: TooLargeToMaterialize: N=2 exceeds limit 0")
+
+
 def test_delta_layout_size_guard(capsys, tmp_path):
     cnf = tmp_path / "s40.cnf"
     cnf.write_text("p cnf 40 1\n40 0\n")

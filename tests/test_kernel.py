@@ -98,12 +98,14 @@ def query_sequences(rng, full):
 
 
 def assert_eval_matches_scalar(c, rng):
-    """Every query sequence matches the scalar oracle, and evaluating leaves
-    the circuit's equality, hash and JSON form as they were."""
+    """Every query sequence matches the scalar oracle, the residual eval
+    keeps holds no input gate, and evaluating leaves the circuit's
+    equality, hash and JSON form as they were."""
     text, digest, twin = serialize(c), hash(c), parse(serialize(c))
     for queries in query_sequences(rng, 1 << c.label_bits):
         for x, y in queries:
             assert c.eval(x, y) is scalar_eval(c, x, y), (x, y)
+            assert all(gate[0] != "input" for gate in c._row_memo[1] or ())
     assert c == twin and hash(c) == digest and serialize(c) == text
 
 
@@ -133,6 +135,70 @@ def test_eval_memo_on_hand_built_circuits(gates, output):
     """Every sequence queries three of the four xs, so each case meets both
     values of the x bit it folds on."""
     assert_eval_matches_scalar(BoolCircuit(2, gates, output), random.Random(7))
+
+
+def folding_circuit(rng, label_bits, shape):
+    """A random circuit and an x at which its output folds to the given
+    shape: the constant 0, bit v of y, the not of bit v, or a part that
+    reads y through several gates. That deep part is a random circuit xor
+    (y_a and y_b), so it reads y whatever the random circuit folds to, and
+    it is anded with x's bit w, which x sets only for shape "deep". v is
+    y's top bit half the time. Gate i < 2 * label_bits is input wire i."""
+    n = label_bits
+    gates = list(random_circuit(rng, n, 2 * n + 2 + max(40, n)).gates)
+    r, a, b = len(gates) - 1, n + rng.randrange(n), n + rng.randrange(n)
+    gates += [("and", a, b), ("not", r)]
+    q = len(gates) - 2
+    gates += [("not", q), ("and", r, q + 2), ("and", q + 1, q)]
+    gates.append(("or", q + 3, q + 4))
+    deep = len(gates) - 1
+    w = rng.randrange(n)
+    v = n - 1 if rng.random() < 0.5 else rng.randrange(n)
+    x = rng.getrandbits(n) & ~(1 << w)
+    gates.append(("and", w, deep))
+    guarded = len(gates) - 1
+    if shape == "const":
+        output = guarded
+    elif shape == "deep":
+        x |= 1 << w
+        output = guarded
+    else:
+        leaf = n + v
+        if shape == "not-y-wire":
+            gates.append(("not", leaf))
+            leaf = len(gates) - 1
+        gates.append(("or", guarded, leaf))
+        output = len(gates) - 1
+    return BoolCircuit(n, gates, output), x
+
+
+@pytest.mark.parametrize("shape", ["const", "y-wire", "not-y-wire", "deep"])
+@pytest.mark.parametrize("label_bits", [1, 7, 8, 9, 16, 17, 64])
+def test_eval_on_seeded_residuals_at_byte_edges(label_bits, shape):
+    """eval reads y's bits bytewise, so label widths on either side of a
+    byte (and y's top bit) are where a cut could go wrong. The residual kept
+    for x holds no input gate; an output that folds to a constant or to a
+    bare bit of y keeps no gate at all."""
+    rng = random.Random(f"{label_bits}-{shape}")
+    n = label_bits
+    top = 1 << (n - 1)
+    for _ in range(3):
+        c, x = folding_circuit(rng, n, shape)
+        ys = [top, (1 << n) - 1, 0, top | rng.getrandbits(n - 1)]
+        ys += [rng.getrandbits(n) for _ in range(4)]
+        for y in ys:
+            assert c.eval(x, y) is scalar_eval(c, x, y), (x, y)
+            assert c.eval(y, x) is scalar_eval(c, y, x), (y, x)  # another row, and back
+        c.eval(x, 0)
+        memo_x, residual, _ = c._row_memo
+        assert memo_x == x
+        if shape == "const":
+            assert residual is None
+        elif shape == "y-wire":
+            assert residual == ()
+        else:
+            assert residual and all(gate[0] != "input" for gate in residual)
+            assert shape == "deep" or len(residual) == 1
 
 
 @pytest.mark.parametrize("name", sorted(QUADRUPLES))
