@@ -171,19 +171,18 @@ def _run(gates, wires, values):
 
     A value may carry set bits above the lanes in use; callers mask it.
     """
-    push = values.append
     for gate in gates:
         kind = gate[0]
         if kind == "and":
-            push(values[gate[1]] & values[gate[2]])
+            values.append(values[gate[1]] & values[gate[2]])
         elif kind == "or":
-            push(values[gate[1]] | values[gate[2]])
+            values.append(values[gate[1]] | values[gate[2]])
         elif kind == "not":
-            push(~values[gate[1]])
+            values.append(~values[gate[1]])
         elif kind == "input":
-            push(wires[gate[1]])
+            values.append(wires[gate[1]])
         else:
-            push(-gate[1])
+            values.append(-gate[1])
     return values
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (
     BadAnchorBags,
@@ -21,7 +21,9 @@ from .graph import Digraph, chain_maps, json_int, json_ints, json_value
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Rooted tree with one bag per node; parents[root] == -1."""
+    """Rooted tree with one bag per node; parents[root] == -1. The root,
+    every parent and the pointed leaf are exact ints (not bools or floats);
+    anything else raises BadVertex."""
 
     root: int
     parents: tuple
@@ -34,6 +36,12 @@ class TreeDecomposition:
         n = len(parents)
         if n == 0 or len(bags) != n:
             raise EmptyDecomposition("need one bag per tree node")
+        # exact ints, as Digraph takes: a float fails as an index, and a
+        # bool is written to JSON as true, which parse refuses
+        leaf = 0 if pointed_leaf is None else pointed_leaf
+        bad = [i for i in (root, leaf, *parents) if type(i) is not int]
+        if bad:
+            raise BadVertex(f"node index {bad[0]!r:.40} is not an int")
         if not 0 <= root < n or parents[root] != -1:
             raise BadVertex("root must exist and have parent -1")
         for i, p in enumerate(parents):
@@ -208,50 +216,52 @@ def treewidth_exact(g: Digraph) -> int:
 
     Dynamic program over the set S of eliminated vertices, a bitmask
     (equivalent to a minimum over all elimination orderings). Eliminating v
-    after S costs the number of vertices outside S that v reaches through S,
-    found by a breadth-first search on the symmetric-closure masks (the
-    successor masks or'd with the predecessor masks); a vertex that costs at
-    least the best width found so far cannot lower it and is not expanded.
+    after S costs the number of vertices outside S that v reaches through S:
+    its neighbours outside S together with the outside neighbourhoods of the
+    components of G[S] that it touches (the Q-sets of Bodlaender, Fomin,
+    Koster, Kratsch and Thilikos, "On exact algorithms for treewidth", ACM
+    TALG 9(1), 2012). S carries its components, each as a vertex mask and
+    an outside-neighbourhood mask, so the cost is an OR over them; the
+    components of S plus v are those v does not touch, plus v merged with
+    those it does. A vertex that costs at least the best width found so far
+    cannot lower it and is not expanded.
     """
     if g.n > 10:
         raise TooLarge("treewidth_exact is limited to 10 vertices")
     if g.n == 0:
         return -1
     n = g.n
-    # out- plus in-neighbours; a loop bit is never followed, as the search
-    # has already seen the vertex it expands
+    # out- plus in-neighbours: symmetric, so a component that v does not
+    # touch has no v in its neighbourhood; a loop bit goes with v's own bit
     adj = [s | p for s, p in zip(g.successor_masks, g.predecessor_masks)]
-    all_mask = (1 << n) - 1
+    memo = {(1 << n) - 1: -1}
 
-    def degree(mask, v):
-        seen = frontier = 1 << v
-        out = 0
-        while frontier:
-            reached = 0
-            while frontier:
-                low = frontier & -frontier
-                reached |= adj[low.bit_length() - 1]
-                frontier ^= low
-            reached &= ~seen
-            seen |= reached
-            out |= reached & ~mask
-            frontier = reached & mask
-        return out.bit_count()
-
-    @lru_cache(maxsize=None)
-    def best(mask):
-        if mask == all_mask:
-            return -1
+    def best(mask, comps):
+        out = memo.get(mask)
+        if out is not None:
+            return out
         out = n
         for v in range(n):
             if mask >> v & 1:
                 continue
-            deg = degree(mask, v)
+            near = reach = adj[v]
+            merged, kept = 1 << v, []
+            for comp, nbrs in comps:
+                if near & comp:
+                    reach |= nbrs
+                    merged |= comp
+                else:
+                    kept.append((comp, nbrs))
+            child = mask | 1 << v
+            reach &= ~child
+            deg = reach.bit_count()
             if deg < out:
-                out = min(out, max(deg, best(mask | (1 << v))))
+                kept.append((merged, reach))
+                out = min(out, max(deg, best(child, kept)))
+        memo[mask] = out
         return out
 
-    return best(0)
+    return best(0, [])
 
 
 # -- file format ---------------------------------------------------------

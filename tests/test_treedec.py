@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -155,6 +156,26 @@ def holders_disconnected(parents, bags, v):
 
 def degrees(root, parents):
     return [parents.count(v) + (v != root) for v in range(len(parents))]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0.0, [-1], [{0}]),
+        (True, [-1], [{0}]),
+        (0, [-1, 0.0], [{0}, {1}]),
+        (0, [-1, False], [{0}, {1}]),
+        (0, [-1, 0], [{0}, {1}], 1.0),
+        (0, [-1, 0], [{0}, {1}], True),
+    ],
+)
+def test_constructor_takes_only_int_node_indices(args):
+    # a float would fail as a tuple index, and a bool pointed leaf would be
+    # serialized as true, which parse refuses
+    with pytest.raises(BadVertex):
+        TreeDecomposition(*args)
+    t = TreeDecomposition(0, [-1, 0], [{0}, {1}], 1)
+    assert parse(serialize(t)) == t
 
 
 def test_random_decompositions_against_oracles():
@@ -466,6 +487,88 @@ def test_treewidth_oracles_agree():
         p = rng.choice((0.2, 0.35, 0.5, 0.7))
         g = Digraph(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < p])
         assert treewidth_exact(g) == treewidth_by_orderings(g)
+
+
+def treewidth_by_bfs_dp(g: Digraph) -> int:
+    """Second reference, feasible up to n = 10: the subset DP over
+    eliminated-vertex bitmasks with each elimination degree found by its
+    own breadth-first search through the eliminated set."""
+    if g.n == 0:
+        return -1
+    n = g.n
+    adj = [s | p for s, p in zip(g.successor_masks, g.predecessor_masks)]
+    all_mask = (1 << n) - 1
+
+    def degree(mask, v):
+        seen = frontier = 1 << v
+        out = 0
+        while frontier:
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= adj[low.bit_length() - 1]
+                frontier ^= low
+            reached &= ~seen
+            seen |= reached
+            out |= reached & ~mask
+            frontier = reached & mask
+        return out.bit_count()
+
+    @lru_cache(maxsize=None)
+    def best(mask):
+        if mask == all_mask:
+            return -1
+        out = n
+        for v in range(n):
+            if mask >> v & 1:
+                continue
+            deg = degree(mask, v)
+            if deg < out:
+                out = min(out, max(deg, best(mask | (1 << v))))
+        return out
+
+    return best(0)
+
+
+def relabelled(rng, n, edges):
+    perm = rng.sample(range(n), n)
+    return Digraph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def beyond_oracle_graphs(rng):
+    """Graphs on 7 to 10 vertices, past the ordering oracle's reach: random
+    ones per ordered pair (loops and antiparallel pairs included), two
+    random parts with no edge between them, cycles with chords, grids, and
+    symmetric ones with every pair antiparallel and loops on some vertices."""
+    for _ in range(26):
+        for p in (0.2, 0.35, 0.5, 0.7):
+            n = rng.randint(7, 10)
+            yield Digraph(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < p])
+    for _ in range(50):
+        n, cut = rng.randint(7, 10), rng.randint(2, 5)
+        yield relabelled(rng, n, [(u, v) for u in range(n) for v in range(n)
+                                  if (u < cut) == (v < cut) and rng.random() < 0.5])
+    for _ in range(50):
+        n = rng.randint(7, 10)
+        ring = [(i, (i + 1) % n) if rng.random() < 0.5 else ((i + 1) % n, i) for i in range(n)]
+        yield relabelled(rng, n, ring + [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))])
+    for _ in range(20):
+        rows, cols = rng.choice(((2, 4), (3, 3), (2, 5)))
+        cells = rows * cols
+        yield relabelled(rng, cells, [(i, i + 1) for i in range(cells) if (i + 1) % cols]
+                         + [(i, i + cols) for i in range(cells - cols)])
+    for _ in range(76):
+        n = rng.randint(7, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        loops = [(v, v) for v in range(n) if rng.random() < 0.3]
+        yield Digraph(n, pairs + [(v, u) for u, v in pairs] + loops)
+
+
+def test_treewidth_agrees_with_bfs_dp_beyond_the_oracle():
+    graphs = list(beyond_oracle_graphs(random.Random(13)))
+    assert len(graphs) == 300
+    for g in graphs:
+        assert treewidth_exact(g) == treewidth_by_bfs_dp(g)
 
 
 def random_k_tree(rng, n, k):
