@@ -178,6 +178,28 @@ def test_constructor_takes_only_int_node_indices(args):
     assert parse(serialize(t)) == t
 
 
+@pytest.mark.parametrize(
+    "bags",
+    [
+        [{True}],
+        [{0.5}],
+        [[1, True]],
+        [[True, 1]],
+        [frozenset({False})],
+        [iter([2, 1.0])],
+        [{1}, {2, 3.0}],
+    ],
+)
+def test_constructor_takes_only_int_bag_entries(bags):
+    # a bool bag entry is serialized as true and a float as 0.5, which
+    # parse refuses; [1, True] must not be folded into {1}
+    with pytest.raises(BadVertex):
+        TreeDecomposition(0, [-1] + [0] * (len(bags) - 1), bags)
+    t = TreeDecomposition(0, [-1, 0], [[1, 1, 0], iter([2])])
+    assert t.bags == (frozenset({0, 1}), frozenset({2}))
+    assert parse(serialize(t)) == t
+
+
 def test_random_decompositions_against_oracles():
     rng = random.Random(11)
     trees = 0
@@ -451,6 +473,32 @@ def test_treewidth_known_values():
     assert treewidth_exact(petersen) == 4
     assert treewidth_exact(c10) == 2
     assert treewidth_exact(grid) == 3
+    # the simplicial rule removes some vertices and leaves the rest to the
+    # DP. A K4 on 4..7 hangs off vertex 4 of the 5-cycle 0..4: removing 5,
+    # 6 and 7 gives the bound 3, which beats the cycle's 2
+    k4_on_c5 = Digraph(
+        8,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(u, v) for u in range(4, 8) for v in range(u + 1, 8)],
+    )
+    assert treewidth_exact(k4_on_c5) == 3
+    # a pendant vertex 9 on a corner of the 3x3 grid: the bound is 1, and
+    # the grid left to the DP gives 3
+    assert treewidth_exact(Digraph(10, sorted(grid.edges) + [(9, 0)])) == 3
+    # vertex 3 is simplicial on the triangle 0, 1, 2 although it carries a
+    # loop and an antiparallel pair; a loop counted as a neighbour would
+    # give an endpoint of a path the bound 2
+    looped = Digraph(4, [(3, 3), (3, 0), (0, 3), (3, 1), (0, 1), (1, 2), (2, 0)])
+    assert treewidth_exact(looped) == 2
+    assert treewidth_exact(Digraph(3, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2)])) == 1
+    # a forest (two paths, a star and an isolated vertex), an edgeless
+    # graph, and a disjoint union of a K2, a K3 and a K4
+    forest = Digraph(10, [(0, 1), (2, 1), (3, 4), (5, 6), (5, 7), (8, 5)])
+    assert treewidth_exact(forest) == 1
+    assert treewidth_exact(Digraph(5)) == 0
+    cliques = Digraph(9, [(u, v) for part in ((0, 1), (2, 3, 4), (5, 6, 7, 8))
+                          for u in part for v in part if u < v])
+    assert treewidth_exact(cliques) == 3
 
 
 def treewidth_by_orderings(g: Digraph) -> int:
