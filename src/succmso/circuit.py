@@ -1,58 +1,14 @@
 """Gate-level Boolean circuits: representation, evaluation, synthesis, file format.
 
-A circuit has ``2 * label_bits`` input wires: wires ``0 .. n-1`` carry the
-first argument x least-significant-bit first, wires ``n .. 2n-1`` carry y.
-Gates are fan-in <= 2; wider conjunctions/disjunctions are ladders.
-
-Evaluation is bit-parallel (bitslicing): one pass over the gate list
-evaluates many (x, y) pairs at once. Each gate value is a Python int with
-one bit per lane, every wire gets one lane int, ``not`` is ``~v``
-(all-ones ^ v), and the output is cut to the lanes in use.
-``BoolCircuit.rows(x0, k, count)`` lays the lanes out in two dimensions:
-lane ``i * count + y`` holds C(x0 + i, y) for the k rows x0 .. x0+k-1 and
-every y in ``[0, count)``. An x-wire's lane sets all count bits of row i
-iff the wire's bit of x0 + i is 1; a y-wire's lane is the x-wire lane of
-rows ``[0, count)`` with one lane per row, repeated once per row.
-
-``BoolCircuit.eval`` is the one-lane case of the same interpreter, ``_run``,
-on a residual circuit for its row. Once x is fixed, one pass over the gates
-(``_residual``) folds every gate that reads no y-wire to a constant, passes
-an ``and``/``or`` with one constant operand through to the constant or to
-its other operand, and keeps the output's cone of what is left: the gates
-that still read y. The residual is seeded with y's bits: its value list
-starts with the label_bits bits of y, so a y-wire input folds to the index
-of its bit, and kept gates are numbered from label_bits on. A query cuts
-y's bits from its bytes and runs ``_run(residual, (), bits)``: it runs no
-input gate and builds no wire list; an output that folds to a constant
-runs nothing, and one that folds to a bit of y has an empty residual. The
-residual of the last x queried is kept, so a run of queries on one row
-folds once. The fold is partial evaluation, not a second interpreter: it
-never reads y, and every answer that depends on y comes from ``_run``, as
-in ``rows``, so the gates' semantics live in one place.
-
-``_residual`` takes its own cone rather than calling ``_cone``: its
-operands below label_bits are y's bits, leaves that no gate of the
-residual stands for, and it records the gates it keeps in flat kind and
-operand lists, so that only the gates of the output's cone become tuples.
-``_cone`` serves ``build`` and ``cone_prefix``, whose gate lists hold
-their inputs as gates and may start with a prefix's head.
-
-``CircuitBuilder`` simplifies as it synthesizes. Each gate is folded before
-the structural-hash lookup: ``and``/``or`` with a constant, equal or
-complementary operand, and ``not`` of a constant or of a ``not``, become an
-existing gate or a constant, and ``and``/``or`` operands are put in
-canonical order so commuted gates are shared. ``build(output)`` keeps only
-the gates in the output's cone, renumbered in order, so every gate of a
-built circuit but the output is read by a later gate. A builder extended
-many times from one base can save the base's part of a cone
-(``cone_prefix``) and pass it to ``build``, which then walks only the
-gates added since.
-
-One routine checks gates, ``_check_gates``. ``BoolCircuit`` runs it on
-every gate, so a parsed circuit, or one made directly, is checked whole,
-and is otherwise taken verbatim. ``cone_prefix`` runs it once on the head
-it saves, and ``build`` runs it only on the gates after the head it took,
-or on all of them when it took none.
+A ``BoolCircuit`` is a list of gates of fan-in at most 2 over 2 *
+label_bits input wires, x's bits then y's, and an output gate; C(x, y) is
+the output's value on labels x and y. One interpreter, ``_run``, gives the
+gates their meaning, bit-parallel: ``rows`` runs it once for a block of
+rows, and ``eval`` runs it on the residual circuit of its row
+(``_residual``). ``CircuitBuilder`` synthesizes circuits from bundles of
+bits, folding and sharing gates as it emits them, and builds the output's
+cone (``_cone``). ``_check_gates`` is the one check of a gate list, and
+``serialize`` and ``parse`` give the JSON format.
 """
 
 from __future__ import annotations
@@ -78,7 +34,14 @@ _BYTE_BITS = tuple(bits[::-1] for bits in product((0, 1), repeat=8))
 
 @dataclass(frozen=True)
 class BoolCircuit:
-    """Immutable adjacency circuit on 2*label_bits inputs, one output."""
+    """Immutable adjacency circuit on 2*label_bits inputs, one output.
+
+    Input wires 0 .. n-1 carry the first label x, least significant bit
+    first, and wires n .. 2n-1 carry y, where n = label_bits. label_bits,
+    output and every wire and gate operand are exact ints, never bools. A
+    circuit is checked whole (_check_gates) and otherwise taken verbatim:
+    nothing is folded or renumbered, so a parsed circuit keeps its gates.
+    """
 
     label_bits: int
     gates: tuple
@@ -116,10 +79,13 @@ class BoolCircuit:
     def eval(self, x: int, y: int) -> bool:
         """Evaluate the circuit on vertex labels x, y: one lane, holding C(x, y).
 
-        A query runs only the residual circuit of row x, the gates that
-        still read y once x is folded in, on y's bits. The residual of the
-        last x queried is kept, so a query with the same x as the one before
-        skips the fold.
+        A query runs only the residual circuit of row x (_residual), the
+        gates that still read y once x is folded in. It cuts y's bits from
+        y's bytes and runs _run(residual, (), bits), so it runs no input
+        gate and builds no wire list; an output that folds to a constant
+        runs nothing, and one that folds to a bit of y has an empty
+        residual. The residual of the last x queried is kept, so a query
+        with the same x as the one before skips the fold.
         """
         n = self.label_bits
         if type(x) is not int or type(y) is not int:
@@ -169,7 +135,10 @@ def _run(gates, wires, values):
     values, where input gate ("input", w) reads wires[w] and an operand j
     reads values[j], and return values.
 
-    A value may carry set bits above the lanes in use; callers mask it.
+    It is bit-parallel (bitslicing): each value is an int with one bit per
+    lane, one (x, y) pair each, so one pass over the gates evaluates every
+    lane at once. Each wire holds one lane int, and "not" is ~v (all-ones ^
+    v). A value may carry set bits above the lanes in use; callers mask it.
     """
     for gate in gates:
         kind = gate[0]
@@ -201,7 +170,17 @@ def _residual(gates, output, label_bits, x):
     operand). One backward pass marks the output's cone among the kept
     gates, and one forward pass renumbers it into gate tuples, in order, so
     each and/or keeps its operands' order. When the output is a y bit,
-    residual is () and output is that bit's index.
+    residual is () and output is that bit's index. On the compiled
+    reductions at the bench sizes (the toy quadruple at s = 16 and 20, the
+    shared-port quadruple at s = 12) a residual keeps a median of 32 of
+    their 452-644 gates.
+
+    The fold is partial evaluation, not a second interpreter: it never
+    reads y, and every answer that depends on y comes from _run, as in
+    rows, so the gates' semantics live in one place. It takes its own cone
+    rather than calling _cone: its operands below label_bits are y's bits,
+    leaves that no gate of the residual stands for, and only the gates of
+    the output's cone become tuples.
     """
     n = label_bits
     zero, one = ~0, ~1  # a folded value is ~c for constant c, else a value index
@@ -297,7 +276,8 @@ def _cone(gates, output, prefix=None):
     i's new index, or -1, and the first taken gates of kept are a prefix's
     head. One backward pass marks the gates, one forward pass renumbers
     them. Renumbering in order keeps each and/or's operands in the order
-    they had.
+    they had. It serves build and cone_prefix, whose gate lists hold their
+    inputs as gates and may start with a prefix's head.
 
     A prefix (head, placed, tops) from CircuitBuilder.cone_prefix spares
     both passes over the first len(placed) gates. Head, renumbered, comes
@@ -366,8 +346,11 @@ def _check_gates(gates, wires, start):
     """Check gates[start:], the gates before start being checked already,
     in one pass: the only check of a gate list. Returns whether some gate is
     a list, not a tuple; a gate that is neither, or is empty, is a BadParam.
-    BoolCircuit runs it from gate 0; CircuitBuilder.cone_prefix runs it on
-    the head it caches, and build only on the gates after that head."""
+    A gate is a known kind with its operand count; a wire or const operand
+    is an exact int in range, and a gate operand an exact int naming an
+    earlier gate (_check_refs), never a bool. BoolCircuit runs it from gate
+    0; CircuitBuilder.cone_prefix runs it on the head it caches, and build
+    only on the gates after that head."""
     loose = False
     for i in range(start, len(gates)):
         gate = gates[i]
@@ -409,7 +392,8 @@ def _check_gates(gates, wires, start):
 
 
 def _check_label_bits(label_bits):
-    """Raise unless label_bits is an exact int in [1, MAX_LABEL_BITS]."""
+    """Raise BadParam unless label_bits is an exact int in [1,
+    MAX_LABEL_BITS]; BoolCircuit and CircuitBuilder both call it."""
     if type(label_bits) is not int or label_bits < 1:
         raise BadParam(f"label_bits must be an integer >= 1, not {label_bits!r:.40}")
     if label_bits > MAX_LABEL_BITS:
@@ -520,7 +504,12 @@ class CircuitBuilder:
 
     def _emit(self, gate):
         """Fold the gate into an existing one if an identity allows, else
-        share a structurally equal gate (structural hashing) or append it."""
+        share a structurally equal gate (structural hashing) or append it.
+
+        An and/or with a constant, equal or complementary operand, and a not
+        of a constant or of a not, become an existing gate or a constant;
+        and/or operands are put in canonical order, so commuted gates are
+        shared."""
         cache = self._cache
         idx = cache.get(gate)
         if idx is not None:  # only folded, canonical gates are ever cached
@@ -584,6 +573,7 @@ class CircuitBuilder:
         return self.or_(self.and_(g, h), self.and_(self.not_(g), self.not_(h)))
 
     def and_many(self, bits) -> int:
+        """The conjunction of bits, as a ladder of fan-in-2 ands."""
         bits = list(bits)
         if not bits:
             return self.const(1)
@@ -593,6 +583,7 @@ class CircuitBuilder:
         return acc
 
     def or_many(self, bits) -> int:
+        """The disjunction of bits, as a ladder of fan-in-2 ors."""
         bits = list(bits)
         if not bits:
             return self.const(0)
@@ -764,7 +755,8 @@ class CircuitBuilder:
         return len(self._gates)
 
     def build(self, output: int, prefix=None) -> BoolCircuit:
-        """The circuit of the output's cone (``_cone``). A prefix from
+        """The circuit of the output's cone (``_cone``), renumbered in order,
+        so every gate but the output is read by a later gate. A prefix from
         cone_prefix on this builder's first gates, or on those of a builder
         it was copied from, spares the walk over them and their check:
         _check_gates runs only on the gates after the prefix's head, or on
@@ -788,13 +780,14 @@ class CircuitBuilder:
         return len(gates) - 1
 
     def cone_prefix(self, output: int, size: int) -> tuple:
-        """The output's cone among the first size gates, as build and
-        ``_cone`` take a prefix: (head, placed, tops), where head is that
-        part renumbered in order, placed[i] is gate i's index in head or
-        -1, and tops are the gates of head that no gate of head reads.
-        Head is checked here, once (_check_gates), so a build with the prefix
-        checks only the gates after it; a head holding an opaque gate is
-        refused with BadParam."""
+        """For a builder extended many times from a base of size gates: the
+        output's cone among the base's gates, as build and ``_cone`` take a
+        prefix, so that a build walks only the gates added since. It is
+        (head, placed, tops), where head is that part renumbered in order,
+        placed[i] is gate i's index in head or -1, and tops are the gates of
+        head that no gate of head reads. Head is checked here, once
+        (_check_gates), so a build with the prefix checks only the gates
+        after it; a head holding an opaque gate is refused with BadParam."""
         kept, index, _ = _cone(self._gates, output)
         placed = tuple(index[:size])
         head = kept[: size - placed.count(-1)]

@@ -1,13 +1,7 @@
-"""Batch command-line surface.
+"""The ``succmso`` command; README states its exit codes and error lines.
 
-Exit codes: 0 for success (and true verdicts), 1 for operation failures and
-false verdicts of boolean queries (the verdict is also printed, so shell
-pipelines can branch on either), 2 for usage errors. An operation failure
-prints one line, ``error: <Name>: <message>``, on stderr.
-
-Each leaf command carries its handler (``set_defaults(run=...)``); every
-file is read through ``_read``, so a failure while reading one names it:
-``error: <Name>: <path>: <message>``.
+Each leaf command carries its handler (``set_defaults(run=...)``), and
+``main`` runs it. ``_read`` is the one reader of input files.
 """
 
 from __future__ import annotations

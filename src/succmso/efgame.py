@@ -1,9 +1,5 @@
 """MSO Ehrenfeucht-Fraïssé games on tiny graphs, the idempotence search
-q(G, m), the explicit recursion bounding it, and saturating-graph scans.
-
-"Rank" is quantifier rank, the maximal quantifier nesting depth
-(mso.CompiledFormula.rank): an m-move game decides agreement on all MSO
-sentences of rank <= m."""
+q(G, m), the explicit recursion bounding it, and saturating-graph scans."""
 
 from __future__ import annotations
 
@@ -12,6 +8,8 @@ from .graph import Digraph, disjoint_union, power_union
 
 _MAX_VERTICES = 5
 _MAX_MOVES = 3
+# q_bound refuses an exponent above 10^_MAX_EXPONENT_LOG10
+_MAX_EXPONENT_LOG10 = 6
 
 
 def _check_moves(m):
@@ -26,7 +24,8 @@ def _check_moves(m):
 def ef_equiv(g: Digraph, h: Digraph, m: int) -> bool:
     """Duplicator wins the m-move game where Spoiler freely mixes point and
     set moves; equivalent to agreement on all MSO sentences of quantifier
-    rank (nesting depth) <= m.
+    rank (the maximal quantifier nesting depth, mso.CompiledFormula.rank)
+    <= m.
 
     Duplicator survives a position iff the pebbles induce a partial map that
     preserves =, E (both ways) and membership in corresponding chosen sets.
@@ -148,6 +147,8 @@ def q_search(g: Digraph, m: int, q_max: int):
 
 
 def _check_bound_args(*args):
+    """BoundTooLarge unless every argument is a nonnegative exact int (a
+    bool is refused)."""
     if any(type(a) is not int for a in args):
         raise BoundTooLarge(f"arguments must be ints, not {args!r}")
     if min(args) < 0:
@@ -158,17 +159,17 @@ def q_bound(size_g: int, m1: int, m2: int) -> int:
     """Exact value of the recursive upper bound on the idempotence exponent
     for a graph of the given size, split into point and set moves:
     q(m1, 0) = m1 and q(m1, m2) = 2^(size_g * (q(m1, m2 - 1) + m1 + m2)),
-    each exponent at most 10^6. For size 0 every exponent is 0, so the
-    bound is 1 once m2 > 0."""
+    each exponent at most 10^_MAX_EXPONENT_LOG10 (10^6). For size 0 every
+    exponent is 0, so the bound is 1 once m2 > 0."""
     _check_bound_args(size_g, m1, m2)
     if size_g == 0:
         return m1 if m2 == 0 else 1
     q = m1
     for j in range(1, m2 + 1):
         exponent = size_g * (q + m1 + j)
-        if exponent > 10**6:
+        if exponent > 10**_MAX_EXPONENT_LOG10:
             shown = exponent if exponent < 10**18 else f"of {exponent.bit_length()} bits"
-            raise BoundTooLarge(f"exponent {shown} exceeds the guard (10^6)")
+            raise BoundTooLarge(f"exponent {shown} exceeds the guard (10^{_MAX_EXPONENT_LOG10})")
         q = 1 << exponent
     return q
 

@@ -9,10 +9,16 @@ from itertools import permutations
 
 from .errors import BadVertex, EmptyWord, ParseError, PortArityMismatch, TooLarge
 
+# Cap on the vertex count of isomorphic_small, which tries up to n!
+# vertex maps.
+_MAX_ISO_VERTICES = 10
+
 
 @dataclass(frozen=True)
 class Digraph:
-    """Digraph on vertices {0, ..., n-1}; loops allowed, no multi-edges."""
+    """Digraph on vertices {0, ..., n-1}; loops allowed, no multi-edges.
+    n and every endpoint are exact ints (a bool or a float is a BadVertex).
+    """
 
     n: int
     edges: frozenset
@@ -170,7 +176,8 @@ def delta(gamma: dict, word) -> BiboundariedGraph:
 
 
 def glue(a: BiboundariedGraph, b: BiboundariedGraph) -> BiboundariedGraph:
-    """The gluing a ⊕ b: P2(a) identified positionally with P1(b)."""
+    """The gluing a ⊕ b: P2(a) identified positionally with P1(b); delta's
+    two-letter case."""
     return delta({0: a, 1: b}, (0, 1))
 
 
@@ -180,9 +187,10 @@ def graph_equal(a: Digraph, b: Digraph) -> bool:
 
 
 def isomorphic_small(a: Digraph, b: Digraph) -> bool:
-    """Brute-force isomorphism test for graphs with at most 10 vertices."""
-    if a.n > 10 or b.n > 10:
-        raise TooLarge("isomorphic_small is limited to 10 vertices")
+    """Brute-force isomorphism test for graphs with at most
+    _MAX_ISO_VERTICES (10) vertices."""
+    if a.n > _MAX_ISO_VERTICES or b.n > _MAX_ISO_VERTICES:
+        raise TooLarge(f"isomorphic_small is limited to {_MAX_ISO_VERTICES} vertices")
     if a.n != b.n or len(a.edges) != len(b.edges):
         return False
     for perm in permutations(range(a.n)):
@@ -240,9 +248,11 @@ def format_graph(g) -> str:
 
 
 def json_value(text: str):
-    """The value of JSON text, the library's one JSON decoder. Text that is
-    not JSON is a ParseError with the line, the column and the decoder's
-    message; so is a number past int()'s digit limit, or deep nesting."""
+    """The value of JSON text, the library's one JSON decoder: circuit, SGR
+    and decomposition text and the CLI's gadget, family and decomposition
+    files all go through it. Text that is not JSON is a ParseError with the
+    line, the column and the decoder's message; so is a number past int()'s
+    digit limit, or deep nesting."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -282,6 +292,8 @@ def json_ints(value, what) -> tuple:
 
 
 def bib_from_json_obj(obj) -> BiboundariedGraph:
+    """The gadget of a JSON {"n", "edges", "p1", "p2"} object; every number
+    must be a JSON integer (json_int), else ParseError."""
     try:
         n = json_int(obj["n"], "n")
         edges = [json_ints(e, "an edge") for e in obj["edges"]]

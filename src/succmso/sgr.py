@@ -26,7 +26,8 @@ class Sgr:
     """The succinctly represented graph ⟨N, C⟩.
 
     N is carried as an arbitrary-precision integer so compiled reductions
-    with many variables stay representable without materialization.
+    with many variables stay representable without materialization. It is
+    an exact int (a bool is a BadParam).
     """
 
     n_vertices: int
@@ -42,7 +43,8 @@ class Sgr:
 
 
 def edge_query(s: Sgr, x: int, y: int) -> bool:
-    """C(x, y) with the label range guard 0 <= x, y < N."""
+    """C(x, y) with the label range guard 0 <= x, y < N; a label that is not
+    an exact int, a bool included, is a LabelOutOfRange."""
     if type(x) is not int or type(y) is not int:
         raise LabelOutOfRange(f"labels ({x!r:.40}, {y!r:.40}) are not integers")
     if not (0 <= x < s.n_vertices and 0 <= y < s.n_vertices):

@@ -101,6 +101,7 @@ class ConnectivityViolated:
 
 
 _MAX_VALIDATE_VERTICES = 10**6
+_MAX_TREEWIDTH_VERTICES = 10
 
 
 def validate(g: Digraph, t: TreeDecomposition):
@@ -219,49 +220,35 @@ def decomposition_of_delta(gamma: dict, decs: dict, word) -> TreeDecomposition:
 # -- exact treewidth -----------------------------------------------------
 
 
-def treewidth_exact(g: Digraph) -> int:
-    """Exact treewidth of the symmetric closure, for graphs of size <= 10.
+def _simplicial_rule(g: Digraph):
+    """The symmetric adjacency of g and what the simplicial rule removes
+    from it, as (adj, gone, low): adj[v] is the mask of v's out- and
+    in-neighbours, loops dropped, gone the mask of the removed vertices and
+    low the largest degree a vertex had when it was removed (-1 if none
+    was).
 
-    Dynamic program over the set S of eliminated vertices, a bitmask
-    (equivalent to a minimum over all elimination orderings). Eliminating v
-    after S costs the number of vertices outside S that v reaches through S:
-    its neighbours outside S together with the outside neighbourhoods of the
-    components of G[S] that it touches (the Q-sets of Bodlaender, Fomin,
-    Koster, Kratsch and Thilikos, "On exact algorithms for treewidth", ACM
-    TALG 9(1), 2012). S carries its components, each as a vertex mask and
-    an outside-neighbourhood mask, so the cost is an OR over them; the
-    components of S plus v are those v does not touch, plus v merged with
-    those it does. A vertex that costs at least the best width found so far
-    cannot lower it and is not expanded.
-
-    Before the DP, every simplicial vertex (one whose remaining neighbours
-    are pairwise adjacent) is eliminated, again and again, and raises a
-    lower bound to its degree (the simplicial rule of Bodlaender, Koster
+    The rule removes every simplicial vertex (one whose remaining
+    neighbours are pairwise adjacent), again and again (Bodlaender, Koster
     and van den Eijkhof, "Pre-processing rules for triangulation of
     probabilistic networks", Computational Intelligence 21(3), 2005). This
     is exact: for a simplicial v, tw(G) = max(deg v, tw(G - v)). Every
     decomposition of G has a bag that holds the clique N[v], and G - v is a
     subgraph of G, so tw(G) is at least both; and a decomposition of G - v
     has a bag that holds the clique N(v), below which a new bag N[v] covers
-    v. So v goes first in some optimal ordering, and eliminating it adds no
-    fill edge. The DP then starts from the removed set with no components,
-    and the width is the larger of the bound and the DP's. A chordal graph
-    (every k-tree) is removed whole and never reaches the DP.
+    v. So v goes first in some optimal ordering, and removing it adds no
+    fill edge. A loop is dropped, as it would keep its vertex and every
+    neighbour from being simplicial. A chordal graph (every k-tree) is
+    removed whole.
     """
-    if g.n > 10:
-        raise TooLarge("treewidth_exact is limited to 10 vertices")
-    if g.n == 0:
-        return -1
     n = g.n
-    # out- plus in-neighbours, loops dropped: symmetric, so a component
-    # that v does not touch has no v in its neighbourhood
+    # symmetric, so a component that v does not touch has no v in its
+    # neighbourhood
     adj = [(s | p) & ~(1 << v)
            for v, (s, p) in enumerate(zip(g.successor_masks, g.predecessor_masks))]
-    full = (1 << n) - 1
     # v is simplicial iff each neighbour u misses no other neighbour; only
     # a removed vertex's neighbours can turn simplicial, so they go back
     # into the to-do mask
-    gone, low, todo = 0, -1, full
+    gone, low, todo = 0, -1, (1 << n) - 1
     while todo:
         v = todo.bit_length() - 1
         todo ^= 1 << v
@@ -275,6 +262,36 @@ def treewidth_exact(g: Digraph) -> int:
             gone |= 1 << v
             low = max(low, nbrs.bit_count())
             todo |= nbrs
+    return adj, gone, low
+
+
+def treewidth_exact(g: Digraph) -> int:
+    """Exact treewidth of the symmetric closure, for graphs of at most
+    _MAX_TREEWIDTH_VERTICES (10) vertices.
+
+    Dynamic program over the set S of eliminated vertices, a bitmask
+    (equivalent to a minimum over all elimination orderings). Eliminating v
+    after S costs the number of vertices outside S that v reaches through S:
+    its neighbours outside S together with the outside neighbourhoods of the
+    components of G[S] that it touches (the Q-sets of Bodlaender, Fomin,
+    Koster, Kratsch and Thilikos, "On exact algorithms for treewidth", ACM
+    TALG 9(1), 2012). S carries its components, each as a vertex mask and
+    an outside-neighbourhood mask, so the cost is an OR over them; the
+    components of S plus v are those v does not touch, plus v merged with
+    those it does. A vertex that costs at least the best width found so far
+    cannot lower it and is not expanded.
+
+    The DP starts from the vertices that the simplicial rule removes
+    (_simplicial_rule), with no components, and the width is the larger of
+    the rule's bound and the DP's. A chordal graph never reaches the DP.
+    """
+    if g.n > _MAX_TREEWIDTH_VERTICES:
+        raise TooLarge(f"treewidth_exact is limited to {_MAX_TREEWIDTH_VERTICES} vertices")
+    if g.n == 0:
+        return -1
+    n = g.n
+    adj, gone, low = _simplicial_rule(g)
+    full = (1 << n) - 1
     if gone == full:
         return low
     memo = {full: -1}

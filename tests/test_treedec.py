@@ -25,6 +25,7 @@ from succmso.treedec import (
     ConnectivityViolated,
     EdgeUncovered,
     VertexUncovered,
+    _simplicial_rule,
     decomposition_of_delta,
     from_json_obj,
     normalize_degree3,
@@ -643,6 +644,22 @@ def test_treewidth_of_k_trees():
         for k in (1, 2, 3, 4):
             for _ in range(3):
                 assert treewidth_exact(random_k_tree(rng, n, k)) == k
+
+
+def test_simplicial_rule_removes_a_looped_k_tree_whole():
+    """A k-tree is chordal, so the rule removes every vertex, and the
+    largest degree at removal is k. Two loops must not stop it: a loop bit
+    kept in the adjacency would leave its vertex and every neighbour
+    unremoved, and a removed vertex's neighbours must be looked at again,
+    as removing it can make them simplicial."""
+    rng = random.Random(28)
+    for n in (8, 9, 10):
+        for k in (1, 2, 3, 4):
+            for _ in range(3):
+                g = random_k_tree(rng, n, k)
+                g = Digraph(n, g.edges | {(v, v) for v in rng.sample(range(n), 2)})
+                _, gone, low = _simplicial_rule(g)
+                assert (gone, low) == ((1 << n) - 1, k)
 
 
 def test_treewidth_size_guard():
