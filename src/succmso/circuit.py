@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, product
+from itertools import compress, product
 
 from .errors import BadParam, InputOutOfRange, ParseError, TopologyError
 from .graph import json_value
@@ -270,76 +270,54 @@ def _residual(gates, output, label_bits, x):
     return tuple(kept), n + len(kept) - 1
 
 
-def _cone(gates, output, prefix=None):
+def _cone(gates, output, head=0, tops=()):
     """The gates the output reads, directly or not, renumbered in order, so
-    the output is the last gate, as (kept, index, taken): index[i] is gate
-    i's new index, or -1, and the first taken gates of kept are a prefix's
-    head. One backward pass marks the gates, one forward pass renumbers
-    them. Renumbering in order keeps each and/or's operands in the order
-    they had. It serves build and cone_prefix, whose gate lists hold their
-    inputs as gates and may start with a prefix's head.
+    the output is the last gate, as (kept, index, taken): kept starts with
+    gates[:taken] as they are, and index[i - taken] is gate i's new index,
+    or -1. One backward pass marks the gates, one forward pass renumbers
+    them, keeping each and/or's operands in the order they had. It serves
+    build and cone_prefix, whose gate lists hold their inputs as gates.
 
-    A prefix (head, placed, tops) from CircuitBuilder.cone_prefix spares
-    both passes over the first len(placed) gates. Head, renumbered, comes
-    first as it is; the passes walk only the later gates and the first
-    gates outside head that they read, which are numbered after head, so
-    an and/or that reads one of those and a gate of head gets its operands
-    swapped back into ascending order. Unless the output reads every top
-    of head, part of head is dead, and the cone is taken without the
-    prefix, with taken 0.
+    A layout from CircuitBuilder.cone_prefix passes its head length and
+    tops: both passes walk only the gates from head on. Unless the output
+    reads every top, part of the head is dead, and the plain cone is
+    taken, with taken 0.
     """
-    if prefix and output >= len(prefix[1]):
-        head, placed, tops = prefix
-    else:
-        head = placed = tops = ()
-    start = len(placed)
+    if output < head:
+        head, tops = 0, ()
     live = bytearray(output + 1)
     live[output] = 1
-    outside = []  # the first gates reached that head does not hold
-    walk = range(output, start - 1, -1)
-    if start:
-
-        def below_start():
-            """Those gates, descending; the walk marks more as it goes."""
-            i = live.rfind(1, 0, start)
-            while i >= 0:
-                if placed[i] < 0:
-                    outside.append(i)
-                    yield i
-                i = live.rfind(1, 0, i)
-
-        walk = chain(walk, below_start())
-    for i in walk:
-        if live[i]:
-            gate = gates[i]
-            kind = gate[0]
-            if kind == "and" or kind == "or":
-                live[gate[1]] = live[gate[2]] = 1
-            elif kind == "not":
-                live[gate[1]] = 1
+    # reversed(live) reads each mark when the walk reaches it, after every
+    # later gate has marked its operands
+    for i in compress(range(output, head - 1, -1), reversed(live)):
+        gate = gates[i]
+        kind = gate[0]
+        if kind == "and" or kind == "or":
+            live[gate[1]] = live[gate[2]] = 1
+        elif kind == "not":
+            live[gate[1]] = 1
     if not all(live[t] for t in tops):
         return _cone(gates, output)
-    index = [*placed] + [-1] * (output + 1 - start)
-    kept = [*head]
-    walk = range(start, output + 1)
-    if outside:
-        walk = chain(reversed(outside), walk)
-    for i in walk:
-        if live[i]:
-            gate = gates[i]
-            kind = gate[0]
-            if kind == "and" or kind == "or":
-                gate = (kind, index[gate[1]], index[gate[2]])
-            elif kind == "not":
-                gate = (kind, index[gate[1]])
-            index[i] = len(kept)
-            kept.append(gate)
-    if outside:
-        for i in range(len(head), len(kept)):
-            gate = kept[i]
-            if len(gate) == 3 and gate[1] > gate[2]:  # an and/or
-                kept[i] = (gate[0], gate[2], gate[1])
-    return tuple(kept), index, len(head)
+    index = [-1] * (output + 1 - head)
+    kept = gates[:head]
+    for i in compress(range(head, output + 1), live[head:]):
+        gate = gates[i]
+        kind = gate[0]
+        if kind == "and" or kind == "or":
+            a, b = gate[1], gate[2]
+            if a >= head:
+                a = index[a - head]
+            if b >= head:
+                b = index[b - head]
+            gate = (kind, a, b)
+        elif kind == "not":
+            a = gate[1]
+            if a >= head:
+                a = index[a - head]
+            gate = (kind, a)
+        index[i - head] = len(kept)
+        kept.append(gate)
+    return tuple(kept), index, head
 
 
 def _check_gates(gates, wires, start):
@@ -349,8 +327,8 @@ def _check_gates(gates, wires, start):
     A gate is a known kind with its operand count; a wire or const operand
     is an exact int in range, and a gate operand an exact int naming an
     earlier gate (_check_refs), never a bool. BoolCircuit runs it from gate
-    0; CircuitBuilder.cone_prefix runs it on the head it caches, and build
-    only on the gates after that head."""
+    0; CircuitBuilder.cone_prefix runs it on a layout's head, once, and
+    build on that layout only on the gates after the head."""
     loose = False
     for i in range(start, len(gates)):
         gate = gates[i]
@@ -493,13 +471,16 @@ class CircuitBuilder:
         self.label_bits = label_bits
         self._gates = []
         self._cache = {}
+        self._head, self._tops = 0, ()  # a layout's head length and tops
 
     def copy(self) -> CircuitBuilder:
         """A builder with the same gates, extended without changing this one.
-        Gates are tuples, so only the list and the hash table are copied."""
+        Gates are tuples, so only the list and the hash table are copied; a
+        layout's head and tops are kept."""
         other = CircuitBuilder(self.label_bits)
         other._gates = self._gates.copy()
         other._cache = self._cache.copy()
+        other._head, other._tops = self._head, self._tops
         return other
 
     def _emit(self, gate):
@@ -754,18 +735,17 @@ class CircuitBuilder:
     def gate_count(self) -> int:
         return len(self._gates)
 
-    def build(self, output: int, prefix=None) -> BoolCircuit:
+    def build(self, output: int) -> BoolCircuit:
         """The circuit of the output's cone (``_cone``), renumbered in order,
-        so every gate but the output is read by a later gate. A prefix from
-        cone_prefix on this builder's first gates, or on those of a builder
-        it was copied from, spares the walk over them and their check:
-        _check_gates runs only on the gates after the prefix's head, or on
-        all of them when the cone is taken without it. The builder is left
-        as it was, so building mid-construction is fine."""
+        so every gate but the output is read by a later gate. On a layout
+        (cone_prefix) or its copy, when the output reads the whole head, the
+        head is kept as it is and only the gates after it are walked and
+        checked (_check_gates). The builder is left as it was, so building
+        mid-construction is fine."""
         gates = self._gates
         if not 0 <= output < len(gates):
             raise TopologyError(f"output index {output} out of range")
-        kept, _, checked = _cone(gates, output, prefix)
+        kept, _, checked = _cone(gates, output, self._head, self._tops)
         _check_gates(kept, 2 * self.label_bits, checked)
         circuit = object.__new__(BoolCircuit)  # all checked: no __post_init__
         vars(circuit).update(label_bits=self.label_bits, gates=kept, output=len(kept) - 1)
@@ -780,18 +760,31 @@ class CircuitBuilder:
         return len(gates) - 1
 
     def cone_prefix(self, output: int, size: int) -> tuple:
-        """For a builder extended many times from a base of size gates: the
-        output's cone among the base's gates, as build and ``_cone`` take a
-        prefix, so that a build walks only the gates added since. It is
-        (head, placed, tops), where head is that part renumbered in order,
-        placed[i] is gate i's index in head or -1, and tops are the gates of
-        head that no gate of head reads. Head is checked here, once
-        (_check_gates), so a build with the prefix checks only the gates
-        after it; a head holding an opaque gate is refused with BadParam."""
-        kept, index, _ = _cone(self._gates, output)
-        placed = tuple(index[:size])
-        head = kept[: size - placed.count(-1)]
+        """For a builder extended many times from its first size gates, the
+        base, laid out head-first so that a build walks only the gates added
+        since: (layout, place), a new builder and base gate i's index in it.
+        The head, the output's cone among the base's gates in order, comes
+        first and is checked here, once (_check_gates): an opaque gate in it
+        is a BadParam. Every other base gate follows in order, re-emitted
+        with its operands remapped. The layout keeps its head length and
+        tops, the head gates that no head gate reads. As a gate follows its
+        operands in both orders, folding and structural hashing give the
+        layout, extended, the gates this builder would get."""
+        gates = self._gates
+        kept, place, _ = _cone(gates, output)
+        del place[size:]
+        head = kept[: size - place.count(-1)]
         _check_gates(head, 2 * self.label_bits, 0)
+        layout = CircuitBuilder(self.label_bits)
+        layout._gates = list(head)
+        layout._cache = {gate: i for i, gate in enumerate(head)}
+        for i in range(size):
+            if place[i] < 0:
+                gate = gates[i]
+                if gate[0] in ("and", "or", "not"):
+                    gate = (gate[0], *(place[j] for j in gate[1:]))
+                place[i] = layout._emit(gate)
         read = {j for gate in head if gate[0] in ("and", "or", "not") for j in gate[1:]}
-        tops = tuple(i for i, j in enumerate(placed) if j >= 0 and j not in read)
-        return head, placed, tops
+        layout._head = len(head)
+        layout._tops = tuple(i for i in range(len(head)) if i not in read)
+        return layout, place

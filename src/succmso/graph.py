@@ -90,6 +90,8 @@ class BiboundariedGraph:
             if len(set(seq)) != len(seq):
                 raise BadVertex(f"{name} has repeated vertices")
             for v in seq:
+                if type(v) is not int:
+                    raise BadVertex(f"{name} vertex {v!r:.40} is not an int")
                 if not 0 <= v < graph.n:
                     raise BadVertex(f"{name} vertex {v} out of range")
         object.__setattr__(self, "graph", graph)
@@ -128,9 +130,10 @@ def disjoint_union(a: Digraph, b: Digraph) -> Digraph:
 
 
 def power_union(a: Digraph, k: int) -> Digraph:
-    """Disjoint union of k copies of a, copy i shifted by i|a|; k = 0 gives the empty graph."""
-    if k < 0:
-        raise BadVertex("k must be nonnegative")
+    """Disjoint union of k copies of a, copy i shifted by i|a|; k = 0 gives
+    the empty graph. k must be an exact int (a bool is refused)."""
+    if type(k) is not int or k < 0:
+        raise BadVertex(f"k must be a nonnegative int, not {k!r:.40}")
     return Digraph(a.n * k, [(u + i * a.n, v + i * a.n) for i in range(k) for u, v in a.edges])
 
 

@@ -140,8 +140,6 @@ def _shared_positions(g: BiboundariedGraph):
         raise ValidationError(
             "PORT_ALIGNMENT", "shared ports must sit at matching positions of P1 and P2"
         )
-    if {g.p1[t] for t in pos} != set1 & set2:
-        raise ValidationError("PORT_ALIGNMENT", "shared ports not positionally aligned")
     return pos
 
 
@@ -211,12 +209,7 @@ class GadgetQuadruple:
         for p in range(g1.n - k_dprime, g1.n):
             if norm[0].graph.successors(p) != norm[1].graph.successors(p):
                 raise ValidationError("COND_III", f"G0({p}) != G1({p})")
-        n1, n2, n3 = g1.n - k, g2.n - k, g3.n
-        if n1 <= 0:
-            raise ValidationError("COND_II", "G1 has no vertices outside its ports")
-        if n2 < 0 or n3 < k:
-            raise ValidationError("PORT_ALIGNMENT", "gadget smaller than its port count")
-        derived = (*norm, k, k - k_dprime, k_dprime, n1, n2, n3)
+        derived = (*norm, k, k - k_dprime, k_dprime, g1.n - k, g2.n - k, g3.n)
         for f, value in zip(fields(self), derived):
             object.__setattr__(self, f.name, value)
         # the six constants follow from the gadgets, so equal quadruples
@@ -243,7 +236,11 @@ normalize_layout = GadgetQuadruple
 
 
 def delta_map(quad: GadgetQuadruple, s: int, j: int, q: int, r: int) -> int:
-    """Layout label of gadget-j vertex r in copy q."""
+    """Layout label of gadget-j vertex r in copy q. s, j, q and r must be
+    exact ints (a bool is refused), else IndexOutOfRange."""
+    for name, value in (("s", s), ("j", j), ("q", q), ("r", r)):
+        if type(value) is not int:
+            raise IndexOutOfRange(f"{name} {value!r:.40} is not an int")
     ell_hat = (1 << s) - 1
     if j in (0, 1):
         size = quad.g1.n
@@ -417,11 +414,11 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
     CNF, once per (quadruple, s): region tests, the G2 prefix, the division
     of x - n2 into (q, r), the row conditions of both gadgets in copies q
     and q - 1, and the G3 suffix for either gadget in the last copy.
-    Returns (builder, extend): extend(S) adds the gates of a CNF S with s
-    variables to a copy of the builder, never to the cached one, and
-    returns the built circuit. The template also keeps, per choice of G3
-    suffix, its part of the output's cone (cone_prefix), so a build walks
-    only the CNF's gates.
+    They are kept as two layouts (cone_prefix), one per G3 suffix, each
+    head-first, its head being the output's cone when s̄(q) and s̄(q - 1)
+    are unknown. Returns (layout, extend), layout being the first:
+    extend(S) adds the gates of a CNF S with s variables to a copy of its
+    suffix's layout, never to the cached one, and returns the build.
 
     The layout keeps the template small. A loop's row test compares y with
     x (gadget_row_cond). The division by n1 is wiring when n1 is a power of
@@ -550,37 +547,39 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
     head = b.and_(in2, case2)
     tails = (case3(0), case3(1))  # by the gadget the last copy holds
 
-    def select(c, sbar_q, sbar_qm1, tail):
+    def select(c, m, sbar_q, sbar_qm1, tail):
         """Emit on c the gates that pick the g0 or g1 row conditions by the
         bits sbar_q = s̄(q) and sbar_qm1 = s̄(q - 1), and join them with the
-        G2 prefix and the given G3 suffix; returns the output gate."""
+        G2 prefix and the given G3 suffix, reading template gate i as m[i];
+        returns the output gate."""
         rows = []
-        for r_is, here, prev in mid_rows:
-            parts = [c.mux_bit(sbar_q, *here)]
+        for r_is, (g0_here, g1_here), prev in mid_rows:
+            parts = [c.mux_bit(sbar_q, m[g0_here], m[g1_here])]
             if prev is not None:
                 from_g2, g0_cond, g1_cond = prev
-                from_prev = c.mux_bit(sbar_qm1, g0_cond, g1_cond)
-                parts.append(c.mux_bit(q_is_zero, from_prev, from_g2))
-            rows.append(c.and_(r_is, c.or_many(parts)))
-        mid = c.and_(in_mid, c.or_many(rows))
-        return c.or_many([head, mid, tail])
+                from_prev = c.mux_bit(sbar_qm1, m[g0_cond], m[g1_cond])
+                parts.append(c.mux_bit(m[q_is_zero], from_prev, m[from_g2]))
+            rows.append(c.and_(m[r_is], c.or_many(parts)))
+        mid = c.and_(m[in_mid], c.or_many(rows))
+        return c.or_many([m[head], mid, m[tail]])
 
-    # prefixes[i]: the template's part of the cone of a build with suffix
-    # tails[i] in which s̄(q) and s̄(q - 1) are opaque gates
-    prefixes = []
+    # (layout, place, tail) per G3 suffix, the head being the cone of a
+    # build in which s̄(q) and s̄(q - 1) are opaque gates
+    size = b.gate_count()
+    layouts = []
     for tail in tails:
         probe = b.copy()
-        out = select(probe, probe.opaque(), probe.opaque(), tail)
-        prefixes.append(probe.cone_prefix(out, b.gate_count()))
+        out = select(probe, range(size), probe.opaque(), probe.opaque(), tail)
+        layouts.append((*probe.cone_prefix(out, size), tail))
 
     def extend(S):
-        c = b.copy()
-        sbar_q = c.not_(c.cnf_eval(S.clauses, q_low))
-        sbar_qm1 = c.not_(c.cnf_eval(S.clauses, qm1_low))
-        t = sbar_at(S, ell_hat)
-        return c.build(select(c, sbar_q, sbar_qm1, tails[t]), prefixes[t])
+        layout, place, tail = layouts[sbar_at(S, ell_hat)]
+        c = layout.copy()
+        sbar_q = c.not_(c.cnf_eval(S.clauses, [place[i] for i in q_low]))
+        sbar_qm1 = c.not_(c.cnf_eval(S.clauses, [place[i] for i in qm1_low]))
+        return c.build(select(c, place, sbar_q, sbar_qm1, tail))
 
-    return b, extend
+    return layouts[0][0], extend
 
 
 def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
@@ -593,12 +592,13 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
     the g0 and g1 row conditions, and the final choice t = s̄(2^s - 1) of
     the G3 suffix. Folding and structural hashing do not depend on
     emission order, so the kept gates are those of a circuit built in
-    one pass; only their numbering differs. The build starts from the
-    template's cone for suffix t, kept renumbered with the template: those
-    gates come first, then any other template gate that S's gates read,
-    then S's gates, each part in emission order. When s̄ folds to a
-    constant, part of that cone can be dead, and the build then takes the
-    plain cone, numbered in emission order. A compiled circuit keeps
+    one pass; only their numbering differs. The copy is of the template
+    laid out for suffix t: its head (its part of the output's cone when s̄
+    is unknown) comes first as it is, then the other template gates the
+    output reads, then S's gates, each part in emission order. When s̄
+    folds to a constant, part of the head can be dead, and the build takes
+    the layout's plain cone, whose template gates all lie in the head, as
+    S's gates fold away. A compiled circuit keeps
     470-650 gates at the bench sizes, and 125-365 at s = 4-12 on the toy
     and path quadruples.
     """
@@ -634,10 +634,7 @@ def build_quadruple(triple: GadgetTriple, omega: Digraph) -> GadgetQuadruple:
             hverts.update(chain.graph.successors(p))
         if chain.n < len(hverts) + omega.n:
             continue
-        avail = [v for v in range(chain.n) if v not in hverts]
-        if len(avail) < omega.n:
-            continue
-        placement = avail[: omega.n]
+        placement = [v for v in range(chain.n) if v not in hverts][: omega.n]
         edges = {(u, v) for u, v in chain.graph.edges if u in hverts and v in hverts}
         edges |= {(placement[u], placement[v]) for u, v in omega.edges}
         g0 = BiboundariedGraph(Digraph(chain.n, edges), chain.p1, chain.p2)
@@ -674,8 +671,9 @@ def pump_check(triple: GadgetTriple, sentence, expected: bool, n_max: int) -> Pu
     Each chain is folded and evaluated anew, so the work grows at least
     quadratically in n_max; n_max must lie in [0, _MAX_PUMP] (256), else
     BadParam is raised before the first evaluation. A negative n_max would
-    check no chain and report a vacuous success."""
-    if not 0 <= n_max <= _MAX_PUMP:
+    check no chain and report a vacuous success; n_max must be an exact int
+    (a bool is refused)."""
+    if type(n_max) is not int or not 0 <= n_max <= _MAX_PUMP:
         raise BadParam(f"pump_check needs 0 <= n_max <= {_MAX_PUMP}, not {n_max}")
     family = {"1": triple.g1, "2": triple.g2, "3": triple.g3}
     results = []

@@ -133,9 +133,7 @@ def validate(g: Digraph, t: TreeDecomposition):
 
 
 def width(t: TreeDecomposition) -> int:
-    """Largest bag size minus one."""
-    if not t.bags:
-        raise EmptyDecomposition("no bags")
+    """Largest bag size minus one; TreeDecomposition holds at least one bag."""
     return max(len(b) for b in t.bags) - 1
 
 

@@ -196,7 +196,7 @@ def test_parse_rejects_malformed():
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4])
 def test_eq_and_less_const_exhaustive(w):
-    for c in range(1 << w):
+    for c in range((1 << w) + 1):  # 2^w: a constant wider than the bundle
         b = CircuitBuilder(w)
         x = b.x_bundle()
         eq_c = b.build(b.eq_const(x, c))
@@ -249,6 +249,24 @@ def test_divmod_rejects_zero():
     b = CircuitBuilder(2)
     with pytest.raises(BadParam):
         b.divmod_const(b.x_bundle(), 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda b, x: b.input(4), "input wire 4 out of range"),
+    (lambda b, x: b.const_bundle(4, 2), "constant 4 does not fit 2 bits"),
+    (lambda b, x: b.const_bundle(-1, 2), "constant -1 does not fit 2 bits"),
+    (lambda b, x: b.eq_const(x, -1), "negative constant"),
+    (lambda b, x: b.less_const(x, -1), "negative constant"),
+    (lambda b, x: b.add_const(x, 4), "constant 4 does not fit the bundle width"),
+    (lambda b, x: b.sub_const(x, -1), "constant -1 does not fit the bundle width"),
+    (lambda b, x: b.mul_const(x, -1), "negative constant"),
+    (lambda b, x: b.cnf_eval([(1, 3)], x), "literal 3 out of range"),
+    (lambda b, x: b.cnf_eval([(0,)], x), "literal 0 out of range"),
+])
+def test_builder_primitives_refuse_bad_arguments(call, message):
+    b = CircuitBuilder(2)
+    with pytest.raises(BadParam, match=message):
+        call(b, b.x_bundle())
 
 
 def test_mux_bit():
@@ -399,17 +417,17 @@ def test_compiles_where_the_cached_cone_is_partly_dead(name, s):
 
 @pytest.mark.parametrize("name", sorted(QUADRUPLES))
 def test_compiled_circuits_pass_the_full_check(name, monkeypatch):
-    """build checks only the gates after the template's cached head, which
+    """build checks only the gates after the template layout's head, which
     cone_prefix checked once; every compiled circuit must still pass the
     check of all its gates. Both build paths run: with the head taken
     (seeded CNFs) and without it (s̄ constant, part of the head dead)."""
     cone, taken = circuit._cone, []
 
-    def spy(gates, output, prefix=None):
-        kept, index, head = cone(gates, output, prefix)
-        if prefix is not None:
-            taken.append(head)
-        return kept, index, head
+    def spy(gates, output, head=0, tops=()):
+        kept, index, checked = cone(gates, output, head, tops)
+        if head:
+            taken.append(checked)
+        return kept, index, checked
 
     monkeypatch.setattr(circuit, "_cone", spy)
     quad = QUADRUPLES[name]()
@@ -432,22 +450,26 @@ def test_cone_prefix_refuses_an_opaque_head():
 
 
 def test_build_checks_the_gates_after_the_prefix():
-    """A build with a live prefix takes its head as it is and checks the
-    gates after it: an opaque gate added after the prefix is refused."""
+    """A build on a layout whose output reads the whole head takes the head
+    as it is and checks the gates after it: an opaque gate added after the
+    head is refused. A base gate outside the head follows it."""
     b = CircuitBuilder(2)
     x, y = b.x_bundle(), b.y_bundle()
     base = b.eq(x, y)
+    spare = b.and_(x[0], b.not_(y[1]))  # outside base's cone
     probe = b.copy()
-    prefix = probe.cone_prefix(probe.or_(base, probe.opaque()), b.gate_count())
-    head = prefix[0]
-    c = b.copy()
-    out = c.or_(base, c.and_(x[0], c.not_(y[1])))
-    built = c.build(out, prefix)
+    layout, place = probe.cone_prefix(probe.or_(base, probe.opaque()), b.gate_count())
+    head = tuple(layout._gates[: layout._head])
+    assert place[spare] == len(head)  # the first gate after the head
+    c = layout.copy()
+    built = c.build(c.or_(place[base], place[spare]))
     assert built.gates[: len(head)] == head
-    assert built == BoolCircuit(built.label_bits, built.gates, built.output) == c.build(out)
-    bad = b.copy()
+    plain = b.build(b.or_(base, spare))
+    assert built == BoolCircuit(built.label_bits, built.gates, built.output) == plain
+    assert c.build(place[x[0]]) == b.build(x[0])  # an output inside the head
+    bad = layout.copy()
     with pytest.raises(BadParam, match="unknown kind 'opaque'"):
-        bad.build(bad.or_(base, bad.opaque()), prefix)
+        bad.build(bad.or_(place[base], bad.opaque()))
 
 
 # sha256 over the sgr.serialize text of every circuit compiled below, one

@@ -313,6 +313,9 @@ def test_graph_commands(capsys, tmp_path):
     assert code == 0
     g = parse_graph(out)
     assert g.graph.edges == frozenset({(0, 1), (1, 2)})
+    code, out, _ = run(capsys, "--json", "graph", "glue", "--a", str(a), "--b", str(a))
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "edges": [[0, 1], [1, 2]], "p1": [0], "p2": [2]}
 
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps({"1": {"n": 2, "edges": [[0, 1]], "p1": [0], "p2": [1]}}))
@@ -334,6 +337,15 @@ def test_td_commands(capsys, tmp_path):
     dec.write_text(json.dumps({"root": 0, "parents": [-1, 0], "bags": [[0, 1], [1, 2]], "pointed_leaf": 1}))
     code, out, _ = run(capsys, "td", "validate", "--graph", str(g), "--dec", str(dec))
     assert code == 0 and out.strip() == "valid"
+    code, out, _ = run(capsys, "--json", "td", "validate", "--graph", str(g), "--dec", str(dec))
+    assert code == 0 and json.loads(out) == {"valid": True, "violations": []}
+    g4 = tmp_path / "p4.txt"
+    g4.write_text("graph 4\ne 0 1\ne 1 2\n")
+    code, out, _ = run(capsys, "td", "validate", "--graph", str(g4), "--dec", str(dec))
+    assert code == 1 and out == "invalid\n  VertexUncovered(vertex=3)\n"
+    code, out, _ = run(capsys, "--json", "td", "validate", "--graph", str(g4), "--dec", str(dec))
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "violations": ["VertexUncovered(vertex=3)"]}
     code, out, _ = run(capsys, "td", "width", "--dec", str(dec))
     assert code == 0 and out.strip() == "1"
     code, out, _ = run(capsys, "td", "treewidth", "--graph", str(g))
@@ -378,6 +390,11 @@ def test_ef_commands(capsys, tmp_path):
     loop.write_text("graph 1\ne 0 0\n")
     code, out, _ = run(capsys, "ef", "saturate", "--omega", str(loop), "--formula", "ex x. E(x,x)")
     assert code == 0 and out.strip() == "Sufficient"
+    argv = ("ef", "saturate", "--omega", str(one), "--formula", "ex x. E(x,x)", "--battery")
+    code, out, _ = run(capsys, *argv, str(loop))
+    assert code == 0 and out.strip() == "Sufficient"
+    code, out, _ = run(capsys, *argv, str(two))
+    assert code == 0 and out.strip() == "Forbidden"
 
 
 def test_json_round_trip_materialize(capsys, tmp_path, cnf_file):
@@ -503,6 +520,7 @@ MATERIALIZE = ("sgr", "materialize", "--sgr", "{a}")
         (MATERIALIZE, {"a": _sgr_with_gate(["const", True])}, "ParseError"),
         (MATERIALIZE, {"a": _sgr_with_gate(["input", True])}, "ParseError"),
         (MATERIALIZE, {"a": _sgr_with_gate(["not", True])}, "TopologyError"),
+        (MATERIALIZE, {"a": _sgr_with_gate(["input", 1], gates={"0": ["input", 0]})}, "ParseError"),
     ],
     ids=[
         "gate-operand-missing", "input-wire-missing", "input-wire-not-int",
@@ -511,7 +529,7 @@ MATERIALIZE = ("sgr", "materialize", "--sgr", "{a}")
         "gadget-n-float", "gadget-n-bool", "edge-of-three", "edge-float", "edge-strings",
         "root-bool", "bag-entry-float", "bag-vertex-outside-gadget",
         "label-bits-float", "output-float", "label-bits-bool", "const-bool", "input-wire-bool",
-        "not-operand-bool",
+        "not-operand-bool", "gates-not-list",
     ],
 )
 def test_malformed_files_are_operation_errors(capsys, tmp_path, argv, files, error):

@@ -98,6 +98,14 @@ def test_port_checks():
         BiboundariedGraph(g, (0, 0), (1, 2))
     with pytest.raises(BadVertex):
         BiboundariedGraph(g, (5,), (1,))
+    # a float port once failed later inside delta, and a bool port was
+    # written to JSON as false
+    for p1, p2 in (((0.0,), (1,)), ((0,), (True,))):
+        with pytest.raises(BadVertex, match="is not an int"):
+            BiboundariedGraph(g, p1, p2)
+    one, two = BiboundariedGraph(g, (0,), (1,)), BiboundariedGraph(g, (0, 1), (1, 2))
+    with pytest.raises(PortArityMismatch):
+        GadgetTriple(one, one, two)
 
 
 def test_shared_ports():
@@ -119,6 +127,9 @@ def test_disjoint_and_power_union():
     assert u.edges == frozenset({(0, 1), (2, 2)})
     assert power_union(a, 0).n == 0
     assert power_union(a, 3).n == 6
+    for k in (-1, True, 1.5):  # True was read as 1, and 1.5 failed in range
+        with pytest.raises(BadVertex):
+            power_union(a, k)
     c = Digraph(3, [(0, 1), (1, 1), (2, 0)])
     folded = Digraph(0)
     for k in range(6):
@@ -160,6 +171,8 @@ def test_isomorphism():
     b = Digraph(3, [(2, 0), (0, 1)])
     assert isomorphic_small(a, b)
     assert not isomorphic_small(a, Digraph(3, [(0, 1), (1, 0)]))
+    assert not isomorphic_small(a, Digraph(3, [(0, 1), (0, 2)]))  # an out-star
+    assert not isomorphic_small(a, Digraph(3, [(0, 1)]))
     with pytest.raises(TooLarge):
         isomorphic_small(Digraph(11), Digraph(11))
 

@@ -58,6 +58,8 @@ def test_parse_errors():
         parse("E(x)")
     with pytest.raises(ParseError):
         parse("ex x. E(x,x) trailing")
+    with pytest.raises(ParseError, match="expected a connective"):
+        parse("ex x. (x=x ~ x=x)")
 
 
 def test_scope_errors():

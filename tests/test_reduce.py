@@ -242,9 +242,11 @@ def test_normalize_rejects_neighborhood_mismatch():
 def test_normalize_rejects_misaligned_ports():
     aligned = BiboundariedGraph(Digraph(3), (0, 2), (1, 2))
     misaligned = BiboundariedGraph(Digraph(3), (2, 0), (1, 2))  # shared port at position 0
-    with pytest.raises(ValidationError) as exc:
-        normalize_layout(aligned, aligned, misaligned, aligned)
-    assert exc.value.condition == "PORT_ALIGNMENT"
+    one_port = BiboundariedGraph(Digraph(3), (0,), (1,))
+    for gadgets in ((aligned, aligned, misaligned, aligned), (aligned, aligned, aligned, one_port)):
+        with pytest.raises(ValidationError) as exc:
+            normalize_layout(*gadgets)
+        assert exc.value.condition == "PORT_ALIGNMENT"
 
 
 # -- label maps ----------------------------------------------------------
@@ -257,8 +259,12 @@ def test_delta_map_toy():
     assert delta_map(q, 1, 1, 1, 0) == 2
     assert delta_map(q, 1, 3, 0, 0) == 3
     assert delta_map(q, 1, 3, 0, 1) == 4
-    with pytest.raises(IndexOutOfRange):
-        delta_map(q, 1, 1, 2, 0)
+    bad = [(1, 1, 2, 0), (1, 0, 0, 2), (1, 2, 0, 2), (1, 3, 0, 2), (1, 4, 0, 0)]
+    # a float copy index once gave the float label 2.0, and j=True gadget 1
+    bad += [(1.0, 1, 0, 0), (1, True, 0, 0), (1, 1, 1.0, 0), (1, 1, 0, False)]
+    for args in bad:
+        with pytest.raises(IndexOutOfRange):
+            delta_map(q, *args)
 
 
 def test_delta2_two_readings_coincide():
@@ -611,7 +617,9 @@ def test_pump_check_detects_mismatch():
 
 def test_pump_check_caps_n_max():
     assert len(pump_check(path_triple(), LOOP, expected=False, n_max=0).results) == 1
-    for n_max in (-1, 257):  # -1 once checked no chain and reported success
+    # -1 once checked no chain and reported success, True checked 0 and 1
+    # copies, and 1.0 failed in range
+    for n_max in (-1, 257, True, 1.0):
         with pytest.raises(BadParam):
             pump_check(path_triple(), LOOP, expected=True, n_max=n_max)
 
