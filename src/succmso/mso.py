@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError, ScopeError, TooLargeForBruteForce
 from .graph import Digraph
@@ -206,6 +207,69 @@ def _check_names(*names):
             raise ParseError(f"not a variable name: {name!r:.40}")
 
 
+class _Compiled(NamedTuple):
+    """One node as _compile returns it. reads has bit i set when the node
+    reads env slot i (a quantifier's own slot is not read from outside
+    it). op is the node's connective ("&", "|", "->") or None, and parts
+    holds (fn, reads) pairs: for "&" and "|" the operands of the node's
+    flattened "&" or "|" chain, for "->" those of its antecedent's "&"
+    chain followed by the consequent."""
+
+    fn: object
+    text: str
+    rank: int
+    set_quant: bool
+    reads: int
+    op: str | None = None
+    parts: tuple = ()
+
+
+def _spine(c, op):
+    """The (fn, reads) parts of c's flattened op chain."""
+    return c.parts if c.op == op else ((c.fn, c.reads),)
+
+
+def _join(fns, conj):
+    """One closure for the conjunction (conj) or the disjunction of the
+    closures fns, with one and two parts as direct calls."""
+    if len(fns) == 1:
+        return fns[0]
+    if len(fns) == 2:
+        a, b = fns
+        if conj:
+            return lambda n, E, env: a(n, E, env) and b(n, E, env)
+        return lambda n, E, env: a(n, E, env) or b(n, E, env)
+    if conj:
+        return lambda n, E, env: all(f(n, E, env) for f in fns)
+    return lambda n, E, env: any(f(n, E, env) for f in fns)
+
+
+def _implies(a, b):
+    """The closure of a -> b."""
+    return lambda n, E, env: (not a(n, E, env)) or b(n, E, env)
+
+
+def _split(parts, bit):
+    """The closures of the parts that do not read the slot of bit, and of
+    those that do, each in their order."""
+    return [f for f, reads in parts if not reads & bit], [f for f, reads in parts if reads & bit]
+
+
+def _loop(idx, over_sets, exists, sub):
+    """A quantifier's loop: sub with env[idx] at each value of the domain
+    in increasing order, until one decides."""
+
+    def fn(n, E, env):
+        domain = range(1 << n) if over_sets else range(n)
+        for value in domain:
+            env[idx] = value
+            if sub(n, E, env) == exists:
+                return exists
+        return not exists
+
+    return fn
+
+
 def _compile(node, scope, slots, depth=0):
     """One descent: reject nesting past parse's cap, names and quantifier
     kinds that parse never produces, shadowing and ill-typed atoms, assign
@@ -219,7 +283,28 @@ def _compile(node, scope, slots, depth=0):
     point variables and bitmasks for set variables (bit i = vertex i); a
     set quantifier runs over the masks in increasing binary order.
 
-    Returns (fn, text, quantifier rank, whether a set quantifier occurs).
+    A quantifier over slot i miniscopes its body before building its loop,
+    from the closures its parts already have. With F the parts of the
+    body's flattened "&" (or "|") chain that read no slot i, and D the
+    rest:
+
+    - ex v. (F & D) runs as F & ex v. D;
+    - all v. ((F & D) -> C) runs as F -> all v. (D -> C), or as
+      F -> all v. C when every part of the antecedent is in F;
+    - all v. (F | D) runs as F | all v. D.
+
+    A rule applies only when F is nonempty and some other part reads slot
+    i. Parts are told apart by the slots they read, not by the names in
+    them: a name free in F and bound again inside D names two slots. The
+    three rules hold on every domain, the empty point domain (a graph with
+    no vertex) included, where ex v. D is false and all v. D true on both
+    sides. all v. (F & D), ex v. (F | D) and ex v. (F -> D) are not moved:
+    on that domain they are true, false and false whatever F is, while
+    F & all v. D, F | ex v. D and F -> ex v. D read F, F and ~F there.
+    Miniscoping changes only the closure: the text, the rank and the
+    guards are those of the formula as given.
+
+    Returns a _Compiled.
     """
     if depth > _MAX_NESTING:
         raise ParseError(f"formula nested deeper than {_MAX_NESTING} levels")
@@ -230,29 +315,35 @@ def _compile(node, scope, slots, depth=0):
             if is_set_var(v):
                 raise ScopeError(f"{v!r} is a set variable used as a point")
         i, j = _slot(node.x, scope, slots), _slot(node.y, scope, slots)
+        reads = 1 << i | 1 << j
         if isinstance(node, Edge):
-            return (lambda n, E, env: (env[i], env[j]) in E), f"E({node.x},{node.y})", 0, False
-        return (lambda n, E, env: env[i] == env[j]), f"{node.x}={node.y}", 0, False
+            fn = lambda n, E, env: (env[i], env[j]) in E
+            return _Compiled(fn, f"E({node.x},{node.y})", 0, False, reads)
+        return _Compiled(lambda n, E, env: env[i] == env[j], f"{node.x}={node.y}", 0, False, reads)
     if isinstance(node, Member):
         _check_names(node.x, node.xs)
         if is_set_var(node.x) or not is_set_var(node.xs):
             raise ScopeError("membership needs a point on the left, a set on the right")
         i, j = _slot(node.x, scope, slots), _slot(node.xs, scope, slots)
         fn = lambda n, E, env: (env[j] >> env[i]) & 1 == 1
-        return fn, f"{node.x} in {node.xs}", 0, False
+        return _Compiled(fn, f"{node.x} in {node.xs}", 0, False, 1 << i | 1 << j)
     if isinstance(node, Not):
-        sub, text, qrank, set_quant = _compile(node.sub, scope, slots, depth)
-        return (lambda n, E, env: not sub(n, E, env)), f"~{text}", qrank, set_quant
+        sub = _compile(node.sub, scope, slots, depth)
+        sub_fn = sub.fn
+        fn = lambda n, E, env: not sub_fn(n, E, env)
+        return _Compiled(fn, f"~{sub.text}", sub.rank, sub.set_quant, sub.reads)
     if isinstance(node, (And, Or, Implies)):
-        left, ltext, lrank, lset = _compile(node.left, scope, slots, depth)
-        right, rtext, rrank, rset = _compile(node.right, scope, slots, depth)
-        if isinstance(node, And):
-            op, fn = "&", lambda n, E, env: left(n, E, env) and right(n, E, env)
-        elif isinstance(node, Or):
-            op, fn = "|", lambda n, E, env: left(n, E, env) or right(n, E, env)
+        left = _compile(node.left, scope, slots, depth)
+        right = _compile(node.right, scope, slots, depth)
+        if isinstance(node, Implies):
+            op, fn = "->", _implies(left.fn, right.fn)
+            parts = _spine(left, "&") + ((right.fn, right.reads),)
         else:
-            op, fn = "->", lambda n, E, env: (not left(n, E, env)) or right(n, E, env)
-        return fn, f"({ltext} {op} {rtext})", max(lrank, rrank), lset or rset
+            op = "&" if isinstance(node, And) else "|"
+            fn = _join((left.fn, right.fn), op == "&")
+            parts = _spine(left, op) + _spine(right, op)
+        return _Compiled(fn, f"({left.text} {op} {right.text})", max(left.rank, right.rank),
+                         left.set_quant or right.set_quant, left.reads | right.reads, op, parts)
     if isinstance(node, Quant):
         if node.kind not in ("ex", "all"):
             raise ParseError(f"not a quantifier kind: {node.kind!r:.40}")
@@ -261,19 +352,25 @@ def _compile(node, scope, slots, depth=0):
             raise ScopeError(f"variable {node.var!r} is shadowed")
         idx = len(slots)
         slots.append(None)
-        sub, text, qrank, set_quant = _compile(node.sub, {**scope, node.var: idx}, slots, depth)
+        body = _compile(node.sub, {**scope, node.var: idx}, slots, depth)
         over_sets = is_set_var(node.var)
-        exists = node.kind == "ex"
-
-        def fn(n, E, env):
-            domain = range(1 << n) if over_sets else range(n)
-            for value in domain:
-                env[idx] = value
-                if sub(n, E, env) == exists:
-                    return exists
-            return not exists
-
-        return fn, f"{node.kind} {node.var}. {text}", qrank + 1, set_quant or over_sets
+        exists, bit = node.kind == "ex", 1 << idx
+        fn = None
+        if body.op == ("&" if exists else "|"):  # F & ex v. D, or F | all v. D
+            outer, inner = _split(body.parts, bit)
+            if outer and inner:
+                loop = _loop(idx, over_sets, exists, _join(inner, exists))
+                fn = _join((_join(outer, exists), loop), exists)
+        elif body.op == "->" and not exists:  # F -> all v. (D -> C)
+            outer, inner = _split(body.parts[:-1], bit)
+            c, c_reads = body.parts[-1]
+            if outer and (inner or c_reads & bit):
+                sub = _implies(_join(inner, True), c) if inner else c
+                fn = _implies(_join(outer, True), _loop(idx, over_sets, False, sub))
+        if fn is None:
+            fn = _loop(idx, over_sets, exists, body.fn)
+        return _Compiled(fn, f"{node.kind} {node.var}. {body.text}", body.rank + 1,
+                         body.set_quant or over_sets, body.reads & ~bit)
     raise ParseError(f"not an MSO formula node: {node!r:.40}")
 
 
@@ -302,7 +399,8 @@ class CompiledFormula:
     def __init__(self, formula):
         self.formula = formula
         slots = []
-        self._fn, self.text, self.rank, self._set_quant = _compile(formula, {}, slots)
+        c = _compile(formula, {}, slots)
+        self._fn, self.text, self.rank, self._set_quant = c.fn, c.text, c.rank, c.set_quant
         self._width = len(slots)
         self._free_slots = {name: i for i, name in enumerate(slots) if name is not None}
         self.free = frozenset(self._free_slots)

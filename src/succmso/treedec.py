@@ -178,7 +178,7 @@ def decomposition_of_delta(gamma: dict, decs: dict, word) -> TreeDecomposition:
     word = list(word)
     if not word:
         raise EmptyWord("empty word")
-    for letter in word:
+    for letter in dict.fromkeys(word):
         if letter not in gamma:
             raise BadVertex(f"unknown gadget index {letter!r}")
         if letter not in decs:

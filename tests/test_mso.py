@@ -391,3 +391,100 @@ def test_formula_text_fuzz(text):
     except SuccmsoError:
         return
     assert parse(f.text, allow_free=True) == f.formula
+
+
+# -- miniscoping against the direct interpreter --------------------------
+
+
+def bound_in(f):
+    """Names that a quantifier inside f binds."""
+    if isinstance(f, Quant):
+        return {f.var} | bound_in(f.sub)
+    if isinstance(f, Not):
+        return bound_in(f.sub)
+    if isinstance(f, (And, Or, Implies)):
+        return bound_in(f.left) | bound_in(f.right)
+    return set()
+
+
+@st.composite
+def closed_points(draw, f, bound):
+    """f with its free point names that are neither bound above (bound)
+    nor inside f quantified at its root, so that the empty graph
+    evaluates it."""
+    for name in sorted(free_of(f) - bound - bound_in(f)):
+        if not is_set_var(name):
+            f = Quant(draw(st.sampled_from(("ex", "all"))), name, f)
+    return f
+
+
+@st.composite
+def miniscope_cases(draw, bound=frozenset(), depth=2):
+    """Q v. (F op D), with op one of &, |, -> (F in the antecedent), F
+    free of v and D reading v: v a point or a set, F sometimes quantified,
+    D sometimes joined with another such case, and names drawn from the
+    whole pool, so one can be free in F and bound in D. All six
+    (Q, op) pairs are drawn, the three that are not moved too."""
+    v = draw(st.sampled_from([n for n in POINTS + SETS if n not in bound]))
+    inner = bound | {v}
+    close = draw(st.booleans())
+    f = draw(formulas(inner, 2).filter(lambda f: v not in free_of(f)))
+    if close:
+        f = draw(closed_points(f, inner))
+    if is_set_var(v):
+        d = Member(draw(st.sampled_from(POINTS)), v)
+    else:
+        p = draw(st.sampled_from(POINTS))
+        d = draw(st.sampled_from((Edge(v, p), Edge(p, v), Eq(v, p), Member(v, "X"))))
+    if depth > 1 and draw(st.booleans()):
+        join = draw(st.sampled_from((And, Or, Implies)))
+        d = join(d, draw(miniscope_cases(inner, depth - 1)))
+    if close:
+        d = draw(closed_points(d, inner))
+    op = draw(st.sampled_from((And, Or, Implies)))
+    if op is Implies:
+        c = draw(formulas(inner, 1))
+        if close:
+            c = draw(closed_points(c, inner))
+        body = draw(st.sampled_from((Implies(And(f, d), c), Implies(And(d, f), c), Implies(f, d))))
+    else:
+        body = draw(st.sampled_from((op(f, d), op(d, f), op(op(f, d), f))))
+    return Quant(draw(st.sampled_from(("ex", "all"))), v, body)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(miniscope_cases(), st.randoms(use_true_random=False))
+def test_miniscoped_quantifiers_match_direct_interpreter(f, rng):
+    """The compiled closure runs the miniscoped form; interpret runs f as
+    given. GRAPHS starts with the empty graph, where only the three moved
+    forms keep their value."""
+    compiled = CompiledFormula(f)
+    free = free_of(f)
+    for g in GRAPHS:
+        if g.n == 0 and any(not is_set_var(v) for v in free):
+            continue
+        env = {
+            v: frozenset(u for u in range(g.n) if rng.random() < 0.5)
+            if is_set_var(v)
+            else rng.randrange(g.n)
+            for v in sorted(free)
+        }
+        assert compiled.eval(g, env) == interpret(g, f, env), (compiled.text, g)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("all x. (ex y. E(y,y) & E(x,x))", True),
+    ("ex x. (all y. ~E(y,y) | E(x,x))", False),
+    ("ex x. (ex y. E(y,y) -> E(x,x))", False),
+    ("ex x. (all y. ~E(y,y) & E(x,x))", False),
+    ("all x. ((ex y. E(y,y) & E(x,x)) -> ~x=x)", True),
+    ("all x. (ex y. E(y,y) | E(x,x))", True),
+])
+def test_empty_domain_verdicts(text, expected):
+    """On the graph with no vertex, ex x. D is false and all x. D true.
+    With F out of the loop, the first three would read false, true and
+    true, so they are not moved; the last three are, and agree."""
+    f = CompiledFormula.parse(text)
+    assert f.eval(Digraph(0)) is expected
+    assert interpret(Digraph(0), f.formula, {}) is expected
+

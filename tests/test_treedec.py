@@ -474,6 +474,9 @@ def test_treewidth_known_values():
     assert treewidth_exact(petersen) == 4
     assert treewidth_exact(c10) == 2
     assert treewidth_exact(grid) == 3
+    # an almost-simplicial rule without fill edges gives 2 on this graph
+    almost = Digraph(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (2, 5), (4, 5)])
+    assert treewidth_exact(almost) == 3
     # the simplicial rule removes some vertices and leaves the rest to the
     # DP. A K4 on 4..7 hangs off vertex 4 of the 5-cycle 0..4: removing 5,
     # 6 and 7 gives the bound 3, which beats the cycle's 2
