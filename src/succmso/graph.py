@@ -28,7 +28,10 @@ class Digraph:
             raise BadVertex(f"vertex count {n!r:.40} is not an integer")
         if n < 0:
             raise BadVertex("vertex count must be nonnegative")
-        edges = [(u, v) for u, v in edges]
+        try:
+            edges = [(u, v) for u, v in edges]
+        except (TypeError, ValueError) as exc:  # not iterable, or an entry not a pair
+            raise BadVertex(f"edges {edges!r:.40} is not an iterable of (u, v) pairs") from exc
         for u, v in edges:  # before deduplication, which would hide (1.0, 1) behind (1, 1)
             if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
                 if type(u) is not int or type(v) is not int:
@@ -83,17 +86,22 @@ class BiboundariedGraph:
     p2: tuple
 
     def __init__(self, graph, p1, p2):
-        p1, p2 = tuple(p1), tuple(p2)
+        try:
+            p1 = tuple(p1)
+            p2 = tuple(p2)
+        except TypeError as exc:  # p1 is a tuple iff it was read, so p2 failed
+            name, seq = ("p2", p2) if type(p1) is tuple else ("p1", p1)
+            raise BadVertex(f"{name} {seq!r:.40} is not a sequence of vertices") from exc
         if len(p1) != len(p2):
             raise PortArityMismatch(f"|p1|={len(p1)} != |p2|={len(p2)}")
         for seq, name in ((p1, "p1"), (p2, "p2")):
-            if len(set(seq)) != len(seq):
-                raise BadVertex(f"{name} has repeated vertices")
-            for v in seq:
+            for v in seq:  # before the set, which would refuse a list as unhashable
                 if type(v) is not int:
                     raise BadVertex(f"{name} vertex {v!r:.40} is not an int")
                 if not 0 <= v < graph.n:
                     raise BadVertex(f"{name} vertex {v} out of range")
+            if len(set(seq)) != len(seq):
+                raise BadVertex(f"{name} has repeated vertices")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)

@@ -32,13 +32,19 @@ class TreeDecomposition:
     pointed_leaf: int | None = None
 
     def __init__(self, root, parents, bags, pointed_leaf=None):
-        parents = tuple(parents)
+        try:
+            parents = tuple(parents)
+        except TypeError as exc:
+            raise BadVertex(f"parents {parents!r:.40} is not a sequence of node indices") from exc
         # exact ints, as Digraph takes: a float fails as an index, and a
         # bool is written to JSON as true, which parse refuses. Bag entries
         # are checked before frozenset would fold [1, True] into {1}; any
         # bag but a frozenset is read once into a tuple, so that the check
         # and the frozenset see the same entries
-        bags = [b if type(b) is frozenset else tuple(b) for b in bags]
+        try:
+            bags = [b if type(b) is frozenset else tuple(b) for b in bags]
+        except TypeError as exc:  # bags, or a bag in it, is not iterable
+            raise BadVertex(f"bags {bags!r:.40} is not a sequence of vertex sets") from exc
         bad = set(map(type, chain.from_iterable(bags))) - {int}
         if bad:
             raise BadVertex(f"a bag entry is a {bad.pop().__name__}, not an int")
@@ -173,7 +179,12 @@ def decomposition_of_delta(gamma: dict, decs: dict, word) -> TreeDecomposition:
 
     Requires, per member: the root bag is P1 of its gadget and the pointed
     leaf bag is P2 of its gadget. Each next member's root takes the place
-    of the pointed leaf, and the nodes after the leaf close the gap.
+    of the pointed leaf. The nodes are numbered in member order, each
+    member's in its own order, leaving out the pointed leaf of every member
+    but the last. A member's root hangs from the parent of the pointed leaf
+    left out before it, or has parent -1 while no node has a parent yet; so
+    the root is that of the first member with more than one node, or the
+    last member's. The pointed leaf is the last member's.
     """
     word = list(word)
     if not word:
@@ -193,26 +204,19 @@ def decomposition_of_delta(gamma: dict, decs: dict, word) -> TreeDecomposition:
         if not all(0 <= v < gadget.n for bag in dec.bags for v in bag):
             raise BadVertex(f"a bag of {letter!r} holds a vertex outside its gadget")
     maps, _ = chain_maps(gamma, word)
-    # one empty pointed node, replaced whole by the first member; the leaf
-    # lies in the member appended last (from start on), and so does every
-    # node numbered after it or with a parent after it
-    root, parents, bags, leaf, start = 0, [-1], [frozenset()], 0, 0
-    for letter, vmap in zip(word, maps):
+    # index maps a member's nodes to final numbers; the root's parent -1
+    # reads its last entry, hook, the parent of the leaf left out before
+    parents, bags, hook, last = [], [], -1, len(word) - 1
+    for k, (letter, vmap) in enumerate(zip(word, maps)):
         dec = decs[letter]
-        for i in range(start, len(parents)):
-            if parents[i] > leaf:
-                parents[i] -= 1
-        hook = parents.pop(leaf)
-        del bags[leaf]
-        if root > leaf:
-            root -= 1
-        start = len(parents)
-        if hook == -1:  # the leaf was the root of a one-node decomposition
-            root = dec.root
-        parents += [hook if i == dec.root else p + start for i, p in enumerate(dec.parents)]
-        bags += [frozenset(vmap[v] for v in bag) for bag in dec.bags]
-        leaf = dec.pointed_leaf + start
-    return TreeDecomposition(root, parents, bags, leaf)
+        skip = dec.pointed_leaf if k < last else len(dec.parents)
+        index = [len(parents) + i - (i > skip) for i in range(len(dec.parents))] + [hook]
+        for i, p in enumerate(dec.parents):
+            if i != skip:
+                parents.append(index[p])
+                bags.append(frozenset(vmap[v] for v in dec.bags[i]))
+        hook = index[dec.parents[dec.pointed_leaf]]
+    return TreeDecomposition(parents.index(-1), parents, bags, index[dec.pointed_leaf])
 
 
 # -- exact treewidth -----------------------------------------------------

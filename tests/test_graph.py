@@ -90,6 +90,30 @@ def test_digraph_takes_only_integers(n, edges):
         Digraph(n, edges)
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [[(1, 2, 3)], [(1,)], [5], 5, None, [[0, 1], {2}]],
+    ids=["triple", "single", "int-entry", "int", "none", "set-entry"],
+)
+def test_digraph_names_a_malformed_edge_list(edges):
+    """An edge list that does not unpack into pairs once raised a bare
+    ValueError or TypeError."""
+    with pytest.raises(BadVertex, match="^edges .* is not an iterable of"):
+        Digraph(3, edges)
+
+
+@pytest.mark.parametrize(
+    "p1, p2, name",
+    [(5, (1,), "p1"), ((0,), 5, "p2"), (None, None, "p1"),
+     ([0], [[1]], "p2"), ([{0}], [1], "p1"), ([0, [1]], [1, 0], "p1")],
+)
+def test_biboundaried_graph_names_malformed_ports(p1, p2, name):
+    """A port argument that is not iterable, or a list entry that a set
+    cannot hold, once raised a bare TypeError."""
+    with pytest.raises(BadVertex, match=f"^{name} "):
+        BiboundariedGraph(Digraph(2), p1, p2)
+
+
 def test_port_checks():
     g = Digraph(3)
     with pytest.raises(PortArityMismatch):

@@ -47,6 +47,7 @@ from succmso.reduce import (
     toy_quadruple,
 )
 from succmso.sgr import materialize
+from succmso.treedec import TreeDecomposition, decomposition_of_delta, validate, width
 from succmso.verify import delta_layout, sat_solve, seeded_cnf_battery, small_cnf_battery
 
 LOOP = CompiledFormula.parse("ex x. E(x,x)")
@@ -329,12 +330,12 @@ def test_succ_ref_graph_size_guard(monkeypatch):
 # -- the layout is the chain Δ(2·s̄·3) -------------------------------------
 
 
-def chain_in_layout(quad, S):
-    """The paper's chain Δ(2·s̄·3), folded by graph.chain_maps and
-    graph.delta, with each chain vertex renamed to the label delta_map gives
-    it. Asserts that the renaming is a bijection onto [0, N): every letter
-    that holds a chain vertex gives it the same label, and every label is
-    used."""
+def layout_labels(quad, S):
+    """The gadgets, by letter, and the word 2·s̄·3 of the paper's chain, and
+    the label delta_map gives each vertex of the chain that graph.chain_maps
+    folds. Asserts that the renaming is a bijection onto [0, N): every
+    letter that holds a chain vertex gives it the same label, and every
+    label is used."""
     s = S.s
     word = ["2"] + [str(sbar_at(S, q)) for q in range(1 << s)] + ["3"]
     gamma = {str(j): quad.gadget(j) for j in range(4)}
@@ -347,8 +348,16 @@ def chain_in_layout(quad, S):
             assert label[c] in (None, y), f"chain vertex {c} gets labels {label[c]} and {y}"
             label[c] = y
     assert sorted(label) == list(range(quad.big_n(s)))
+    return gamma, word, label
+
+
+def chain_in_layout(quad, S):
+    """The paper's chain Δ(2·s̄·3), folded by graph.delta, with each chain
+    vertex renamed through layout_labels, which asserts that the renaming
+    is a bijection onto [0, N)."""
+    gamma, word, label = layout_labels(quad, S)
     chain = delta(gamma, word).graph
-    return Digraph(total, ((label[u], label[v]) for u, v in chain.edges))
+    return Digraph(len(label), ((label[u], label[v]) for u, v in chain.edges))
 
 
 @pytest.mark.parametrize("name", sorted(QUADRUPLES))
@@ -359,6 +368,38 @@ def test_layout_is_the_chain_label_for_label(name):
     for s in (1, 2, 3, 6, 10):
         for S in [CnfInstance(s, [])] + seeded_cnf_battery(s, 2, 300 + s):
             assert graph_equal(chain_in_layout(quad, S), succ_ref_graph(quad, S)), (s, S.clauses)
+
+
+def anchored_decomposition(g):
+    """P1 → V(g) → P2: root bag P1, one bag of all of g, pointed-leaf bag
+    P2; width |V(g)| − 1."""
+    return TreeDecomposition(0, [-1, 0, 1], [g.p1, range(g.n), g.p2], pointed_leaf=2)
+
+
+def layout_decomposition(quad, S):
+    """The gadgets' anchored decompositions folded over 2·s̄·3 by
+    decomposition_of_delta, with the bags renamed through layout_labels:
+    built from the gadgets and the labels, never from the circuit."""
+    decs = {str(j): anchored_decomposition(quad.gadget(j)) for j in range(4)}
+    gamma, word, label = layout_labels(quad, S)
+    t = decomposition_of_delta(gamma, decs, word)
+    bags = [[label[c] for c in bag] for bag in t.bags]
+    return TreeDecomposition(t.root, t.parents, bags, t.pointed_leaf)
+
+
+@pytest.mark.parametrize("name", sorted(QUADRUPLES))
+def test_compiled_graph_has_the_chain_decomposition(name):
+    """The hard instances have bounded treewidth: layout_decomposition
+    decomposes the circuit's materialized graph at width max n_j − 1,
+    whatever s is (258 chain members at s = 8)."""
+    quad = QUADRUPLES[name]()
+    bound = max(quad.gadget(j).n for j in range(4)) - 1
+    for s in (1, 2, 3, 6, 8):
+        for S in [CnfInstance(s, [])] + seeded_cnf_battery(s, 2, 500 + s):
+            t = layout_decomposition(quad, S)
+            g = materialize(compile_reduction(quad, S), quad.big_n(s))
+            assert validate(g, t) == [], (s, S.clauses)
+            assert width(t) == bound, (s, S.clauses)
 
 
 def random_gadget(rng, n, p1, p2):
@@ -402,9 +443,10 @@ def random_quadruples(seed, draws):
 
 def test_random_quadruples_agree_on_every_route():
     """On quadruples the constructor accepts, the circuit, succ_ref_graph,
-    delta_layout and the renamed chain Δ(2·s̄·3) give one graph at s <= 3.
-    These gadgets are not model-forcing, so only the routes are compared,
-    never the loop verdict with SAT."""
+    delta_layout and the renamed chain Δ(2·s̄·3) give one graph at s <= 3,
+    and layout_decomposition decomposes it. These gadgets are not
+    model-forcing, so only the routes are compared, never the loop verdict
+    with SAT."""
     kept, refused = random_quadruples(2718, 120)
     assert len(kept) >= 60 and set(refused) <= {"COND_I", "COND_II", "COND_III"}
     assert any(q.k_dprime >= 2 for q in kept)  # two shared ports can be swapped
@@ -418,6 +460,11 @@ def test_random_quadruples_agree_on_every_route():
             assert graph_equal(delta_layout(quad, S), ref), (i, s, S.clauses)
             circuit = materialize(compile_reduction(quad, S), 10**5)
             assert graph_equal(circuit, ref), (i, s, S.clauses)
+            # the certificate, at most at width max n_j − 1: a word need
+            # not hold both G0 and G1
+            t = layout_decomposition(quad, S)
+            assert validate(circuit, t) == [], (i, s, S.clauses)
+            assert width(t) < max(quad.gadget(j).n for j in range(4)), (i, s, S.clauses)
 
 
 @pytest.mark.parametrize("name", sorted(QUADRUPLES))

@@ -201,6 +201,18 @@ def test_constructor_takes_only_int_bag_entries(bags):
     assert parse(serialize(t)) == t
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((0, [-1], [5]), "bags"), ((0, [-1, 0], [{0}, None]), "bags"),
+     ((0, [-1], 5), "bags"), ((0, 5, [{0}]), "parents"), ((0, None, None), "parents")],
+)
+def test_constructor_names_a_malformed_shape(args, name):
+    # a parents or bags argument, or a bag, that is not iterable once
+    # raised a bare TypeError
+    with pytest.raises(BadVertex, match=f"^{name} "):
+        TreeDecomposition(*args)
+
+
 def test_random_decompositions_against_oracles():
     rng = random.Random(11)
     trees = 0
@@ -361,7 +373,7 @@ def random_family(rng, ells):
 
 def test_chain_fold_matches_pairwise_oracle():
     rng = random.Random(23)
-    single_nodes_glued = roots_shifted = 0
+    single_nodes_glued = roots_shifted = last_single = root_from_last = 0
     for trial in range(800):
         gamma, decs = random_family(rng, [trial % 3] * 3)
         word = "".join(rng.choice("abc") for _ in range(rng.randint(1, 10)))
@@ -372,8 +384,14 @@ def test_chain_fold_matches_pairwise_oracle():
         assert glue(gamma[a], gamma[b]) == oracle_glue(gamma[a], gamma[b])
         single_nodes_glued += any(len(decs[x].parents) == 1 for x in word[:-1])
         roots_shifted += len(word) > 1 and decs[word[0]].root > decs[word[0]].pointed_leaf
+        last_single += len(decs[word[-1]].parents) == 1
+        root_from_last += len(word) > 1 and all(len(decs[x].parents) == 1 for x in word[:-1])
     # both special cases of the renumbering are exercised
     assert min(single_nodes_glued, roots_shifted) > 60
+    # and so are a one-node last member, whose node keeps the pointed leaf,
+    # and words whose root is the last member's, as every member before it
+    # is one node
+    assert min(last_single, root_from_last) > 60
 
 
 def outcome(f, *args):
