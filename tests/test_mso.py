@@ -161,6 +161,16 @@ def test_valuation():
             loop.eval(g, {"x": value})
 
 
+@pytest.mark.parametrize("valuation", [[("x", 0)], "ab", 5])
+def test_valuation_must_be_a_mapping(valuation):
+    """A list of pairs, a string and an int once ended in a bare
+    AttributeError or TypeError."""
+    with pytest.raises(ScopeError, match="not a mapping"):
+        CompiledFormula.parse("ex x. E(x,x)").eval(LOOP, valuation)
+    with pytest.raises(ScopeError, match="not a mapping"):
+        CompiledFormula.parse("E(x,x)", allow_free=True).eval(LOOP, valuation)
+
+
 def test_set_valuation():
     f = CompiledFormula(parse("x in X", allow_free=True))
     assert f.eval(PATH3, {"x": 1, "X": {0, 1}})
@@ -350,7 +360,9 @@ def test_one_pass_matches_direct_interpreter(f, rng):
             else rng.randrange(g.n)
             for v in sorted(free)
         }
-        assert compiled.eval(g, env) == interpret(g, f, env), (compiled.text, g)
+        verdict = compiled.eval(g, env)
+        assert type(verdict) is bool, (compiled.text, g)
+        assert verdict == interpret(g, f, env), (compiled.text, g)
 
 
 # Formula text: a printed formula, maybe with one span replaced by a
@@ -479,11 +491,15 @@ def test_miniscoped_quantifiers_match_direct_interpreter(f, rng):
     ("ex x. (all y. ~E(y,y) & E(x,x))", False),
     ("all x. ((ex y. E(y,y) & E(x,x)) -> ~x=x)", True),
     ("all x. (ex y. E(y,y) | E(x,x))", True),
+    ("ex X. all x. x in X", True),
+    ("all X. ex x. x in X", False),
+    ("ex X. ex x. x in X", False),
 ])
 def test_empty_domain_verdicts(text, expected):
     """On the graph with no vertex, ex x. D is false and all x. D true.
     With F out of the loop, the first three would read false, true and
-    true, so they are not moved; the last three are, and agree."""
+    true, so they are not moved; the next three are, and agree. The set
+    domain there holds one set, the empty one."""
     f = CompiledFormula.parse(text)
     assert f.eval(Digraph(0)) is expected
     assert interpret(Digraph(0), f.formula, {}) is expected
