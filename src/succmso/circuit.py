@@ -442,8 +442,14 @@ def parse(text: str) -> BoolCircuit:
 
 
 def from_json_obj(obj) -> BoolCircuit:
+    """A circuit from its JSON object. A version, if given, must be the
+    exact int 1, the only format there is; a circuit without one reads as
+    version 1."""
     if not isinstance(obj, dict):
         raise ParseError("circuit object must be a JSON object")
+    version = obj.get("version", 1)
+    if type(version) is not int or version != 1:
+        raise ParseError(f"circuit version {version!r} is not 1")
     try:
         label_bits = obj["label_bits"]
         gates = obj["gates"]

@@ -301,7 +301,7 @@ def succ_ref_graph(quad: GadgetQuadruple, S: CnfInstance) -> Digraph:
 
 # Templates and label tables kept, one per (quadruple, s): each bench
 # workload cycles through three pairs, and `--workload all` through six. A
-# template is small (the shared-port quadruple at s = 20 has 965 gates in
+# template is small (the shared-port quadruple at s = 20 has 970 gates in
 # under 0.2 MB), and a label table smaller still, so eight cost at most a
 # few MB.
 _TEMPLATE_CACHE = 8
@@ -413,12 +413,20 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
     """Emit every gate of the reduction circuit that does not depend on the
     CNF, once per (quadruple, s): region tests, the G2 prefix, the division
     of x - n2 into (q, r), the row conditions of both gadgets in copies q
-    and q - 1, and the G3 suffix for either gadget in the last copy.
-    They are kept as two layouts (cone_prefix), one per G3 suffix, each
-    head-first, its head being the output's cone when s̄(q) and s̄(q - 1)
-    are unknown. Returns (layout, extend), layout being the first:
-    extend(S) adds the gates of a CNF S with s variables to a copy of its
-    suffix's layout, never to the cached one, and returns the build.
+    and q - 1, and G3's own rows.
+
+    One seam rule glues each member of the chain to the next: row r < k'
+    of copy q takes the successors of the P2 port glued to it, G2's when
+    q = 0, else copy q - 1's by s̄(q - 1). G3's glued ports, labels
+    mid_end + r with r < k', are row r of copy q = 2^s, so the seam is
+    gated by n2 <= x < mid_end + k', and a compile reads S only through
+    s̄(q) and s̄(q - 1). The template is one layout (cone_prefix),
+    head-first, its head being the output's cone in a probe whose s̄(q)
+    and s̄(q - 1) are opaque gates, which nothing folds, so that the head
+    holds what every build reads unless s̄ folds to a constant. Returns
+    (layout, extend): extend(S) adds the gates of a CNF S with s variables
+    to a copy of the layout, never to the cached one, and returns the
+    build.
 
     The layout keeps the template small. A loop's row test compares y with
     x (gadget_row_cond). The division by n1 is wiring when n1 is a power of
@@ -441,6 +449,8 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
     before3 = b.less_const(x_in, mid_end)
     in_mid = b.and_(b.not_(in2), before3)
     in3 = b.not_(before3)
+    # the seams reach copy 2^s, whose rows r < k' are G3's glued P1 ports
+    in_seam = b.and_(b.not_(in2), b.less_const(x_in, mid_end + quad.k_prime))
 
     def y_eq_consts(labels):
         return b.or_many(b.eq_const(y_in, yv) for yv in sorted(labels))
@@ -497,89 +507,73 @@ def _reduction_template(quad: GadgetQuadruple, s: int):
                 gadget_row_cond(quad.g1, r + quad.n1, qm1_n1),
             )
         mid_rows.append((r_is, here, prev))
+    head = b.and_(in2, case2)
 
-    # region x >= n2 + 2^s*n1: the G3 suffix
+    # region x >= n2 + 2^s*n1: the G3 suffix, G3's own rows; the seam
+    # parts above give its glued P1 ports, rows r < k', the last copy's edges
     low3 = (quad.n3 - 1).bit_length()
     x_low3 = x_in[:low3]
-
-    def case3(i_last):
-        rows3 = []
-        for r in range(quad.n3):
-            xv = mid_end + r
-            labels = {dm(quad, s, 3, 0, v) for v in quad.g3.graph.successors(r)}
-            extra = []
-            if r < quad.k_prime:
-                gi = quad.gadget(i_last)
-                labels |= {
-                    dm(quad, s, i_last, ell_hat, v)
-                    for v in gi.graph.successors(r + quad.n1)
-                }
-            elif r < quad.k:
-                labels |= {
-                    dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(r + quad.n2)
-                }
-                # shared ports point into every copy: membership in the union
-                # over t of n2 + t*n1 + v via divisibility by n1
-                for v in quad.g1.graph.successors(r + quad.n1):
-                    if v < quad.g1.n - quad.k_dprime:
-                        base = quad.n2 + v
-                        shifted = b.sub_const(y_in, base)
-                        t_q, t_r = b.divmod_const(shifted, quad.n1)
-                        extra.append(
-                            b.and_many(
-                                [
-                                    b.not_(b.less_const(y_in, base)),
-                                    b.eq_const(t_r, 0),
-                                    b.less_const(t_q, 1 << s),
-                                ]
-                            )
+    rows3 = []
+    for r in range(quad.n3):
+        xv = mid_end + r
+        labels = {dm(quad, s, 3, 0, v) for v in quad.g3.graph.successors(r)}
+        extra = []
+        if quad.k_prime <= r < quad.k:
+            labels |= {dm(quad, s, 2, 0, v) for v in quad.g2.graph.successors(r + quad.n2)}
+            # shared ports point into every copy: membership in the union
+            # over t of n2 + t*n1 + v via divisibility by n1
+            for v in quad.g1.graph.successors(r + quad.n1):
+                if v < quad.g1.n - quad.k_dprime:
+                    base = quad.n2 + v
+                    shifted = b.sub_const(y_in, base)
+                    t_q, t_r = b.divmod_const(shifted, quad.n1)
+                    extra.append(
+                        b.and_many(
+                            [
+                                b.not_(b.less_const(y_in, base)),
+                                b.eq_const(t_r, 0),
+                                b.less_const(t_q, 1 << s),
+                            ]
                         )
-                    else:
-                        labels.add(quad.n2 + ell_hat * quad.n1 + v)
-            rows3.append(
-                b.and_(
-                    b.eq_const(x_low3, xv & ((1 << low3) - 1)),
-                    b.or_many([y_eq_consts(labels)] + extra),
-                )
+                    )
+                else:
+                    labels.add(quad.n2 + ell_hat * quad.n1 + v)
+        rows3.append(
+            b.and_(
+                b.eq_const(x_low3, xv & ((1 << low3) - 1)),
+                b.or_many([y_eq_consts(labels)] + extra),
             )
-        return b.and_(in3, b.or_many(rows3))
+        )
+    tail = b.and_(in3, b.or_many(rows3))
 
-    head = b.and_(in2, case2)
-    tails = (case3(0), case3(1))  # by the gadget the last copy holds
-
-    def select(c, m, sbar_q, sbar_qm1, tail):
+    def select(c, m, sbar_q, sbar_qm1):
         """Emit on c the gates that pick the g0 or g1 row conditions by the
         bits sbar_q = s̄(q) and sbar_qm1 = s̄(q - 1), and join them with the
-        G2 prefix and the given G3 suffix, reading template gate i as m[i];
+        G2 prefix and the G3 suffix, reading template gate i as m[i];
         returns the output gate."""
-        rows = []
+        rows, seams = [], []
         for r_is, (g0_here, g1_here), prev in mid_rows:
-            parts = [c.mux_bit(sbar_q, m[g0_here], m[g1_here])]
+            rows.append(c.and_(m[r_is], c.mux_bit(sbar_q, m[g0_here], m[g1_here])))
             if prev is not None:
                 from_g2, g0_cond, g1_cond = prev
                 from_prev = c.mux_bit(sbar_qm1, m[g0_cond], m[g1_cond])
-                parts.append(c.mux_bit(m[q_is_zero], from_prev, m[from_g2]))
-            rows.append(c.and_(m[r_is], c.or_many(parts)))
+                seams.append(c.and_(m[r_is], c.mux_bit(m[q_is_zero], from_prev, m[from_g2])))
         mid = c.and_(m[in_mid], c.or_many(rows))
-        return c.or_many([m[head], mid, m[tail]])
+        seam = c.and_(m[in_seam], c.or_many(seams))
+        return c.or_many([m[head], mid, seam, m[tail]])
 
-    # (layout, place, tail) per G3 suffix, the head being the cone of a
-    # build in which s̄(q) and s̄(q - 1) are opaque gates
     size = b.gate_count()
-    layouts = []
-    for tail in tails:
-        probe = b.copy()
-        out = select(probe, range(size), probe.opaque(), probe.opaque(), tail)
-        layouts.append((*probe.cone_prefix(out, size), tail))
+    probe = b.copy()
+    out = select(probe, range(size), probe.opaque(), probe.opaque())
+    layout, place = probe.cone_prefix(out, size)
 
     def extend(S):
-        layout, place, tail = layouts[sbar_at(S, ell_hat)]
         c = layout.copy()
         sbar_q = c.not_(c.cnf_eval(S.clauses, [place[i] for i in q_low]))
         sbar_qm1 = c.not_(c.cnf_eval(S.clauses, [place[i] for i in qm1_low]))
-        return c.build(select(c, place, sbar_q, sbar_qm1, tail))
+        return c.build(select(c, place, sbar_q, sbar_qm1))
 
-    return layouts[0][0], extend
+    return layout, extend
 
 
 def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
@@ -588,19 +582,17 @@ def compile_reduction(quad: GadgetQuadruple, S: CnfInstance) -> Sgr:
     The circuit decides y ∈ succ_ref(quad, S, x) for all x, y < N;
     behavior on labels >= N is unconstrained. A copy of the cached
     template for (quad, S.s) gets only the gates that depend on S: the
-    two CNF evaluators giving s̄(q) and s̄(q - 1), the selectors between
-    the g0 and g1 row conditions, and the final choice t = s̄(2^s - 1) of
-    the G3 suffix. Folding and structural hashing do not depend on
-    emission order, so the kept gates are those of a circuit built in
-    one pass; only their numbering differs. The copy is of the template
-    laid out for suffix t: its head (its part of the output's cone when s̄
-    is unknown) comes first as it is, then the other template gates the
-    output reads, then S's gates, each part in emission order. When s̄
-    folds to a constant, part of the head can be dead, and the build takes
-    the layout's plain cone, whose template gates all lie in the head, as
-    S's gates fold away. A compiled circuit keeps
-    470-650 gates at the bench sizes, and 125-365 at s = 4-12 on the toy
-    and path quadruples.
+    two CNF evaluators giving s̄(q) and s̄(q - 1), and the selectors between
+    the g0 and g1 row conditions. Folding and structural hashing do not
+    depend on emission order, so the kept gates are those of a circuit
+    built in one pass; only their numbering differs. The template's head
+    (its part of the output's cone when s̄ is unknown) comes first as it
+    is, then the other template gates the output reads, then S's gates,
+    each part in emission order. When s̄ folds to a constant, part of the
+    head can be dead, and the build takes the layout's plain cone, whose
+    template gates all lie in the head, as S's gates fold away. A compiled
+    circuit keeps 450-650 gates at the bench sizes, and 125-365 at
+    s = 4-12 on the toy and path quadruples.
     """
     if not isinstance(quad, GadgetQuadruple):
         raise NotValidated("expected a normalized GadgetQuadruple")

@@ -392,8 +392,8 @@ CONSTANT_SBAR = ([(1,), (-1,)], [(1, -1)], [(1, -1), (2,)])
 
 PINNED_CONSTANT_SBAR_GATES = {
     ("toy", 2): [45, 57, 60], ("toy", 3): [69, 85, 88], ("toy", 6): [141, 169, 172],
-    ("shared", 2): [107, 120, 134], ("shared", 3): [140, 156, 171],
-    ("shared", 6): [233, 258, 276],
+    ("shared", 2): [111, 124, 138], ("shared", 3): [144, 160, 175],
+    ("shared", 6): [237, 262, 280],
     ("path", 2): [45, 41, 59], ("path", 3): [69, 53, 87], ("path", 6): [141, 89, 171],
 }
 
@@ -474,9 +474,10 @@ def test_build_checks_the_gates_after_the_prefix():
 
 # sha256 over the sgr.serialize text of every circuit compiled below, one
 # text a line. Taken from the compiler whose loop edges compare y with x,
-# whose power-of-two divisions are wiring and whose G2 and G3 row tests read
-# only x's low bits.
-COMPILED_TEXT_SHA256 = "ef8ca07b162ef08009073693efddfaa8eeea0d0c7e94e54f9a12cd701bf88f17"
+# whose power-of-two divisions are wiring, whose G2 and G3 row tests read
+# only x's low bits, and whose one seam rule glues the last copy to G3 as
+# it glues each copy to the next.
+COMPILED_TEXT_SHA256 = "f4589cde3f7a4be69cd10757113d55012cdcc972df8d9c8130a802b4867e56c2"
 
 
 def test_compiled_circuit_text_is_pinned():

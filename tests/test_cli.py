@@ -521,6 +521,10 @@ MATERIALIZE = ("sgr", "materialize", "--sgr", "{a}")
         (MATERIALIZE, {"a": _sgr_with_gate(["input", True])}, "ParseError"),
         (MATERIALIZE, {"a": _sgr_with_gate(["not", True])}, "TopologyError"),
         (MATERIALIZE, {"a": _sgr_with_gate(["input", 1], gates={"0": ["input", 0]})}, "ParseError"),
+        (MATERIALIZE, {"a": _sgr_with_gate(["input", 1], version=2)}, "ParseError"),
+        (MATERIALIZE, {"a": _sgr_with_gate(["input", 1], version="1")}, "ParseError"),
+        (MATERIALIZE, {"a": _sgr_with_gate(["input", 1], version=True)}, "ParseError"),
+        (MATERIALIZE, {"a": _sgr_with_gate(["input", 1], version=None)}, "ParseError"),
     ],
     ids=[
         "gate-operand-missing", "input-wire-missing", "input-wire-not-int",
@@ -530,6 +534,7 @@ MATERIALIZE = ("sgr", "materialize", "--sgr", "{a}")
         "root-bool", "bag-entry-float", "bag-vertex-outside-gadget",
         "label-bits-float", "output-float", "label-bits-bool", "const-bool", "input-wire-bool",
         "not-operand-bool", "gates-not-list",
+        "version-2", "version-string", "version-bool", "version-null",
     ],
 )
 def test_malformed_files_are_operation_errors(capsys, tmp_path, argv, files, error):
