@@ -213,11 +213,21 @@ def _check_names(*names):
             raise ParseError(f"not a variable name: {name!r:.40}")
 
 
+class _Part(NamedTuple):
+    """One operand of a chain: its closure fn(view, env), the env slots it
+    reads (a bit per slot, as in _Compiled), and its cost key, the pair
+    (holds a set quantifier, quantifier rank)."""
+
+    fn: object
+    reads: int
+    key: tuple
+
+
 class _Compiled(NamedTuple):
     """One node as _compile returns it. reads has bit i set when the node
     reads env slot i (a quantifier's own slot is not read from outside
     it). op is the node's connective ("&", "|", "->") or None, and parts
-    holds (fn, reads) pairs: for "&" and "|" the operands of the node's
+    holds _Part entries: for "&" and "|" the operands of the node's
     flattened "&" or "|" chain, for "->" those of its antecedent's "&"
     chain followed by the consequent."""
 
@@ -229,65 +239,98 @@ class _Compiled(NamedTuple):
     op: str | None = None
     parts: tuple = ()
 
+    @property
+    def part(self):
+        """The node as one operand of a chain."""
+        return _Part(self.fn, self.reads, (self.set_quant, self.rank))
+
 
 def _spine(c, op):
-    """The (fn, reads) parts of c's flattened op chain."""
-    return c.parts if c.op == op else ((c.fn, c.reads),)
+    """The parts of c's flattened op chain."""
+    return c.parts if c.op == op else (c.part,)
 
 
-def _join(fns, conj):
-    """One closure for the conjunction (conj) or the disjunction of the
-    closures fns, with one and two parts as direct calls."""
+def _over(fn, parts):
+    """The part with closure fn that stands for all of parts: it reads
+    what they read, holds a set quantifier if one does, and has their
+    largest rank."""
+    reads = 0
+    for p in parts:
+        reads |= p.reads
+    return _Part(fn, reads, (any(p.key[0] for p in parts), max(p.key[1] for p in parts)))
+
+
+def _tree(fns, conj):
+    """fns joined by and (conj) or or, left to right, as a balanced tree of
+    two-operand closures."""
     if len(fns) == 1:
         return fns[0]
-    if len(fns) == 2:
-        a, b = fns
-        if conj:
-            return lambda view, env: a(view, env) and b(view, env)
-        return lambda view, env: a(view, env) or b(view, env)
+    a, b = _tree(fns[:len(fns) // 2], conj), _tree(fns[len(fns) // 2:], conj)
     if conj:
-        return lambda view, env: all(f(view, env) for f in fns)
-    return lambda view, env: any(f(view, env) for f in fns)
+        return lambda view, env: a(view, env) and b(view, env)
+    return lambda view, env: a(view, env) or b(view, env)
 
 
-def _implies(a, b):
-    """The closure of a -> b."""
-    return lambda view, env: (not a(view, env)) or b(view, env)
+def _join(parts, conj):
+    """The part of the conjunction (conj) or the disjunction of parts. Its
+    closure runs them in increasing key, ties in the given order. Three or
+    more are nested as a balanced tree of two-operand closures, so a chain
+    of k parts runs at most ceil(log2 k) closures deep."""
+    if len(parts) == 1:
+        return parts[0]
+    return _over(_tree([p.fn for p in sorted(parts, key=lambda p: p.key)], conj), parts)
+
+
+def _implies(ante, c):
+    """The part of (A1 & ... & Ak) -> C, from the parts Ai of the
+    antecedent's "&" chain and the consequent's part c. It runs C | ~A when
+    C's key is below the largest Ai key, and ~A | C otherwise."""
+    a, cf = _join(ante, True).fn, c.fn
+    if c.key < max(p.key for p in ante):
+        fn = lambda view, env: cf(view, env) or not a(view, env)
+    else:
+        fn = lambda view, env: (not a(view, env)) or cf(view, env)
+    return _over(fn, (*ante, c))
 
 
 def _split(parts, bit):
-    """The closures of the parts that do not read the slot of bit, and of
-    those that do, each in their order."""
-    return [f for f, reads in parts if not reads & bit], [f for f, reads in parts if reads & bit]
+    """The parts that do not read the slot of bit, and those that do, each
+    in their order."""
+    return [p for p in parts if not p.reads & bit], [p for p in parts if p.reads & bit]
 
 
 def _loop(idx, over_sets, exists, sub):
-    """A quantifier's loop: sub with env[idx] at each value of the domain
-    in increasing order, the view's vertices or, over sets, its vertex
-    masks. It is built per kind: ex returns True at the first true body
-    and all False at the first false one."""
+    """A quantifier's loop, as a part: the part sub with env[idx] at each
+    value of the domain in increasing order, the view's vertices or, over
+    sets, its vertex masks. It is built per kind: ex returns True at the
+    first true body and all False at the first false one."""
     domain = _SETS if over_sets else _POINTS
+    body = sub.fn
     if exists:
         def fn(view, env):
             for env[idx] in view[domain]:
-                if sub(view, env):
+                if body(view, env):
                     return True
             return False
     else:
         def fn(view, env):
             for env[idx] in view[domain]:
-                if not sub(view, env):
+                if not body(view, env):
                     return False
             return True
-    return fn
+    return _Part(fn, sub.reads & ~(1 << idx), (over_sets or sub.key[0], sub.key[1] + 1))
 
 
-def _compile(node, scope, slots, depth=0):
+def _compile(node, scope, slots, depth=0, chain=None):
     """One descent: reject nesting past parse's cap, names and quantifier
     kinds that parse never produces, shadowing and ill-typed atoms, assign
     env slots, print the node, and compile it to a closure fn(view, env)
     for repeated evaluation. depth is the number of nodes above node.
-    Besides the parser, it is the only walk over the AST.
+    Besides the parser, it is the only walk over the AST. chain is the
+    connective, "&" or "|", of a chain above that flattens node into its
+    own parts (an implication flattens its antecedent's "&" chain). A node
+    of that connective then returns fn None, so each chain builds its
+    closures once, at its outermost node.
 
     view is the graph as eval builds it once per call: the tuple (edge
     set, range(n), range(1 << n)), whose last entry is None when the
@@ -324,6 +367,24 @@ def _compile(node, scope, slots, depth=0):
     Miniscoping changes only the closure: the text, the rank and the
     guards are those of the formula as given.
 
+    Every chain then runs its cheapest operands first, by a static cost
+    key per part: the pair (holds a set quantifier, quantifier rank),
+    compared in that order (see _Part). An "&" or "|" chain, flattened,
+    runs its parts in increasing key, ties in their order in the text (see
+    _join). (A1 & ... & Ak) -> C runs C first, as C | ~(A1 & ... & Ak),
+    when C's key is below the largest Ai key, and as ~(A1 & ... & Ak) | C
+    otherwise (see _implies). The same holds for the chains that
+    miniscoping builds: F & ex v. D and F | all v. D are chains of F's
+    parts and the loop, and F -> all v. (D -> C) two implications. A
+    loop's key is that of the parts it runs over, with one more rank, and
+    a set quantifier if it runs over sets. So all R. ((x in R & Cl(R)) ->
+    y in R) tests y in R first and runs Cl(R) only when y is not in R and
+    x is. The order is exact: the guards run in eval before any closure,
+    no closure raises, and none writes anything but its own quantifier's
+    env slot, which no part outside that quantifier reads, so the
+    operands of a chain are pure functions of the env and commute. Like
+    miniscoping, the order changes only the closure.
+
     Returns a _Compiled.
     """
     if depth > _MAX_NESTING:
@@ -353,15 +414,15 @@ def _compile(node, scope, slots, depth=0):
         fn = lambda view, env: not sub_fn(view, env)
         return _Compiled(fn, f"~{sub.text}", sub.rank, sub.set_quant, sub.reads)
     if isinstance(node, (And, Or, Implies)):
-        left = _compile(node.left, scope, slots, depth)
-        right = _compile(node.right, scope, slots, depth)
-        if isinstance(node, Implies):
-            op, fn = "->", _implies(left.fn, right.fn)
-            parts = _spine(left, "&") + ((right.fn, right.reads),)
+        op = "->" if isinstance(node, Implies) else "&" if isinstance(node, And) else "|"
+        left = _compile(node.left, scope, slots, depth, "&" if op == "->" else op)
+        right = _compile(node.right, scope, slots, depth, None if op == "->" else op)
+        if op == "->":
+            ante, c = _spine(left, "&"), right.part
+            parts, fn = ante + (c,), _implies(ante, c).fn
         else:
-            op = "&" if isinstance(node, And) else "|"
-            fn = _join((left.fn, right.fn), op == "&")
             parts = _spine(left, op) + _spine(right, op)
+            fn = None if op == chain else _join(parts, op == "&").fn
         return _Compiled(fn, f"({left.text} {op} {right.text})", max(left.rank, right.rank),
                          left.set_quant or right.set_quant, left.reads | right.reads, op, parts)
     if isinstance(node, Quant):
@@ -380,15 +441,15 @@ def _compile(node, scope, slots, depth=0):
             outer, inner = _split(body.parts, bit)
             if outer and inner:
                 loop = _loop(idx, over_sets, exists, _join(inner, exists))
-                fn = _join((_join(outer, exists), loop), exists)
+                fn = _join(outer + [loop], exists).fn
         elif body.op == "->" and not exists:  # F -> all v. (D -> C)
             outer, inner = _split(body.parts[:-1], bit)
-            c, c_reads = body.parts[-1]
-            if outer and (inner or c_reads & bit):
-                sub = _implies(_join(inner, True), c) if inner else c
-                fn = _implies(_join(outer, True), _loop(idx, over_sets, False, sub))
+            c = body.parts[-1]
+            if outer and (inner or c.reads & bit):
+                sub = _implies(inner, c) if inner else c
+                fn = _implies(outer, _loop(idx, over_sets, False, sub)).fn
         if fn is None:
-            fn = _loop(idx, over_sets, exists, body.fn)
+            fn = _loop(idx, over_sets, exists, body.part).fn
         return _Compiled(fn, f"{node.kind} {node.var}. {body.text}", body.rank + 1,
                          body.set_quant or over_sets, body.reads & ~bit)
     raise ParseError(f"not an MSO formula node: {node!r:.40}")

@@ -504,3 +504,145 @@ def test_empty_domain_verdicts(text, expected):
     assert f.eval(Digraph(0)) is expected
     assert interpret(Digraph(0), f.formula, {}) is expected
 
+
+
+# -- cost-ordered chains --------------------------------------------------
+
+
+class CountingEdges(frozenset):
+    """An edge set that counts its lookups."""
+
+    lookups = 0
+
+    def __contains__(self, pair):
+        self.lookups += 1
+        return super().__contains__(pair)
+
+
+def edge_lookups(text, graphs):
+    """The edge-set lookups that evaluating text makes over graphs, at
+    every valuation of its free points, and its verdicts."""
+    f = CompiledFormula.parse(text, allow_free=True)
+    lookups, verdicts = 0, []
+    for g in graphs:
+        g = Digraph(g.n, g.edges)
+        edges = CountingEdges(g.edges)
+        object.__setattr__(g, "edges", edges)
+        for values in product(range(g.n), repeat=len(f.free)):
+            verdicts.append(f.eval(g, dict(zip(sorted(f.free), values))))
+        lookups += edges.lookups
+    return lookups, verdicts
+
+
+def closed(s):
+    return f"all u. all v. ((u in {s} & E(u,v)) -> v in {s})"
+
+
+@pytest.mark.parametrize("text, hand_ordered", [
+    (f"all R. ((x in R & {closed('R')}) -> y in R)", f"all R. (y in R | ~(x in R & {closed('R')}))"),
+    (f"ex X. ({closed('X')} & x in X)", f"ex X. (x in X & {closed('X')})"),
+])
+def test_chains_run_their_cheapest_parts_first(text, hand_ordered):
+    """The closure condition, of rank 2, runs after the one-bit tests
+    beside it, as in the hand-ordered text: only for sets R that hold x
+    and not y, and for sets X that hold x."""
+    graphs = [PATH3, CYCLE3, Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 1), (2, 2)])]
+    lookups, verdicts = edge_lookups(text, graphs)
+    assert lookups > 0
+    assert (lookups, verdicts) == edge_lookups(hand_ordered, graphs)
+
+
+def balanced(cls, parts):
+    """parts joined by cls as a balanced tree."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return cls(balanced(cls, parts[:mid]), balanced(cls, parts[mid:]))
+
+
+@pytest.mark.parametrize("cls, filler", [(And, Eq("x", "x")), (Or, Not(Eq("x", "x")))])
+def test_long_balanced_chains(cls, filler):
+    """4,096 parts, a dozen levels deep as an AST, run as one flattened
+    chain whose closure nests log2(4,096) calls deep: a quantified part at
+    the front (it runs last), two atoms that decide and filler that does
+    not."""
+    parts = [filler] * 4096
+    parts[0] = Quant("ex", "z", And(Edge("x", "z"), Edge("z", "y")))
+    parts[1234], parts[3000] = Member("y", "X"), Edge("x", "y")
+    f = balanced(cls, parts)
+    compiled = CompiledFormula(f)
+    assert compiled.rank == 1
+    for g in GRAPHS[1:]:
+        for x, y in product(range(g.n), repeat=2):
+            for mask in range(1 << g.n):
+                env = {"x": x, "y": y, "X": frozenset(v for v in range(g.n) if mask >> v & 1)}
+                assert compiled.eval(g, env) == interpret(g, f, env), (g, env)
+
+
+@st.composite
+def chains(draw, bound=frozenset(), depth=2):
+    """An "&", "|" or "->" chain of 2 to 5 parts, left-deep, right-deep or
+    balanced, sometimes under a quantifier, whose parts mix atoms, point-
+    and set-quantified formulas and, depth permitting, chains; an
+    implication's consequent is often an atom under quantified
+    antecedents."""
+    outer = None
+    if not bound and draw(st.booleans()):
+        outer = draw(st.sampled_from(POINTS + SETS))
+        bound = bound | {outer}
+
+    def atom():
+        return draw(formulas(bound, 0))
+
+    def quantified(pool):
+        var = draw(st.sampled_from([v for v in pool if v not in bound]))
+        return Quant(draw(st.sampled_from(("ex", "all"))), var, draw(formulas(bound | {var}, 2)))
+
+    def part():
+        kind = draw(st.sampled_from(("atom", "point", "set", "chain") if depth else ("atom",)))
+        if kind == "atom":
+            return atom()
+        if kind == "chain":
+            return draw(chains(bound, depth - 1))
+        return quantified(POINTS if kind == "point" else SETS)
+
+    def fold(cls, parts):
+        if len(parts) == 1:
+            return parts[0]
+        shape = draw(st.sampled_from(("left", "right", "balanced")))
+        mid = {"left": len(parts) - 1, "right": 1, "balanced": len(parts) // 2}[shape]
+        return cls(fold(cls, parts[:mid]), fold(cls, parts[mid:]))
+
+    k = draw(st.integers(2, 5))
+    cls = draw(st.sampled_from((And, Or, Implies)))
+    if cls is Implies:
+        if draw(st.booleans()):  # an atom under quantified antecedents
+            ante = [quantified(POINTS + SETS) for _ in range(k - 1)]
+            f = Implies(fold(And, ante), atom())
+        else:
+            f = Implies(fold(And, [part() for _ in range(k - 1)]), part())
+    else:
+        f = fold(cls, [part() for _ in range(k)])
+    if outer is not None:
+        f = Quant(draw(st.sampled_from(("ex", "all"))), outer, f)
+    return f
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(chains(), st.randoms(use_true_random=False))
+def test_cost_ordered_chains_match_direct_interpreter(f, rng):
+    """The compiled closures run each chain in cost order, the chains that
+    miniscoping builds too; interpret runs f as given. GRAPHS starts with
+    the empty graph."""
+    compiled = CompiledFormula(f)
+    free = free_of(f)
+    for g in GRAPHS:
+        if g.n == 0 and any(not is_set_var(v) for v in free):
+            continue
+        env = {
+            v: frozenset(u for u in range(g.n) if rng.random() < 0.5)
+            if is_set_var(v)
+            else rng.randrange(g.n)
+            for v in sorted(free)
+        }
+        assert compiled.eval(g, env) == interpret(g, f, env), (compiled.text, g)
