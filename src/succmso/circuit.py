@@ -166,25 +166,22 @@ def _residual(gates, output, label_bits, x):
     become constants; a y-wire input becomes the index of its bit; and, or
     and not of constants fold to a constant; an and/or with one constant
     operand becomes that constant or its other operand; every other gate is
-    kept, recorded in flat kind and operand lists (a not repeats its one
-    operand). One backward pass marks the output's cone among the kept
-    gates, and one forward pass renumbers it into gate tuples, in order, so
-    each and/or keeps its operands' order. When the output is a y bit,
-    residual is () and output is that bit's index. On the compiled
-    reductions at the bench sizes (the toy quadruple at s = 16 and 20, the
-    shared-port quadruple at s = 12) a residual keeps a median of 32 of
-    their 452-644 gates.
+    kept, appended as a tuple to a list headed by label_bits placeholders
+    for y's bits, so a kept gate's list index is its value index. The
+    output's cone is then taken from that list by _cone, with the
+    placeholders as its head, so each and/or keeps its operands' order.
+    When the output is a y bit, residual is () and output is that bit's
+    index. On the compiled reductions at the bench sizes (the toy
+    quadruple at s = 16 and 20, the shared-port quadruple at s = 12) a
+    residual keeps a median of 32 of their 452-644 gates.
 
     The fold is partial evaluation, not a second interpreter: it never
     reads y, and every answer that depends on y comes from _run, as in
-    rows, so the gates' semantics live in one place. It takes its own cone
-    rather than calling _cone: its operands below label_bits are y's bits,
-    leaves that no gate of the residual stands for, and only the gates of
-    the output's cone become tuples.
+    rows, so the gates' semantics live in one place.
     """
     n = label_bits
     zero, one = ~0, ~1  # a folded value is ~c for constant c, else a value index
-    kinds, lefts, rights = [], [], []  # kept gate k has value index n + k
+    kept = [None] * n  # y's bits, then each kept gate at its value index
     place = []  # each gate's folded value
     top = n  # the value index of the next kept gate
     # list.append is called by name, not through a bound alias: Python
@@ -202,9 +199,7 @@ def _residual(gates, output, label_bits, x):
             else:
                 place.append(top)
                 top += 1
-                kinds.append(kind)
-                lefts.append(a)
-                rights.append(b)
+                kept.append((kind, a, b))
         elif kind == "or":
             a, b = place[gate[1]], place[gate[2]]
             if a == one or b == one:
@@ -216,9 +211,7 @@ def _residual(gates, output, label_bits, x):
             else:
                 place.append(top)
                 top += 1
-                kinds.append(kind)
-                lefts.append(a)
-                rights.append(b)
+                kept.append((kind, a, b))
         elif kind == "not":
             a = place[gate[1]]
             if a < 0:
@@ -226,9 +219,7 @@ def _residual(gates, output, label_bits, x):
             else:
                 place.append(top)
                 top += 1
-                kinds.append(kind)
-                lefts.append(a)
-                rights.append(a)
+                kept.append((kind, a))
         elif kind == "input":
             w = gate[1]
             place.append(~(x >> w & 1) if w < n else w - n)
@@ -239,35 +230,8 @@ def _residual(gates, output, label_bits, x):
         return None, out == one
     if out < n:
         return (), out
-    last = out - n
-    live = bytearray(last + 1)
-    live[last] = 1
-    # reversed(live) reads each mark when the walk reaches it, after every
-    # later gate has marked its operands
-    for k in compress(range(last, -1, -1), reversed(live)):
-        a = lefts[k] - n
-        if a >= 0:
-            live[a] = 1
-        b = rights[k] - n
-        if b >= 0:
-            live[b] = 1
-    index = [0] * (last + 1)  # each live gate's value index in the residual
-    kept = []
-    for k in compress(range(last + 1), live):
-        kind = kinds[k]
-        a = lefts[k]
-        if a >= n:
-            a = index[a - n]
-        if kind == "not":
-            gate = (kind, a)
-        else:
-            b = rights[k]
-            if b >= n:
-                b = index[b - n]
-            gate = (kind, a, b)
-        index[k] = n + len(kept)
-        kept.append(gate)
-    return tuple(kept), n + len(kept) - 1
+    cone = _cone(kept, out, n)[0]
+    return cone[n:], len(cone) - 1
 
 
 def _cone(gates, output, head=0, tops=()):
@@ -276,7 +240,9 @@ def _cone(gates, output, head=0, tops=()):
     gates[:taken] as they are, and index[i - taken] is gate i's new index,
     or -1. One backward pass marks the gates, one forward pass renumbers
     them, keeping each and/or's operands in the order they had. It serves
-    build and cone_prefix, whose gate lists hold their inputs as gates.
+    build and cone_prefix, whose gate lists hold their inputs as gates, and
+    _residual, whose list starts with a head of label_bits placeholders
+    for y's bits, which the walks never reach.
 
     A layout from CircuitBuilder.cone_prefix passes its head length and
     tops: both passes walk only the gates from head on. Unless the output
@@ -778,7 +744,8 @@ class CircuitBuilder:
         layout, extended, the gates this builder would get."""
         gates = self._gates
         kept, place, _ = _cone(gates, output)
-        del place[size:]
+        # an output below size leaves place shorter than size
+        place = (place + [-1] * size)[:size]
         head = kept[: size - place.count(-1)]
         _check_gates(head, 2 * self.label_bits, 0)
         layout = CircuitBuilder(self.label_bits)

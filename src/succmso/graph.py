@@ -13,6 +13,12 @@ from .errors import BadVertex, EmptyWord, ParseError, PortArityMismatch, TooLarg
 # vertex maps.
 _MAX_ISO_VERTICES = 10
 
+# Cap on the vertex count of a gadget and of a chain glued from gadgets:
+# the gadget constructors and chain_maps build a set or a list with one
+# entry per vertex, so a vertex count past it is refused before any such
+# allocation.
+MAX_GADGET_VERTICES = 10**6
+
 
 @dataclass(frozen=True)
 class Digraph:
@@ -117,18 +123,28 @@ class BiboundariedGraph:
 
 @dataclass(frozen=True)
 class GadgetTriple:
-    """Three gadgets with equal port count; g1 must have a non-port vertex
-    or a non-shared port (P1(g1) ∩ P2(g1) != V(g1))."""
+    """Three gadgets with equal port count, each of at most
+    MAX_GADGET_VERTICES vertices (else TooLarge); g1 must have a non-port
+    vertex or a non-shared port (P1(g1) ∩ P2(g1) != V(g1))."""
 
     g1: BiboundariedGraph
     g2: BiboundariedGraph
     g3: BiboundariedGraph
 
     def __post_init__(self):
+        check_gadget_sizes(self.g1, self.g2, self.g3)
         if not self.g1.ell == self.g2.ell == self.g3.ell:
             raise PortArityMismatch("gadget port counts differ")
         if set(self.g1.p1) & set(self.g1.p2) == set(range(self.g1.n)):
             raise BadVertex("P1(g1) ∩ P2(g1) must not cover all of g1")
+
+
+def check_gadget_sizes(*gadgets):
+    """TooLarge for the first gadget with more than MAX_GADGET_VERTICES
+    vertices."""
+    for g in gadgets:
+        if g.n > MAX_GADGET_VERTICES:
+            raise TooLarge(f"a gadget has {g.n} vertices, past the cap {MAX_GADGET_VERTICES}")
 
 
 def disjoint_union(a: Digraph, b: Digraph) -> Digraph:
@@ -149,7 +165,9 @@ def chain_maps(gamma: dict, word):
     """One vertex map per letter of word (a list from the gadget's labels to
     the chain's) and the chain's vertex count. The first gadget keeps its
     labels; in each next one, P1[i] goes to the chain's P2[i] so far and the
-    other vertices to fresh labels in increasing order."""
+    other vertices to fresh labels in increasing order. A chain of more
+    than MAX_GADGET_VERTICES vertices is TooLarge, refused before the map
+    that would take it past the cap is built."""
     word = list(word)
     if not word:
         raise EmptyWord("delta requires a nonempty word")
@@ -159,13 +177,16 @@ def chain_maps(gamma: dict, word):
     maps, total, p2 = [], 0, ()
     for letter in word:
         b = gamma[letter]
-        vmap = [None] * b.n
+        n = b.n
+        if total + n - len(p2) > MAX_GADGET_VERTICES:  # p2 is () for the first letter
+            raise TooLarge(f"the chain has more than {MAX_GADGET_VERTICES} vertices")
+        vmap = [None] * n
         if maps:
             if len(p2) != b.ell:
                 raise PortArityMismatch(f"port counts {len(p2)} and {b.ell} differ")
             for p, q in zip(b.p1, p2):
                 vmap[p] = q
-        for v in range(b.n):
+        for v in range(n):
             if vmap[v] is None:
                 vmap[v] = total
                 total += 1

@@ -213,36 +213,32 @@ def _check_names(*names):
             raise ParseError(f"not a variable name: {name!r:.40}")
 
 
-class _Part(NamedTuple):
-    """One operand of a chain: its closure fn(view, env), the env slots it
-    reads (a bit per slot, as in _Compiled), and its cost key, the pair
-    (holds a set quantifier, quantifier rank)."""
+class _Node(NamedTuple):
+    """One node as _compile returns it, or one operand of a chain. fn is
+    its closure fn(view, env), None for a connective (see part). reads has
+    bit i set when it reads env slot i (a quantifier's own slot is not read
+    from outside it); key is its cost key, the pair (holds a set
+    quantifier, quantifier rank). A connective has its op ("&", "|", "->")
+    and parts, each with its closure: the operands of its flattened "&" or
+    "|" chain, or for "->" those of its antecedent's "&" chain, then the
+    consequent."""
 
     fn: object
     reads: int
     key: tuple
-
-
-class _Compiled(NamedTuple):
-    """One node as _compile returns it. reads has bit i set when the node
-    reads env slot i (a quantifier's own slot is not read from outside
-    it). op is the node's connective ("&", "|", "->") or None, and parts
-    holds _Part entries: for "&" and "|" the operands of the node's
-    flattened "&" or "|" chain, for "->" those of its antecedent's "&"
-    chain followed by the consequent."""
-
-    fn: object
-    text: str
-    rank: int
-    set_quant: bool
-    reads: int
+    text: str = ""
     op: str | None = None
     parts: tuple = ()
 
     @property
     def part(self):
-        """The node as one operand of a chain."""
-        return _Part(self.fn, self.reads, (self.set_quant, self.rank))
+        """The node as one operand, its closure built: a connective's by
+        _join for "&" and "|" and by _implies for "->"."""
+        if self.op is None:
+            return self
+        if self.op == "->":
+            return _implies(self.parts[:-1], self.parts[-1])
+        return _join(self.parts, self.op == "&")
 
 
 def _spine(c, op):
@@ -257,7 +253,7 @@ def _over(fn, parts):
     reads = 0
     for p in parts:
         reads |= p.reads
-    return _Part(fn, reads, (any(p.key[0] for p in parts), max(p.key[1] for p in parts)))
+    return _Node(fn, reads, (any(p.key[0] for p in parts), max(p.key[1] for p in parts)))
 
 
 def _tree(fns, conj):
@@ -318,19 +314,22 @@ def _loop(idx, over_sets, exists, sub):
                 if not body(view, env):
                     return False
             return True
-    return _Part(fn, sub.reads & ~(1 << idx), (over_sets or sub.key[0], sub.key[1] + 1))
+    return _Node(fn, sub.reads & ~(1 << idx), (over_sets or sub.key[0], sub.key[1] + 1))
 
 
-def _compile(node, scope, slots, depth=0, chain=None):
+def _compile(node, scope, slots, depth=0):
     """One descent: reject nesting past parse's cap, names and quantifier
     kinds that parse never produces, shadowing and ill-typed atoms, assign
     env slots, print the node, and compile it to a closure fn(view, env)
     for repeated evaluation. depth is the number of nodes above node.
-    Besides the parser, it is the only walk over the AST. chain is the
-    connective, "&" or "|", of a chain above that flattens node into its
-    own parts (an implication flattens its antecedent's "&" chain). A node
-    of that connective then returns fn None, so each chain builds its
-    closures once, at its outermost node.
+    Besides the parser, it is the only walk over the AST. A connective
+    returns fn None with its parts, and its closure is built by its part
+    (see _Node) where it is read as one operand: under a ~, as a
+    quantifier body that is not miniscoped, as a consequent, inside a
+    chain of another connective, or at the root. A chain of one
+    connective flattens into its outermost node's parts (an implication
+    flattens its antecedent's "&" chain), so each chain builds its
+    closures once.
 
     view is the graph as eval builds it once per call: the tuple (edge
     set, range(n), range(1 << n)), whose last entry is None when the
@@ -369,7 +368,7 @@ def _compile(node, scope, slots, depth=0, chain=None):
 
     Every chain then runs its cheapest operands first, by a static cost
     key per part: the pair (holds a set quantifier, quantifier rank),
-    compared in that order (see _Part). An "&" or "|" chain, flattened,
+    compared in that order (see _Node). An "&" or "|" chain, flattened,
     runs its parts in increasing key, ties in their order in the text (see
     _join). (A1 & ... & Ak) -> C runs C first, as C | ~(A1 & ... & Ak),
     when C's key is below the largest Ai key, and as ~(A1 & ... & Ak) | C
@@ -385,7 +384,7 @@ def _compile(node, scope, slots, depth=0, chain=None):
     operands of a chain are pure functions of the env and commute. Like
     miniscoping, the order changes only the closure.
 
-    Returns a _Compiled.
+    Returns a _Node.
     """
     if depth > _MAX_NESTING:
         raise ParseError(f"formula nested deeper than {_MAX_NESTING} levels")
@@ -399,32 +398,29 @@ def _compile(node, scope, slots, depth=0, chain=None):
         reads = 1 << i | 1 << j
         if isinstance(node, Edge):
             fn = lambda view, env: (env[i], env[j]) in view[_EDGES]
-            return _Compiled(fn, f"E({node.x},{node.y})", 0, False, reads)
-        return _Compiled(lambda view, env: env[i] == env[j], f"{node.x}={node.y}", 0, False, reads)
+            return _Node(fn, reads, (False, 0), f"E({node.x},{node.y})")
+        return _Node(lambda view, env: env[i] == env[j], reads, (False, 0), f"{node.x}={node.y}")
     if isinstance(node, Member):
         _check_names(node.x, node.xs)
         if is_set_var(node.x) or not is_set_var(node.xs):
             raise ScopeError("membership needs a point on the left, a set on the right")
         i, j = _slot(node.x, scope, slots), _slot(node.xs, scope, slots)
         fn = lambda view, env: env[j] >> env[i] & 1
-        return _Compiled(fn, f"{node.x} in {node.xs}", 0, False, 1 << i | 1 << j)
+        return _Node(fn, 1 << i | 1 << j, (False, 0), f"{node.x} in {node.xs}")
     if isinstance(node, Not):
         sub = _compile(node.sub, scope, slots, depth)
-        sub_fn = sub.fn
+        sub_fn = sub.part.fn
         fn = lambda view, env: not sub_fn(view, env)
-        return _Compiled(fn, f"~{sub.text}", sub.rank, sub.set_quant, sub.reads)
+        return _Node(fn, sub.reads, sub.key, f"~{sub.text}")
     if isinstance(node, (And, Or, Implies)):
         op = "->" if isinstance(node, Implies) else "&" if isinstance(node, And) else "|"
-        left = _compile(node.left, scope, slots, depth, "&" if op == "->" else op)
-        right = _compile(node.right, scope, slots, depth, None if op == "->" else op)
-        if op == "->":
-            ante, c = _spine(left, "&"), right.part
-            parts, fn = ante + (c,), _implies(ante, c).fn
-        else:
-            parts = _spine(left, op) + _spine(right, op)
-            fn = None if op == chain else _join(parts, op == "&").fn
-        return _Compiled(fn, f"({left.text} {op} {right.text})", max(left.rank, right.rank),
-                         left.set_quant or right.set_quant, left.reads | right.reads, op, parts)
+        left = _compile(node.left, scope, slots, depth)
+        right = _compile(node.right, scope, slots, depth)
+        parts = _spine(left, "&" if op == "->" else op)
+        parts += (right.part,) if op == "->" else _spine(right, op)
+        key = (left.key[0] or right.key[0], max(left.key[1], right.key[1]))
+        return _Node(None, left.reads | right.reads, key, f"({left.text} {op} {right.text})",
+                     op, parts)
     if isinstance(node, Quant):
         if node.kind not in ("ex", "all"):
             raise ParseError(f"not a quantifier kind: {node.kind!r:.40}")
@@ -450,8 +446,8 @@ def _compile(node, scope, slots, depth=0, chain=None):
                 fn = _implies(outer, _loop(idx, over_sets, False, sub)).fn
         if fn is None:
             fn = _loop(idx, over_sets, exists, body.part).fn
-        return _Compiled(fn, f"{node.kind} {node.var}. {body.text}", body.rank + 1,
-                         body.set_quant or over_sets, body.reads & ~bit)
+        return _Node(fn, body.reads & ~bit, (over_sets or body.key[0], body.key[1] + 1),
+                     f"{node.kind} {node.var}. {body.text}")
     raise ParseError(f"not an MSO formula node: {node!r:.40}")
 
 
@@ -481,7 +477,8 @@ class CompiledFormula:
         self.formula = formula
         slots = []
         c = _compile(formula, {}, slots)
-        self._fn, self.text, self.rank, self._set_quant = c.fn, c.text, c.rank, c.set_quant
+        self._fn, self.text = c.part.fn, c.text
+        self._set_quant, self.rank = c.key
         self._width = len(slots)
         self._free_slots = {name: i for i, name in enumerate(slots) if name is not None}
         self.free = frozenset(self._free_slots)

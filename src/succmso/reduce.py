@@ -27,7 +27,15 @@ from .errors import (
     TooLargeToMaterialize,
     ValidationError,
 )
-from .graph import BiboundariedGraph, Digraph, GadgetTriple, bib_to_json_obj, delta, text_int
+from .graph import (
+    BiboundariedGraph,
+    Digraph,
+    GadgetTriple,
+    bib_to_json_obj,
+    check_gadget_sizes,
+    delta,
+    text_int,
+)
 from .sgr import Sgr
 
 # -- CNF instances -------------------------------------------------------
@@ -171,9 +179,10 @@ class GadgetQuadruple:
 
     It is the one way to build a quadruple. Construction is the
     validation: GadgetQuadruple(g0, g1, g2, g3) checks the compiler
-    preconditions, raising ValidationError naming the violated condition,
-    and stores each gadget permuted into the layout. A normalized quadruple
-    normalizes to itself. normalize_layout is another name for this
+    preconditions, raising ValidationError naming the violated condition
+    (TooLarge for a gadget past graph.MAX_GADGET_VERTICES, before any of
+    them), and stores each gadget permuted into the layout. A normalized
+    quadruple normalizes to itself. normalize_layout is another name for this
     constructor. The hash, which every template and label table lookup
     takes, is computed once, at construction.
     """
@@ -191,6 +200,7 @@ class GadgetQuadruple:
 
     def __post_init__(self):
         gs = g0, g1, g2, g3 = self.g0, self.g1, self.g2, self.g3
+        check_gadget_sizes(*gs)
         k = g0.ell
         if any(g.ell != k for g in gs):
             raise ValidationError("PORT_ALIGNMENT", "gadget port counts differ")

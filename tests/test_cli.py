@@ -210,6 +210,19 @@ def test_reduce_sat2sgr_and_sgr_commands(capsys, tmp_path, cnf_file):
     assert graph_equal(g, Digraph(5, [(0, 1), (1, 2), (2, 2), (2, 3), (3, 4)]))
 
 
+def test_edgeless_quadruple_compiles(capsys, tmp_path, cnf_file):
+    """Four edgeless gadgets pass validate-quad; sat2sgr on them once ended
+    in an IndexError traceback. Their chain has no edge."""
+    gadgets = tmp_path / "edgeless.json"
+    gadgets.write_text(json.dumps([{"n": 2, "edges": [], "p1": [0], "p2": [1]}] * 4))
+    out_file = tmp_path / "edgeless.sgr"
+    code, out, err = run(capsys, "reduce", "sat2sgr", "--cnf", cnf_file, "--gadgets",
+                         str(gadgets), "--out", str(out_file))
+    assert code == 0 and "Traceback" not in err
+    code, out, _ = run(capsys, "sgr", "materialize", "--sgr", str(out_file))
+    assert code == 0 and out == "graph 5\n\n"
+
+
 def test_materialize_prints_the_scalar_oracle_edges(capsys, tmp_path):
     """sgr materialize on a compiled toy SGR at s = 4 (N = 19) prints, byte
     for byte, the edges a per-pair scalar evaluation of its circuit finds."""
@@ -604,12 +617,17 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("verify", "sat", "--cnf", "{a}"), {"a": "p cnf 1_0 1\n1 0\n"}, "ParseError"),
         (("mso", "check", "--graph", "{a}", "--formula", "ex x. x=x"), {"a": "graph 1_0\n"},
          "ParseError"),
+        (("graph", "glue", "--a", "{a}", "--b", "{b}"),
+         {"a": f"graph {10**30}\np1 0\np2 1\n", "b": EDGE_GADGET}, "TooLarge"),
+        (("graph", "delta", "--gadgets", "{a}", "--word", "1"),
+         {"a": json.dumps({"1": {"n": 10**30, "edges": [], "p1": [0], "p2": [1]}})}, "TooLarge"),
     ],
     ids=[
         "gadgets-5", "pump-triple-5", "build-quad-triple-5", "three-gadgets", "cnf-not-utf8",
         "truncated-family", "truncated-gadgets", "missing-file", "ef-equiv-negative-m",
         "ef-qsearch-negative-m", "ef-qbound-negative-m", "cnf-clause-count-wrong",
-        "cnf-clause-count-not-int", "cnf-underscore", "graph-underscore",
+        "cnf-clause-count-not-int", "cnf-underscore", "graph-underscore", "glue-huge-graph",
+        "delta-huge-gadget",
     ],
 )
 def test_input_failures_follow_the_error_contract(capsys, tmp_path, argv, files, error):

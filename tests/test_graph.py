@@ -19,6 +19,7 @@ from succmso.graph import (
     GadgetTriple,
     bib_from_json_obj,
     bib_to_json_obj,
+    chain_maps,
     delta,
     disjoint_union,
     format_graph,
@@ -29,6 +30,8 @@ from succmso.graph import (
     parse_graph,
     power_union,
 )
+
+from succmso import graph as graph_mod
 
 from test_circuit import JSON
 
@@ -188,6 +191,33 @@ def test_delta_fold():
         delta(fam, "")
     with pytest.raises(BadVertex):
         delta(fam, "12")
+
+
+HUGE = 10**30
+
+
+def test_chain_vertex_cap(monkeypatch):
+    """A gadget of 10^30 vertices once ended in an OverflowError from the
+    first vertex map; the cap counts the chain's total, shared ports once."""
+    huge = BiboundariedGraph(Digraph(HUGE), (0,), (1,))
+    for gamma, word in [({0: huge}, [0]), ({0: edge_gadget(), 1: huge}, [0, 1])]:
+        with pytest.raises(TooLarge):
+            chain_maps(gamma, word)
+    with pytest.raises(TooLarge):
+        glue(edge_gadget(), huge)
+    monkeypatch.setattr(graph_mod, "MAX_GADGET_VERTICES", 5)
+    assert delta({"1": edge_gadget()}, "1111").n == 5
+    with pytest.raises(TooLarge):
+        delta({"1": edge_gadget()}, "11111")
+
+
+def test_gadget_triple_vertex_cap():
+    """Checked before the triple's own check, which builds a set of every
+    vertex of g1."""
+    huge = BiboundariedGraph(Digraph(HUGE), (0,), (1,))
+    for triple in [(huge, edge_gadget(), edge_gadget()), (edge_gadget(), edge_gadget(), huge)]:
+        with pytest.raises(TooLarge):
+            GadgetTriple(*triple)
 
 
 def test_isomorphism():

@@ -97,15 +97,33 @@ def query_sequences(rng, full):
     ]
 
 
+def assert_residual_is_a_cone(c):
+    """The residual eval keeps for its last x is exactly its output's
+    cone: and, or and not gates only (no input gate, no placeholder), each
+    operand below the gate's own value index, the output the last value,
+    and every gate but the last read by a later gate."""
+    n, residual, output = c.label_bits, c._row_memo[1], c._row_memo[2]
+    if not residual:
+        return
+    read = set()
+    for k, gate in enumerate(residual):
+        assert type(gate) is tuple and len(gate) == (2 if gate[0] == "not" else 3), (k, gate)
+        assert gate[0] in ("and", "or", "not"), (k, gate)
+        assert all(type(j) is int and 0 <= j < n + k for j in gate[1:]), (k, gate)
+        read.update(gate[1:])
+    assert output == n + len(residual) - 1
+    assert read >= set(range(n, output))
+
+
 def assert_eval_matches_scalar(c, rng):
     """Every query sequence matches the scalar oracle, the residual eval
-    keeps holds no input gate, and evaluating leaves the circuit's
+    keeps is its output's cone, and evaluating leaves the circuit's
     equality, hash and JSON form as they were."""
     text, digest, twin = serialize(c), hash(c), parse(serialize(c))
     for queries in query_sequences(rng, 1 << c.label_bits):
         for x, y in queries:
             assert c.eval(x, y) is scalar_eval(c, x, y), (x, y)
-            assert all(gate[0] != "input" for gate in c._row_memo[1] or ())
+            assert_residual_is_a_cone(c)
     assert c == twin and hash(c) == digest and serialize(c) == text
 
 
@@ -177,7 +195,7 @@ def folding_circuit(rng, label_bits, shape):
 def test_eval_on_seeded_residuals_at_byte_edges(label_bits, shape):
     """eval reads y's bits bytewise, so label widths on either side of a
     byte (and y's top bit) are where a cut could go wrong. The residual kept
-    for x holds no input gate; an output that folds to a constant or to a
+    for x is its output's cone; an output that folds to a constant or to a
     bare bit of y keeps no gate at all."""
     rng = random.Random(f"{label_bits}-{shape}")
     n = label_bits
@@ -197,7 +215,8 @@ def test_eval_on_seeded_residuals_at_byte_edges(label_bits, shape):
         elif shape == "y-wire":
             assert residual == ()
         else:
-            assert residual and all(gate[0] != "input" for gate in residual)
+            assert residual
+            assert_residual_is_a_cone(c)
             assert shape == "deep" or len(residual) == 1
 
 

@@ -14,6 +14,7 @@ from succmso.errors import (
     NotValidated,
     ParseError,
     SuccmsoError,
+    TooLarge,
     TooLargeToMaterialize,
     ValidationError,
 )
@@ -238,6 +239,16 @@ def test_normalize_rejects_neighborhood_mismatch():
     with pytest.raises(ValidationError) as exc:
         normalize_layout(g0, g1, other, BiboundariedGraph(Digraph(3, [(2, 0)]), (0, 2), (1, 2)))
     assert exc.value.condition == "COND_III"
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_quadruple_vertex_cap(j):
+    """A gadget of 10^30 vertices is refused before the checks that build a
+    set of every vertex of G1, or the normalization of each gadget."""
+    gs = [BiboundariedGraph(Digraph(2, [(0, 1)]), (0,), (1,))] * 4
+    gs[j] = BiboundariedGraph(Digraph(10**30), (0,), (1,))
+    with pytest.raises(TooLarge):
+        GadgetQuadruple(*gs)
 
 
 def test_normalize_rejects_misaligned_ports():
@@ -575,6 +586,23 @@ def test_the_last_seam_agrees_on_every_route():
             assert graph_equal(delta_layout(quad, S), ref), (s, S.clauses)
             assert graph_equal(materialize(compile_reduction(quad, S), 1 << 10), ref), (s, S.clauses)
     assert last_gadgets == {0, 1}
+
+
+@pytest.mark.parametrize("ports", [(), (0,)])
+def test_edgeless_quadruples_agree_on_every_route(ports):
+    """Four edgeless 2-vertex gadgets: the template's output is the
+    constant 0, a gate below the template's size, which once made
+    cone_prefix index past the end of its cone."""
+    e = BiboundariedGraph(Digraph(2), ports, [1 - p for p in ports])
+    quad = GadgetQuadruple(e, e, e, e)
+    for s in (1, 2, 3, 5):
+        for S in [CnfInstance(s, [])] + seeded_cnf_battery(s, 3, 900 + s):
+            sgr = compile_reduction(quad, S)
+            assert sgr.circuit.gates == (("const", 0),)
+            ref = succ_ref_graph(quad, S)
+            assert not ref.edges and ref.n == quad.big_n(s)
+            assert graph_equal(delta_layout(quad, S), ref), (s, S.clauses)
+            assert graph_equal(materialize(sgr, 1 << 10), ref), (s, S.clauses)
 
 
 def test_vertex_count_formula():
